@@ -41,10 +41,10 @@ from .model import (
     landau_energy,
     landau_limit_error,
 )
-from .moments import moments_closed, moments_quadrature, robertson_delta
+from .moments import moments_closed, moments_quadrature
 from .quadrature import FD_MARGIN, GridSpec, weighted_norm
 from .states import LandauParams, default_grid, landau_state_asym, landau_state_sym, wavefunction
-from .verify import resolve_tolerances, run_suite, thread_budget
+from .verify import SUITE_NAMES, resolve_tolerances, run_suite
 
 __all__ = ["RunConfig", "main"]
 
@@ -88,7 +88,11 @@ def _csv_block(header: tuple[str, ...], rows: list[tuple]) -> str:
 
 
 def _json_text(obj, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+    """Deterministic JSON: sorted keys, floats at 17 significant digits.
+
+    JSON has no literal for a non-finite number, so inf, -inf and nan are
+    written as the strings "inf", "-inf" and "nan".
+    """
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -109,7 +113,8 @@ def _json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, float):
-        return _fmt_float(obj)
+        text = _fmt_float(obj)
+        return text if math.isfinite(obj) else json.dumps(text)
     if obj is None:
         return "null"
     return json.dumps(str(obj))
@@ -359,7 +364,7 @@ def _cmd_uncertainty(args: argparse.Namespace, cfg: RunConfig) -> int:
         for N in range(3):
             q = QuantumNumbers(l, l + 1 + N)
             closed = moments_closed(q, p).delta / hbar2
-            quad = robertson_delta(moments_quadrature(q, p, cfg.grid)) / hbar2
+            quad = moments_quadrature(q, p, cfg.grid).delta / hbar2
             rows.append((l, N, closed, quad, _LIMIT_TARGETS[N]))
     _table_output(
         cfg,
@@ -406,7 +411,7 @@ def _cmd_landau_limit(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
-    report = run_suite(args.suite, tolerances=cfg.tolerances, max_workers=thread_budget())
+    report = run_suite(args.suite, tolerances=cfg.tolerances)
     _emit(cfg, _json_text(report) + "\n")
     return 0 if report["passed"] else 1
 
@@ -516,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = sub.add_parser("verify", help="run a named invariant suite")
     cmd.add_argument(
         "--suite",
-        choices=("specfun", "states", "algebra", "coherent", "moments", "all"),
+        choices=SUITE_NAMES + ("all",),
         default="all",
     )
 
@@ -556,9 +561,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load_run_config(args)
         return _HANDLERS[args.command](args, cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MorsebandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,7 @@ from .errors import DomainError
 from .model import PhysParams, QuantumNumbers
 from .quadrature import GridSpec, IntegrationResult, integrate_radial
 from .specfun import bessel_i, bessel_k
-from .states import SampledState, measure_weight, wavefunction
+from .states import SampledState, _grid_axes, measure_weight, wavefunction
 
 __all__ = [
     "CoherentSpec",
@@ -193,8 +193,7 @@ def bg_state_closed(spec: CoherentSpec, p: PhysParams, grid: GridSpec) -> Sample
             y_period=bottom.y_period,
         )
     r = abs(z)
-    x = np.linspace(grid.x_min, grid.x_max, grid.nx)
-    y = -0.5 * p.a0 + np.arange(grid.ny) * (p.a0 / grid.ny)
+    x, y = _grid_axes(grid, p)
     kappa = p.kappa
     xy = x[:, None] + 1j * y[None, :]
     w = p.beta * z * np.exp(-kappa * xy)
@@ -336,8 +335,7 @@ def literal_branch_diagnostic(spec: CoherentSpec, p: PhysParams, grid: GridSpec)
     l, z = spec.l, spec.Z
     if z == 0:
         return BranchDiagnostic(flipped_fraction=0.0, max_other_deviation=0.0)
-    x = np.linspace(grid.x_min, grid.x_max, grid.nx)
-    y = -0.5 * p.a0 + np.arange(grid.ny) * (p.a0 / grid.ny)
+    x, y = _grid_axes(grid, p)
     xy = x[:, None] + 1j * y[None, :]
     w = p.beta * z * np.exp(-p.kappa * xy)
     log_ratio = np.log(w) + cmath.log(abs(z) / z) - math.log(abs(z) * p.beta) + p.kappa * xy

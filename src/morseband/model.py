@@ -53,6 +53,10 @@ class PhysParams:
     e: float
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise DomainError(f"PhysParams.{f.name} must be finite, got {value!r}")
         for name in ("B0", "a0", "mu", "hbar", "c"):
             if not getattr(self, name) > 0.0:
                 raise DomainError(f"PhysParams.{name} must be positive, got {getattr(self, name)!r}")

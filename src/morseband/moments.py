@@ -43,7 +43,6 @@ __all__ = [
     "default_moments_grid",
     "moments_closed",
     "moments_quadrature",
-    "robertson_delta",
     "log_weighted_gamma_integral",
     "landau_delta",
     "uncertainty_limit_curve",
@@ -105,11 +104,6 @@ class MomentSet:
             sigma_xp=complex(sigma_xp),
             delta=float(combo.real),
         )
-
-
-def robertson_delta(m: MomentSet) -> float:
-    """The uncertainty combination Re(sigma_xx sigma_pp - sigma_xp^2)."""
-    return float((m.sigma_xx * m.sigma_pp - m.sigma_xp * m.sigma_xp).real)
 
 
 def default_moments_grid(p: PhysParams) -> GridSpec:
@@ -257,7 +251,7 @@ def landau_delta(lp: LandauParams, p: PhysParams) -> float:
     else:
         grid = GridSpec(-12.0 * r_c, 12.0 * r_c, 4096, 512)
         state = landau_state_sym(lp.n, lp.l, p_box, grid)
-    return robertson_delta(_grid_moments(state, p.hbar))
+    return _grid_moments(state, p.hbar).delta
 
 
 def uncertainty_limit_curve(N: int, l_list) -> list[tuple[int, float]]:

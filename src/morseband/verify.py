@@ -20,6 +20,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
@@ -34,7 +35,7 @@ from .coherent import (
 )
 from .errors import ConfigError
 from .model import PhysParams, QuantumNumbers
-from .moments import landau_delta, moments_closed, moments_quadrature, robertson_delta
+from .moments import landau_delta, moments_closed, moments_quadrature
 from .quadrature import (
     FD_MARGIN,
     gauss_laguerre_nodes,
@@ -96,8 +97,21 @@ class CheckResult:
         }
 
 
-def _upper(name: str, measured: float, tol: float, detail: str = "") -> CheckResult:
-    return CheckResult(name, bool(measured <= tol), float(measured), tol, "upper", detail)
+def _worst(
+    name: str, tol: float, cases: list[tuple[float, str]], detail: str = "worst at {}"
+) -> CheckResult:
+    """Upper-bound result for the largest of the (residual, where) cases.
+
+    The first case stands until a later residual is strictly larger, so
+    a tie reports the first maximum. A NaN residual counts as the worst:
+    it is reported and fails the check. detail is formatted with the
+    winning case's where.
+    """
+    worst, where = cases[0]
+    for resid, at in cases[1:]:
+        if resid > worst or (math.isnan(resid) and not math.isnan(worst)):
+            worst, where = resid, at
+    return CheckResult(name, bool(worst <= tol), float(worst), tol, "upper", detail.format(where))
 
 
 def _lower(name: str, measured: float, tol: float, detail: str = "") -> CheckResult:
@@ -142,36 +156,34 @@ _COHERENT_SAMPLE = tuple(
 
 
 def _check_bessel_recurrence(tol: float) -> CheckResult:
-    worst, where = 0.0, ""
+    cases = []
     for nu in range(1, 16):
         for x in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0):
             lower_order = bessel_i(nu - 1.0, x)
             resid = abs(
                 lower_order - bessel_i(nu + 1.0, x) - (2.0 * nu / x) * bessel_i(float(nu), x)
             ) / abs(lower_order)
-            if resid > worst:
-                worst, where = resid, f"nu={nu}, x={x:g}"
-    return _upper("bessel_recurrence", worst, tol, f"worst at {where}")
+            cases.append((resid, f"nu={nu}, x={x:g}"))
+    return _worst("bessel_recurrence", tol, cases)
 
 
 def _check_bessel_wronskian(tol: float) -> CheckResult:
-    worst, where = 0.0, ""
+    cases = []
     for nu in range(16):
         for x in (0.1, 0.3, 1.0, 1.9, 2.0, 3.7, 10.0, 25.0, 50.0):
             lhs = bessel_i(float(nu), x) * bessel_k(nu + 1.0, x) + bessel_i(
                 nu + 1.0, x
             ) * bessel_k(float(nu), x)
             resid = x * abs(lhs - 1.0 / x)
-            if resid > worst:
-                worst, where = resid, f"nu={nu}, x={x:g}"
-    return _upper("bessel_wronskian", worst, tol, f"x-scaled defect, worst at {where}")
+            cases.append((resid, f"nu={nu}, x={x:g}"))
+    return _worst("bessel_wronskian", tol, cases, "x-scaled defect, worst at {}")
 
 
 def _check_generating_identity(tol: float) -> CheckResult:
     """Truncated sum_N v^N L_N^(a)(u) / Gamma(N+a+1) against
     e^v (uv)^(-a/2) J_a(2 sqrt(uv)), the identity the coherent closed
     form rests on."""
-    worst, where = 0.0, ""
+    cases = []
     points = (0.5, 1.5, 3.0, 5.0)
     for alpha in (1, 3, 5):
         for u in points:
@@ -186,14 +198,13 @@ def _check_generating_identity(tol: float) -> CheckResult:
                     * bessel_j(float(alpha), complex(2.0 * math.sqrt(u * v))).real
                 )
                 resid = abs(total - target) / abs(target)
-                if resid > worst:
-                    worst, where = resid, f"alpha={alpha}, u={u:g}, v={v:g}"
-    return _upper("generating_identity", worst, tol, f"40-term truncation, worst at {where}")
+                cases.append((resid, f"alpha={alpha}, u={u:g}, v={v:g}"))
+    return _worst("generating_identity", tol, cases, "40-term truncation, worst at {}")
 
 
 def _check_polygamma_consistency(tol: float) -> CheckResult:
     h = 1e-4
-    worst, where = 0.0, ""
+    cases = []
     for x in (0.5, 1.0, 2.0, 10.0, 100.0):
         fd_digamma = (ln_gamma(x + h) - ln_gamma(x - h)) / (2.0 * h)
         fd_trigamma = (digamma(x + h) - digamma(x - h)) / (2.0 * h)
@@ -201,13 +212,12 @@ def _check_polygamma_consistency(tol: float) -> CheckResult:
             ("digamma", abs(fd_digamma - digamma(x))),
             ("trigamma", abs(fd_trigamma - trigamma(x))),
         ):
-            if resid > worst:
-                worst, where = resid, f"{tag} at x={x:g}"
-    return _upper("polygamma_consistency", worst, tol, f"centered h={h:g}, worst for {where}")
+            cases.append((resid, f"{tag} at x={x:g}"))
+    return _worst("polygamma_consistency", tol, cases, f"centered h={h:g}, worst for {{}}")
 
 
 def _check_laguerre_orthogonality(tol: float) -> CheckResult:
-    worst, where = 0.0, ""
+    cases = []
     for alpha in (1.0, 3.0, 7.0):
         nodes, weights = gauss_laguerre_nodes(24, alpha)
         table = np.stack([laguerre(m, alpha, nodes) for m in range(11)])
@@ -217,9 +227,8 @@ def _check_laguerre_orthogonality(tol: float) -> CheckResult:
         )
         deviation = np.abs(gram - np.diag(norms)) / np.sqrt(np.outer(norms, norms))
         idx = np.unravel_index(int(np.argmax(deviation)), deviation.shape)
-        if deviation[idx] > worst:
-            worst, where = float(deviation[idx]), f"alpha={alpha:g}, m={idx[0]}, m'={idx[1]}"
-    return _upper("laguerre_orthogonality", worst, tol, f"worst at {where}")
+        cases.append((float(deviation[idx]), f"alpha={alpha:g}, m={idx[0]}, m'={idx[1]}"))
+    return _worst("laguerre_orthogonality", tol, cases)
 
 
 # ----------------------------------------------------------------- states
@@ -233,33 +242,31 @@ def _check_orthonormality(tol: float) -> CheckResult:
         for n in range(1, 7)
         for l in range(n)
     ]
-    worst, where = 0.0, ""
+    cases = []
     for i, a in enumerate(basis):
         for b in basis[i:]:
             target = 1.0 if a.labels == b.labels else 0.0
             resid = abs(grid_inner_product(a, b) - target)
-            if resid > worst:
-                worst, where = resid, f"({a.labels.l},{a.labels.n})|({b.labels.l},{b.labels.n})"
-    return _upper("orthonormality", worst, tol, f"n, n' <= 6, worst at {where}")
+            cases.append((resid, f"({a.labels.l},{a.labels.n})|({b.labels.l},{b.labels.n})"))
+    return _worst("orthonormality", tol, cases, "n, n' <= 6, worst at {}")
 
 
 def _check_rodrigues_agreement(tol: float) -> CheckResult:
     beta = PhysParams.natural().beta
-    worst, where = 0.0, ""
+    cases = []
     for l, n in ((0, 1), (0, 2), (1, 2), (1, 3)):
         for xi in (0.45, 0.9, 1.7, 3.3, 7.1):
             series_val = float(assoc_bessel(l, n, beta, xi))
             exact_val = assoc_bessel_rodrigues(l, n, beta, xi)
             resid = abs(series_val - exact_val) / max(abs(series_val), abs(exact_val))
-            if resid > worst:
-                worst, where = resid, f"(l,n)=({l},{n}), xi={xi:g}"
-    return _upper("rodrigues_agreement", worst, tol, f"worst at {where}")
+            cases.append((resid, f"(l,n)=({l},{n}), xi={xi:g}"))
+    return _worst("rodrigues_agreement", tol, cases)
 
 
 def _check_y_translation(tol: float) -> CheckResult:
     p = PhysParams.natural()
     grid = default_grid(p)
-    worst, where = 0.0, ""
+    cases = []
     for l, n in ((0, 1), (1, 3), (2, 4)):
         s = wavefunction(QuantumNumbers(l, n), p, grid)
         scale = float(np.max(np.abs(s.values)))
@@ -268,24 +275,22 @@ def _check_y_translation(tol: float) -> CheckResult:
             resid = float(
                 np.max(np.abs(np.roll(s.values, -m, axis=1) - s.values * phase))
             ) / scale
-            if resid > worst:
-                worst, where = resid, f"(l,n)=({l},{n}), shift={m}"
-    return _upper("y_translation", worst, tol, f"worst at {where}")
+            cases.append((resid, f"(l,n)=({l},{n}), shift={m}"))
+    return _worst("y_translation", tol, cases)
 
 
 def _check_density_y_flat(tol: float) -> CheckResult:
     p = PhysParams.natural()
     grid = default_grid(p)
-    worst, where = 0.0, ""
+    cases = []
     for l, n in ((1, 2), (2, 4)):
         s = wavefunction(QuantumNumbers(l, n), p, grid)
         density = np.abs(s.values) ** 2
         flat = dataclasses.replace(s, values=density.astype(np.complex128), labels=None)
         slope = np.max(np.abs(fd_derivative(flat, "y", 1).values))
         resid = float(slope / np.max(density))
-        if resid > worst:
-            worst, where = resid, f"(l,n)=({l},{n})"
-    return _upper("density_y_flat", worst, tol, f"worst at {where}")
+        cases.append((resid, f"(l,n)=({l},{n})"))
+    return _worst("density_y_flat", tol, cases)
 
 
 # ---------------------------------------------------------------- algebra
@@ -298,29 +303,12 @@ def _algebra_states(p: PhysParams):
 
 def _commutator_scan(name: str, pairs: tuple[str, ...], tol: float) -> CheckResult:
     p = PhysParams.natural()
-    worst, where = 0.0, ""
+    cases = []
     for s in _algebra_states(p):
         for pair in pairs:
             resid = commutator_residual(s, p, pair)
-            if resid > worst:
-                worst, where = resid, f"{pair} on ({s.labels.l},{s.labels.n})"
-    return _upper(name, worst, tol, f"worst at {where}")
-
-
-def _check_ladder_commutator(tol: float) -> CheckResult:
-    return _commutator_scan("ladder_commutator", ("ladder",), tol)
-
-
-def _check_l3_ladder_commutators(tol: float) -> CheckResult:
-    return _commutator_scan("l3_ladder_commutators", ("three_plus", "three_minus"), tol)
-
-
-def _check_h_l3_commutation(tol: float) -> CheckResult:
-    return _commutator_scan("h_l3_commutation", ("h_three",), tol)
-
-
-def _check_h_casimir_commutation(tol: float) -> CheckResult:
-    return _commutator_scan("h_casimir_commutation", ("h_casimir",), tol)
+            cases.append((resid, f"{pair} on ({s.labels.l},{s.labels.n})"))
+    return _worst(name, tol, cases)
 
 
 def _check_lower_raise_roundtrip(tol: float) -> CheckResult:
@@ -328,7 +316,7 @@ def _check_lower_raise_roundtrip(tol: float) -> CheckResult:
     p = PhysParams.natural()
     grid = algebra_grid(p)
     margin = 2 * FD_MARGIN
-    worst, where = 0.0, ""
+    cases = []
     for l, n in ((0, 2), (0, 3), (1, 3), (2, 4)):
         s = wavefunction(QuantumNumbers(l, n), p, grid)
         target = float((n + l) * (n - l - 1))
@@ -337,9 +325,8 @@ def _check_lower_raise_roundtrip(tol: float) -> CheckResult:
         resid = weighted_norm(diff, exclude_margin=margin) / (
             target * weighted_norm(s, exclude_margin=margin)
         )
-        if resid > worst:
-            worst, where = resid, f"(l,n)=({l},{n})"
-    return _upper("lower_raise_roundtrip", worst, tol, f"worst at {where}")
+        cases.append((resid, f"(l,n)=({l},{n})"))
+    return _worst("lower_raise_roundtrip", tol, cases)
 
 
 def _check_h_ladder_noncommutation(tol: float) -> CheckResult:
@@ -357,19 +344,18 @@ def _check_h_ladder_noncommutation(tol: float) -> CheckResult:
 def _check_coherent_normalization(tol: float) -> CheckResult:
     p = PhysParams.natural()
     grid = default_coherent_grid(p)
-    worst, where = 0.0, ""
+    cases = []
     for l, z in _COHERENT_SAMPLE:
         s = bg_state_closed(CoherentSpec(l, z), p, grid)
         resid = abs(grid_inner_product(s, s).real - 1.0)
-        if resid > worst:
-            worst, where = resid, f"l={l}, Z={z:.3f}"
-    return _upper("coherent_normalization", worst, tol, f"worst at {where}")
+        cases.append((resid, f"l={l}, Z={z:.3f}"))
+    return _worst("coherent_normalization", tol, cases)
 
 
 def _check_lowering_eigenvalue(tol: float) -> CheckResult:
     p = PhysParams.natural()
     grid = default_coherent_grid(p)
-    worst, where = 0.0, ""
+    cases = []
     for l, z in _COHERENT_SAMPLE:
         s = bg_state_closed(CoherentSpec(l, z), p, grid)
         lowered = apply_Lminus(s, p)
@@ -377,35 +363,33 @@ def _check_lowering_eigenvalue(tol: float) -> CheckResult:
         resid = weighted_norm(diff, exclude_margin=FD_MARGIN) / weighted_norm(
             s, exclude_margin=FD_MARGIN
         )
-        if resid > worst:
-            worst, where = resid, f"l={l}, Z={z:.3f}"
-    return _upper("lowering_eigenvalue", worst, tol, f"worst at {where}")
+        cases.append((resid, f"l={l}, Z={z:.3f}"))
+    return _worst("lowering_eigenvalue", tol, cases)
 
 
 def _check_resolution_identity(tol: float) -> CheckResult:
-    worst, where = 0.0, ""
+    cases = []
     for l in (0, 1, 2):
         deviation = float(np.max(np.abs(identity_resolution_check(l, 4))))
-        if deviation > worst:
-            worst, where = deviation, f"l={l}"
-    return _upper("resolution_identity", worst, tol, f"N, N' <= 4, worst at {where}")
+        cases.append((deviation, f"l={l}"))
+    return _worst("resolution_identity", tol, cases, "N, N' <= 4, worst at {}")
 
 
 def _check_series_closed_agreement(tol: float) -> CheckResult:
     p = PhysParams.natural()
     grid = default_coherent_grid(p)
-    worst, where = 0.0, ""
+    cases = []
     for l, z in _COHERENT_SAMPLE:
         report = series_closed_agreement(CoherentSpec(l, z), p, grid)
-        if report.pointwise_max > worst:
-            worst, where = report.pointwise_max, f"l={l}, Z={z:.3f}"
-    return _upper("series_closed_agreement", worst, tol, f"pointwise, worst at {where}")
+        cases.append((report.pointwise_max, f"l={l}, Z={z:.3f}"))
+    return _worst("series_closed_agreement", tol, cases, "pointwise, worst at {}")
 
 
 # ---------------------------------------------------------------- moments
 
 
-def _moment_deviation(a, b) -> float:
+def _moment_deviations(a, b) -> list[float]:
+    """Relative gap of each moment entry between two moment sets."""
     closed_p2 = max(abs(a.mean_p2), 1.0)
     entries = (
         (a.mean_x, b.mean_x, None),
@@ -418,39 +402,37 @@ def _moment_deviation(a, b) -> float:
         (a.sigma_xp, b.sigma_xp, None),
         (a.delta, b.delta, None),
     )
-    worst = 0.0
-    for u, v, scale in entries:
-        denom = scale if scale is not None else max(abs(u), abs(v))
-        worst = max(worst, abs(u - v) / denom)
-    return worst
+    return [
+        abs(u - v) / (scale if scale is not None else max(abs(u), abs(v)))
+        for u, v, scale in entries
+    ]
 
 
 def _check_moments_closed_quadrature(tol: float) -> CheckResult:
     p = PhysParams.natural()
-    worst, where = 0.0, ""
+    cases = []
     for l in range(5):
         for N in range(3):
             q = QuantumNumbers(l, l + 1 + N)
-            resid = _moment_deviation(moments_closed(q, p), moments_quadrature(q, p))
-            if resid > worst:
-                worst, where = resid, f"(l,N)=({l},{N})"
-    return _upper("moments_closed_quadrature", worst, tol, f"entrywise, worst at {where}")
+            deviations = _moment_deviations(moments_closed(q, p), moments_quadrature(q, p))
+            cases.extend((resid, f"(l,N)=({l},{N})") for resid in deviations)
+    return _worst("moments_closed_quadrature", tol, cases, "entrywise, worst at {}")
 
 
 def _check_lowest_delta(tol: float) -> CheckResult:
     p = PhysParams.natural()
-    worst, l_at = max(
-        (abs(moments_closed(QuantumNumbers(l, l + 1), p).delta - 0.25 * p.hbar**2), l)
+    cases = [
+        (abs(moments_closed(QuantumNumbers(l, l + 1), p).delta - 0.25 * p.hbar**2), f"l={l}")
         for l in range(7)
-    )
-    return _upper("lowest_delta", worst, tol, f"against hbar^2/4, worst at l={l_at}")
+    ]
+    return _worst("lowest_delta", tol, cases, "against hbar^2/4, worst at {}")
 
 
 def _check_uncertainty_limit_order(tol: float) -> CheckResult:
     """Deltas along the N = 1 and N = 2 families must increase with l
     toward their flat-field limits, with the gap shrinking as 1/l."""
     p = PhysParams.natural()
-    worst, where = 0.0, ""
+    cases = []
     monotone = True
     for N, limit in ((1, 2.25), (2, 6.25)):
         deltas = [
@@ -460,13 +442,12 @@ def _check_uncertainty_limit_order(tol: float) -> CheckResult:
         if any(b <= a for a, b in zip(deltas, deltas[1:])):
             monotone = False
         order = math.log2((limit - deltas[-2]) / (limit - deltas[-1]))
-        if abs(order - 1.0) > worst:
-            worst, where = abs(order - 1.0), f"N={N}"
-    result = _upper(
+        cases.append((abs(order - 1.0), f"N={N}"))
+    result = _worst(
         "uncertainty_limit_order",
-        worst,
         tol,
-        f"convergence-order defect at l=1024, worst at {where}; monotone={monotone}",
+        cases,
+        f"convergence-order defect at l=1024, worst at {{}}; monotone={monotone}",
     )
     if not monotone:
         result = dataclasses.replace(result, passed=False)
@@ -486,12 +467,11 @@ def _check_landau_uncertainty_table(tol: float) -> CheckResult:
         (LandauParams(gauge="asymmetric", N=1, k_y=0.0), 2.25),
         (LandauParams(gauge="asymmetric", N=2, k_y=0.0), 6.25),
     )
-    worst, where = 0.0, ""
+    cases = []
     for lp, target in entries:
         resid = abs(landau_delta(lp, p) / hbar2 - target) / target
-        if resid > worst:
-            worst, where = resid, f"{lp.gauge} target {target:g}"
-    return _upper("landau_uncertainty_table", worst, tol, f"worst at {where}")
+        cases.append((resid, f"{lp.gauge} target {target:g}"))
+    return _worst("landau_uncertainty_table", tol, cases)
 
 
 # ------------------------------------------------------------ suite runner
@@ -506,12 +486,14 @@ _CHECKS: dict[str, Callable[[float], CheckResult]] = {
     "rodrigues_agreement": _check_rodrigues_agreement,
     "y_translation": _check_y_translation,
     "density_y_flat": _check_density_y_flat,
-    "ladder_commutator": _check_ladder_commutator,
-    "l3_ladder_commutators": _check_l3_ladder_commutators,
+    "ladder_commutator": partial(_commutator_scan, "ladder_commutator", ("ladder",)),
+    "l3_ladder_commutators": partial(
+        _commutator_scan, "l3_ladder_commutators", ("three_plus", "three_minus")
+    ),
     "lower_raise_roundtrip": _check_lower_raise_roundtrip,
     "h_ladder_noncommutation": _check_h_ladder_noncommutation,
-    "h_l3_commutation": _check_h_l3_commutation,
-    "h_casimir_commutation": _check_h_casimir_commutation,
+    "h_l3_commutation": partial(_commutator_scan, "h_l3_commutation", ("h_three",)),
+    "h_casimir_commutation": partial(_commutator_scan, "h_casimir_commutation", ("h_casimir",)),
     "coherent_normalization": _check_coherent_normalization,
     "lowering_eigenvalue": _check_lowering_eigenvalue,
     "resolution_identity": _check_resolution_identity,
@@ -558,7 +540,7 @@ SUITES: dict[str, tuple[str, ...]] = {
     ),
 }
 
-SUITE_NAMES: tuple[str, ...] = ("specfun", "states", "algebra", "coherent", "moments")
+SUITE_NAMES: tuple[str, ...] = tuple(SUITES)
 
 
 def thread_budget() -> int:
@@ -601,6 +583,15 @@ def _run_named(
         return list(pool.map(lambda pair: pair[0](pair[1]), zip(funcs, tols)))
 
 
+def _suite_report(suite: str, tolerances: dict[str, float], max_workers: int) -> dict:
+    checks = _run_named(SUITES[suite], tolerances, max_workers)
+    return {
+        "suite": suite,
+        "passed": all(c.passed for c in checks),
+        "checks": [c.as_dict() for c in checks],
+    }
+
+
 def run_suite(
     name: str,
     tolerances: Mapping[str, float] | None = None,
@@ -616,15 +607,7 @@ def run_suite(
     if max_workers is not None and max_workers < 1:
         raise ConfigError(f"max_workers must be >= 1, got {max_workers!r}")
     if name == "all":
-        reports = [
-            {
-                "suite": suite,
-                "passed": all(c.passed for c in checks),
-                "checks": [c.as_dict() for c in checks],
-            }
-            for suite in SUITE_NAMES
-            for checks in (_run_named(SUITES[suite], resolved, workers),)
-        ]
+        reports = [_suite_report(suite, resolved, workers) for suite in SUITE_NAMES]
         return {
             "suite": "all",
             "passed": all(r["passed"] for r in reports),
@@ -633,9 +616,4 @@ def run_suite(
     if name not in SUITES:
         known = ", ".join(SUITE_NAMES + ("all",))
         raise ConfigError(f"unknown suite {name!r}; known suites: {known}")
-    checks = _run_named(SUITES[name], resolved, workers)
-    return {
-        "suite": name,
-        "passed": all(c.passed for c in checks),
-        "checks": [c.as_dict() for c in checks],
-    }
+    return _suite_report(name, resolved, workers)

@@ -12,7 +12,7 @@ import json
 import math
 
 from morseband import __version__
-from morseband.cli import main
+from morseband.cli import _json_text, main
 
 
 def run(tmp_path, *argv, name="out.txt"):
@@ -98,6 +98,20 @@ class TestDeterminism:
         monkeypatch.setenv("MORSEBAND_THREADS", "0")
         code, _ = run(tmp_path, "verify", "--suite", "states")
         assert code == 2
+
+
+class TestJsonText:
+    def test_non_finite_numbers_are_strings(self, tmp_path):
+        # the density overflows at n = 9 on the default grid
+        code, blob = run(tmp_path, "--format", "json", "wavefunction", "--l", "0", "--n", "9")
+        assert code == 0
+        rows = json.loads(blob)["rows"]
+        printed = {v for row in rows for v in row.values() if isinstance(v, str)}
+        assert printed and printed <= {"inf", "-inf", "nan"}
+
+    def test_every_non_finite_float_has_its_own_string(self):
+        text = _json_text({"values": [math.inf, -math.inf, math.nan, 0.5]})
+        assert json.loads(text)["values"] == ["inf", "-inf", "nan", 0.5]
 
 
 class TestSpectrum:
@@ -241,6 +255,13 @@ class TestConfig:
         cfg.write_text("x_min = 0\nx_max = 6\n")
         code, _ = run(tmp_path, "--config", str(cfg), "wavefunction")
         assert code == 2
+
+    def test_infinite_parameter_is_two(self, tmp_path):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text("a0 = inf\n")
+        code, blob = run(tmp_path, "--config", str(cfg), "spectrum", "--n-max", "2")
+        assert code == 2
+        assert blob == b""
 
 
 class TestExport:

@@ -223,6 +223,12 @@ class TestParams:
         with pytest.raises(DomainError):
             PhysParams(B0=1.0, a0=2.0, mu=1.0, hbar=1.0, c=1.0, e=1.0)
 
+    @pytest.mark.parametrize("name", ["B0", "a0", "mu", "hbar", "c", "e"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_fields_are_rejected(self, name, value):
+        with pytest.raises(DomainError, match=name):
+            PhysParams.from_mapping({name: value})
+
     def test_derived_scales(self, p):
         assert abs(p.beta - 2.0) <= 4e-16
         assert abs(p.kappa - 1.0) <= 1e-16

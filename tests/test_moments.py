@@ -24,7 +24,6 @@ from morseband import (
     log_weighted_gamma_integral,
     moments_closed,
     moments_quadrature,
-    robertson_delta,
     uncertainty_limit_curve,
 )
 
@@ -79,12 +78,12 @@ class TestClosedStructure:
             m = moments_closed(QuantumNumbers(l, l + N + 1), p)
             assert m.mean_p.real == 0.0
             assert m.sigma_pp == 0.0
-            assert m.delta == robertson_delta(m)
+            assert m.delta == (m.sigma_xx * m.sigma_pp - m.sigma_xp * m.sigma_xp).real
 
     def test_robertson_combination(self, p):
         m = moments_closed(QuantumNumbers(1, 3), p)
         combo = m.sigma_xx * m.sigma_pp - m.sigma_xp**2
-        assert abs(robertson_delta(m) - combo.real) <= 1e-15 * max(1.0, abs(combo))
+        assert abs(m.delta - combo.real) <= 1e-15 * max(1.0, abs(combo))
 
 
 class TestMomentSetValidation:
