@@ -1,191 +1,17 @@
 """Exactly solvable electron band in an exponentially decaying magnetic
 field: eigenstates, ladder algebra, coherent states, uncertainty moments,
 and the flat-field limit, each backed by an independent numerical route.
+
+The package namespace re-exports every name in each submodule's
+``__all__``.
 """
 
-from .errors import (
-    AccuracyLossError,
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-    GridMismatchError,
-    MorsebandError,
-    RangeError,
-    TailDominanceError,
-)
-from .specfun import (
-    bessel_i,
-    bessel_j,
-    bessel_k,
-    digamma,
-    hermite,
-    laguerre,
-    laguerre_deriv,
-    ln_gamma,
-    trigamma,
-)
-from .quadrature import (
-    FD_MARGIN,
-    GridSpec,
-    IntegrationResult,
-    fd_derivative,
-    gauss_laguerre_nodes,
-    grid_inner_product,
-    integrate_radial,
-    integrate_semi_infinite_u,
-    weighted_norm,
-)
-from .model import (
-    DegeneracyReport,
-    PhysParams,
-    QuantumNumbers,
-    degeneracy_scan,
-    energy,
-    enumerate_subspace,
-    is_prime,
-    landau_a0,
-    landau_energy,
-    landau_limit_error,
-    spectrum_product,
-)
-from .states import (
-    LandauParams,
-    SampledState,
-    assoc_bessel,
-    assoc_bessel_rodrigues,
-    default_grid,
-    landau_state_asym,
-    landau_state_sym,
-    measure_weight,
-    ode_residual,
-    wavefunction,
-)
-from .algebra import (
-    OperatorResult,
-    algebra_grid,
-    apply_casimir,
-    apply_hamiltonian,
-    apply_L3,
-    apply_Lminus,
-    apply_Lplus,
-    commutator_residual,
-)
-from .coherent import (
-    AgreementReport,
-    BranchDiagnostic,
-    CoherentSpec,
-    bg_coefficients,
-    bg_measure_density,
-    bg_state_closed,
-    bg_state_series,
-    default_coherent_grid,
-    default_truncation,
-    identity_resolution_check,
-    literal_branch_diagnostic,
-    radial_identity_integral,
-    series_closed_agreement,
-)
-from .moments import (
-    MomentSet,
-    default_moments_grid,
-    landau_delta,
-    log_weighted_gamma_integral,
-    moments_closed,
-    moments_quadrature,
-    uncertainty_limit_curve,
-)
-from .verify import (
-    DEFAULT_TOLERANCES,
-    SUITE_NAMES,
-    CheckResult,
-    resolve_tolerances,
-    run_suite,
-    thread_budget,
-)
+from . import errors, specfun, quadrature, model, states, algebra, coherent, moments, verify
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "MorsebandError",
-    "DomainError",
-    "RangeError",
-    "AccuracyLossError",
-    "ConvergenceError",
-    "TailDominanceError",
-    "GridMismatchError",
-    "ConfigError",
-    "ln_gamma",
-    "digamma",
-    "trigamma",
-    "laguerre",
-    "laguerre_deriv",
-    "hermite",
-    "bessel_j",
-    "bessel_i",
-    "bessel_k",
-    "IntegrationResult",
-    "GridSpec",
-    "FD_MARGIN",
-    "gauss_laguerre_nodes",
-    "integrate_semi_infinite_u",
-    "integrate_radial",
-    "grid_inner_product",
-    "weighted_norm",
-    "fd_derivative",
-    "PhysParams",
-    "QuantumNumbers",
-    "DegeneracyReport",
-    "spectrum_product",
-    "energy",
-    "is_prime",
-    "degeneracy_scan",
-    "landau_energy",
-    "landau_a0",
-    "landau_limit_error",
-    "enumerate_subspace",
-    "SampledState",
-    "LandauParams",
-    "default_grid",
-    "measure_weight",
-    "assoc_bessel",
-    "assoc_bessel_rodrigues",
-    "wavefunction",
-    "ode_residual",
-    "landau_state_asym",
-    "landau_state_sym",
-    "OperatorResult",
-    "algebra_grid",
-    "apply_Lplus",
-    "apply_Lminus",
-    "apply_L3",
-    "apply_casimir",
-    "apply_hamiltonian",
-    "commutator_residual",
-    "CoherentSpec",
-    "AgreementReport",
-    "BranchDiagnostic",
-    "default_truncation",
-    "default_coherent_grid",
-    "bg_coefficients",
-    "bg_state_series",
-    "bg_state_closed",
-    "bg_measure_density",
-    "radial_identity_integral",
-    "identity_resolution_check",
-    "series_closed_agreement",
-    "literal_branch_diagnostic",
-    "MomentSet",
-    "default_moments_grid",
-    "moments_closed",
-    "moments_quadrature",
-    "log_weighted_gamma_integral",
-    "landau_delta",
-    "uncertainty_limit_curve",
-    "CheckResult",
-    "DEFAULT_TOLERANCES",
-    "SUITE_NAMES",
-    "resolve_tolerances",
-    "thread_budget",
-    "run_suite",
-]
+__all__ = ["__version__"]
+for _module in (errors, specfun, quadrature, model, states, algebra, coherent, moments, verify):
+    globals().update((name, getattr(_module, name)) for name in _module.__all__)
+    __all__ += _module.__all__
+del _module

@@ -211,6 +211,8 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
 def _cmd_spectrum(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.n_max < 1:
         raise ConfigError(f"--n-max must be >= 1, got {args.n_max}")
+    if args.l_max is not None and args.l_max < 0:
+        raise ConfigError(f"--l-max must be >= 0, got {args.l_max}")
     l_max = args.n_max - 1 if args.l_max is None else args.l_max
     multiplicity = {
         report.product: report.multiplicity for report in degeneracy_scan(args.n_max)

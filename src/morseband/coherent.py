@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 _OMITTED_COEFF_LIMIT = 1e-14
+# Largest supported |Z|: the normalization needs I_{2l+1}(2|Z|), whose
+# argument contract ends at 700.
+_Z_MAX = 350.0
 
 
 def default_truncation(l: int, Z: complex) -> int:
@@ -66,9 +69,9 @@ class CoherentSpec:
     """Labels of one coherent state: family l, eigenvalue Z, series order.
 
     ``truncation=None`` resolves to :func:`default_truncation`. The
-    constructor verifies that the first omitted series coefficient is at
-    most 1e-14 of the largest retained one, so a spec that validates
-    cannot silently drop weight.
+    constructor refuses |Z| > 350 and verifies that the first omitted
+    series coefficient is at most 1e-14 of the largest retained one, so a
+    spec that validates cannot silently drop weight.
     """
 
     l: int
@@ -81,12 +84,14 @@ class CoherentSpec:
         z = complex(self.Z)
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise DomainError(f"Z must be finite, got {self.Z!r}")
+        r = abs(z)
+        if r > _Z_MAX:
+            raise DomainError(f"|Z| must be <= {_Z_MAX}, got {r!r}")
         object.__setattr__(self, "Z", z)
         if self.truncation is None:
             object.__setattr__(self, "truncation", default_truncation(self.l, z))
         if self.truncation < 1:
             raise DomainError(f"truncation must be >= 1, got {self.truncation!r}")
-        r = abs(z)
         lns = [_ln_coeff_magnitude(self.l, r, N) for N in range(self.truncation + 1)]
         ln_omitted = _ln_coeff_magnitude(self.l, r, self.truncation + 1)
         if ln_omitted - max(lns) > math.log(_OMITTED_COEFF_LIMIT):
@@ -134,23 +139,11 @@ def bg_coefficients(spec: CoherentSpec) -> list[complex]:
 
 def bg_state_series(spec: CoherentSpec, p: PhysParams, grid: GridSpec) -> SampledState:
     """The coherent state as its defining sum over eigenstates."""
-    coeffs = bg_coefficients(spec)
-    values = None
-    template = None
-    for N, c in enumerate(coeffs):
+    values = 0.0
+    for N, c in enumerate(bg_coefficients(spec)):
         level = wavefunction(QuantumNumbers(spec.l, spec.l + N + 1), p, grid)
-        if values is None:
-            template = level
-            values = np.zeros_like(level.values)
         values = values + c * level.values
-    return SampledState(
-        grid=grid,
-        x=template.x,
-        y=template.y,
-        values=values,
-        weight=template.weight,
-        y_period=template.y_period,
-    )
+    return replace(level, values=values, labels=None)
 
 
 _JTILDE_CAP = 400
@@ -182,16 +175,7 @@ def bg_state_closed(spec: CoherentSpec, p: PhysParams, grid: GridSpec) -> Sample
     """
     l, z = spec.l, spec.Z
     if z == 0:
-        bottom = wavefunction(QuantumNumbers(l, l + 1), p, grid)
-        # identical object except for the eigenstate label
-        return SampledState(
-            grid=grid,
-            x=bottom.x,
-            y=bottom.y,
-            values=bottom.values.copy(),
-            weight=bottom.weight,
-            y_period=bottom.y_period,
-        )
+        return replace(wavefunction(QuantumNumbers(l, l + 1), p, grid), labels=None)
     r = abs(z)
     x, y = _grid_axes(grid, p)
     kappa = p.kappa

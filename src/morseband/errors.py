@@ -4,6 +4,17 @@ Every error raised on purpose by this package derives from MorsebandError,
 so callers can catch the package's failures without catching bugs.
 """
 
+__all__ = [
+    "MorsebandError",
+    "DomainError",
+    "RangeError",
+    "AccuracyLossError",
+    "ConvergenceError",
+    "TailDominanceError",
+    "GridMismatchError",
+    "ConfigError",
+]
+
 
 class MorsebandError(Exception):
     """Base class for all errors raised deliberately by this package."""

@@ -27,7 +27,6 @@ __all__ = [
     "landau_energy",
     "landau_a0",
     "landau_limit_error",
-    "enumerate_subspace",
 ]
 
 
@@ -239,19 +238,3 @@ def landau_limit_error(N: int, l: int, p_base: PhysParams) -> float:
     target = landau_energy(N, p)
     return abs(energy(QuantumNumbers(l, l + N + 1), p) - target) / target
 
-
-def enumerate_subspace(kind: str, index: int, count: int) -> list[QuantumNumbers]:
-    """First members of one of the two natural level families.
-
-    kind "oblique": fixed N = index, walking l = 0, 1, 2, ...
-    kind "vertical": fixed l = index, walking N = 0, 1, 2, ...
-    """
-    if index < 0:
-        raise DomainError(f"subspace index must be >= 0, got {index!r}")
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count!r}")
-    if kind == "oblique":
-        return [QuantumNumbers(l, l + index + 1) for l in range(count)]
-    if kind == "vertical":
-        return [QuantumNumbers(index, index + N + 1) for N in range(count)]
-    raise DomainError(f'kind must be "oblique" or "vertical", got {kind!r}')

@@ -112,14 +112,8 @@ def gauss_laguerre_nodes(order: int, alpha: float = 0.0) -> tuple[np.ndarray, np
 
 
 def _eval_vector(f: Callable, u: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array, tolerating scalar-only callables."""
-    try:
-        vals = np.asarray(f(u))
-    except (TypeError, ValueError):
-        vals = np.asarray([f(float(v)) for v in u])
-    if vals.shape != u.shape:
-        vals = np.broadcast_to(vals, u.shape)
-    return vals
+    """Evaluate a vectorized f on an array; a constant result is broadcast."""
+    return np.broadcast_to(np.asarray(f(u)), u.shape)
 
 
 def integrate_semi_infinite_u(f: Callable, weight_exponent: float) -> IntegrationResult:
@@ -132,8 +126,8 @@ def integrate_semi_infinite_u(f: Callable, weight_exponent: float) -> Integratio
     ``(ln u)^j`` factors. Three nested refinements are evaluated; the
     error estimate is the difference of the last two.
 
-    ``f`` may return complex values and may be scalar-only or vectorized
-    over numpy arrays. ``weight_exponent`` must exceed -1.
+    ``f`` is called on numpy arrays and may return complex values.
+    ``weight_exponent`` must exceed -1.
     """
     a = float(weight_exponent)
     if not a > -1.0:

@@ -3,8 +3,8 @@
 Every function the model's closed forms require, with documented accuracy
 contracts. All routines are pure functions of their arguments and hold no
 mutable state, so they are safe to call from any number of threads. The
-Gauss-Laguerre tables used by the K route are computed once per order and
-frozen.
+K route takes its Gauss-Laguerre tables from the frozen, cached
+``quadrature.gauss_laguerre_nodes``.
 
 Accuracy contracts (relative error unless stated otherwise):
 
@@ -15,9 +15,9 @@ ln_gamma      x in [1e-3, 1e6]                           1e-13
 digamma       x in [1e-3, 1e6]                           1e-12
 trigamma      x > 0                                      1e-12
 laguerre      m <= 200, 0 <= u <= 1e4                    1e-11
-bessel_j      |z| <= z_max, cancellation guarded         1e-9 (est)
+bessel_j      |z| <= 1e3, cancellation guarded           1e-9 (est)
 bessel_i      0 <= x <= 700                              1e-11
-bessel_k      x in [1e-6, 700]                           1e-10
+bessel_k      integer nu, x in [1e-6, 700]               1e-10
 ============  =========================================  ==========
 """
 
@@ -25,11 +25,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
-
-from scipy.special import roots_genlaguerre
 
 from .errors import AccuracyLossError, ConvergenceError, DomainError, RangeError
+from .quadrature import gauss_laguerre_nodes
 
 __all__ = [
     "ln_gamma",
@@ -50,6 +48,7 @@ _SERIES_EPS = 1e-15
 _SERIES_CAP = 500
 _LN_MAX_FLOAT = 709.782712893384
 _CANCEL_LIMIT = 1e-9
+_J_Z_MAX = 1e3
 
 
 def ln_gamma(x: float) -> float:
@@ -216,17 +215,18 @@ def _bessel_j_series(nu: float, z: complex) -> tuple[complex, float]:
     return total, estimate
 
 
-def bessel_j(nu: float, z: complex, z_max: float = 1e3) -> complex:
+def bessel_j(nu: float, z: complex) -> complex:
     """Bessel function of the first kind, complex argument supported.
 
     Evaluates the ascending power series with the module truncation policy.
     Raises AccuracyLossError when the estimated relative cancellation error
-    exceeds 1e-9, which for real arguments happens near ``|z| ~ 15``.
+    exceeds 1e-9, which for real arguments happens near ``|z| ~ 15``, and
+    DomainError beyond ``|z| = 1e3``.
     """
     if not (nu >= 0.0 and math.isfinite(nu)):
         raise DomainError(f"bessel_j requires finite nu >= 0, got {nu!r}")
-    if abs(z) > z_max:
-        raise DomainError(f"bessel_j requires |z| <= {z_max!r}, got |z| = {abs(z)!r}")
+    if abs(z) > _J_Z_MAX:
+        raise DomainError(f"bessel_j requires |z| <= {_J_Z_MAX!r}, got |z| = {abs(z)!r}")
     value, estimate = _bessel_j_series(nu, z)
     if estimate > _CANCEL_LIMIT:
         raise AccuracyLossError(
@@ -296,38 +296,6 @@ def bessel_i(nu: float, x: float, scaled: bool = False) -> float:
     return math.exp(ln_value - x) if scaled else math.exp(ln_value)
 
 
-def _rgamma(t: float) -> float:
-    """Reciprocal Gamma function on the whole real line (zero at the poles)."""
-    if t > 0.0:
-        return math.exp(-math.lgamma(t))
-    if t == math.floor(t):
-        return 0.0
-    # reflection: 1/Gamma(t) = Gamma(1-t) sin(pi t) / pi
-    return math.exp(math.lgamma(1.0 - t)) * math.sin(math.pi * t) / math.pi
-
-
-def _bessel_i_any_order(nu: float, x: float) -> float:
-    """Ascending I series valid for negative non-integer orders, small x only."""
-    q = x * x / 4.0
-    xhalf_pow = math.exp(nu * math.log(x / 2.0)) if nu >= 0 else (x / 2.0) ** nu
-    term = xhalf_pow * _rgamma(nu + 1.0)
-    total = term
-    k = 0
-    while True:
-        k += 1
-        if k > _SERIES_CAP:
-            raise ConvergenceError("I series (signed order) did not converge")
-        denom = k * (nu + k)
-        if denom != 0.0:
-            term *= q / denom
-        else:
-            # passed through a pole of Gamma(nu+k+1); restart the term exactly
-            term = xhalf_pow * (q**k) * _rgamma(k + 1.0) * _rgamma(nu + k + 1.0)
-        total += term
-        if abs(term) <= _SERIES_EPS * abs(total) and k > abs(nu):
-            return total
-
-
 def _bessel_k_small_int(n: int, x: float) -> float:
     """Integer-order K for x < 2 by the standard logarithmic series."""
     xh = x / 2.0
@@ -361,24 +329,6 @@ def _bessel_k_small_int(n: int, x: float) -> float:
     return finite + log_part + psi_sum
 
 
-def _bessel_k_half_int(nu: float, x: float) -> float:
-    """Half-integer K in closed form (finite Bessel polynomial)."""
-    n = int(round(nu - 0.5))
-    total = 0.0
-    term = 1.0
-    for k in range(n + 1):
-        total += term
-        term *= (n + k + 1.0) * (n - k) / ((k + 1.0) * 2.0 * x)
-    return math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) * total
-
-
-@lru_cache(maxsize=64)
-def _k_integral_rule(alpha: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Generalized Gauss-Laguerre rule used by the mid/large-x K route."""
-    nodes, weights = roots_genlaguerre(64, alpha)
-    return tuple(float(v) for v in nodes), tuple(float(v) for v in weights)
-
-
 def _bessel_k_integral_ln(nu: float, x: float) -> float:
     """ln [e^x K_nu(x)] for x >= 2 via the exponential integral representation.
 
@@ -386,38 +336,33 @@ def _bessel_k_integral_ln(nu: float, x: float) -> float:
     (1 + s/(2x))^(nu-1/2) ds, evaluated by a generalized Gauss-Laguerre rule
     with the s^(nu-1/2) e^-s factor folded into the weights.
     """
-    nodes, weights = _k_integral_rule(nu - 0.5)
+    nodes, weights = gauss_laguerre_nodes(64, nu - 0.5)
     power = nu - 0.5
     acc = 0.0
-    for s, w in zip(nodes, weights):
+    for s, w in zip(nodes.tolist(), weights.tolist()):
         acc += w * (2.0 + s / x) ** power
     ln_pref = 0.5 * math.log(math.pi) - math.lgamma(nu + 0.5) - nu * math.log(2.0) - 0.5 * math.log(x)
     return ln_pref + math.log(acc)
 
 
 _K_SERIES_SPLIT = 2.0
-_K_INTEGER_SNAP = 1e-9
-_K_NEAR_INTEGER = 1e-6
 
 
 def bessel_k(nu: float, x: float, scaled: bool = False) -> float:
-    """Modified Bessel function of the second kind, K_nu(x).
+    """Modified Bessel function of the second kind, K_nu(x), integer nu.
 
     The symmetry K_{-nu} = K_nu is applied structurally. Small arguments
-    (x < 2) use the logarithmic series for integer orders, the closed form
-    for half-integer orders, and the reflection formula otherwise; larger
-    arguments use a Gauss-Laguerre evaluation of the exponential integral
-    representation. ``scaled=True`` returns e^x K_nu(x).
+    (x < 2) use the logarithmic series; larger arguments use a
+    Gauss-Laguerre evaluation of the exponential integral representation.
+    ``scaled=True`` returns e^x K_nu(x).
 
-    Raises RangeError when the unscaled value overflows (x near zero with
-    large order), and AccuracyLossError for non-integer orders closer than
-    1e-6 to an integer with x < 2, where the reflection formula loses more
-    accuracy than the contract allows.
+    Raises DomainError for a non-integer order and RangeError when the
+    unscaled value overflows (x near zero with large order).
     """
     if not x > 0.0:
         raise DomainError(f"bessel_k requires x > 0, got {x!r}")
-    if not math.isfinite(nu):
-        raise DomainError(f"bessel_k requires finite nu, got {nu!r}")
+    if not (math.isfinite(nu) and nu == int(nu)):
+        raise DomainError(f"bessel_k requires an integer order, got {nu!r}")
     nu = abs(nu)
     if x >= _K_SERIES_SPLIT:
         ln_scaled = _bessel_k_integral_ln(nu, x)
@@ -427,26 +372,8 @@ def bessel_k(nu: float, x: float, scaled: bool = False) -> float:
     # small-x branch: guard the x -> 0 overflow for large order first;
     # the e^x scaling cannot rescue it here since e^x < e^2
     if nu > 0.0:
-        ln_lead = math.lgamma(nu) if nu >= 1e-3 else -math.log(nu)
-        ln_lead += nu * math.log(2.0 / x) - math.log(2.0)
+        ln_lead = math.lgamma(nu) + (nu * math.log(2.0 / x) - math.log(2.0))
         if ln_lead > _LN_MAX_FLOAT:
             raise RangeError(f"K_{nu}({x}) overflows even when scaled by e^x")
-    nearest = round(nu)
-    offset = abs(nu - nearest)
-    if offset <= _K_INTEGER_SNAP:
-        value = _bessel_k_small_int(int(nearest), x)
-    elif abs(nu - (math.floor(nu) + 0.5)) <= _K_INTEGER_SNAP:
-        value = _bessel_k_half_int(nu, x)
-    elif offset < _K_NEAR_INTEGER:
-        raise AccuracyLossError(
-            f"K order {nu} is within {offset:.1e} of an integer; the small-x "
-            "reflection route cannot meet the accuracy contract there"
-        )
-    else:
-        value = (
-            math.pi
-            / 2.0
-            * (_bessel_i_any_order(-nu, x) - _bessel_i_any_order(nu, x))
-            / math.sin(math.pi * nu)
-        )
+    value = _bessel_k_small_int(int(nu), x)
     return value * math.exp(x) if scaled else value

@@ -103,17 +103,13 @@ def measure_weight(x, p: PhysParams):
     return float(out) if np.isscalar(x) else out
 
 
-def assoc_bessel(l: int, n: int, beta: float, xi, return_underflow_flag: bool = False):
+def assoc_bessel(l: int, n: int, beta: float, xi):
     """Radial-like profile in xi = e^(kappa x) for level (l, n).
 
     beta^l sqrt(Gamma(n-l)/Gamma(n+l+1)) xi^(-l-1) L_{n-l-1}^{(2l+1)}(beta/xi),
     evaluated with the prefactor assembled in log space so that large l
     does not underflow intermediate powers. ``xi`` may be a scalar or an
     array of positive reals.
-
-    With ``return_underflow_flag=True`` the result is ``(value, flag)``
-    where the flag marks samples whose prefactor underflowed to exact 0
-    while the polynomial factor stayed finite.
     """
     QuantumNumbers(l, n)
     if not beta > 0.0:
@@ -129,15 +125,7 @@ def assoc_bessel(l: int, n: int, beta: float, xi, return_underflow_flag: bool = 
     pref = np.exp(ln_pref)
     poly = laguerre(n - l - 1, 2.0 * l + 1.0, beta / xi_arr)
     value = pref * poly
-    if np.isscalar(xi):
-        value = float(value)
-        if not return_underflow_flag:
-            return value
-        flag = bool(pref == 0.0 and poly != 0.0)
-        return value, flag
-    if not return_underflow_flag:
-        return value
-    return value, (pref == 0.0) & (poly != 0.0)
+    return float(value) if np.isscalar(xi) else value
 
 
 def assoc_bessel_rodrigues(l: int, n: int, beta: float, xi: float) -> float:

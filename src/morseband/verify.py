@@ -558,16 +558,16 @@ def thread_budget() -> int:
 
 
 def resolve_tolerances(overrides: Mapping[str, float] | None = None) -> dict[str, float]:
-    """Defaults merged with overrides; unknown names and non-positive
-    values are configuration errors."""
+    """Defaults merged with overrides; unknown names and values that are
+    not positive and finite are configuration errors."""
     resolved = dict(DEFAULT_TOLERANCES)
     for name, value in (overrides or {}).items():
         if name not in resolved:
             known = ", ".join(sorted(resolved))
             raise ConfigError(f"unknown tolerance name {name!r}; known names: {known}")
         value = float(value)
-        if not value > 0.0:
-            raise ConfigError(f"tolerance {name} must be positive, got {value!r}")
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ConfigError(f"tolerance {name} must be positive and finite, got {value!r}")
         resolved[name] = value
     return resolved
 
@@ -592,20 +592,15 @@ def _suite_report(suite: str, tolerances: dict[str, float], max_workers: int) ->
     }
 
 
-def run_suite(
-    name: str,
-    tolerances: Mapping[str, float] | None = None,
-    max_workers: int | None = None,
-) -> dict:
+def run_suite(name: str, tolerances: Mapping[str, float] | None = None) -> dict:
     """Run one named suite (or "all") and return a JSON-ready report.
 
-    The report lists checks in declaration order whatever the worker
-    count, so identical inputs give identical reports.
+    Checks run on up to :func:`thread_budget` threads. The report lists
+    them in declaration order whatever the worker count, so identical
+    inputs give identical reports.
     """
     resolved = resolve_tolerances(tolerances)
-    workers = thread_budget() if max_workers is None else max_workers
-    if max_workers is not None and max_workers < 1:
-        raise ConfigError(f"max_workers must be >= 1, got {max_workers!r}")
+    workers = thread_budget()
     if name == "all":
         reports = [_suite_report(suite, resolved, workers) for suite in SUITE_NAMES]
         return {

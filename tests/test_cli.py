@@ -50,6 +50,20 @@ class TestExitCodes:
         code, _ = run(tmp_path, "--tol", "orthonormality=-1", "verify", "--suite", "states")
         assert code == 2
 
+    def test_infinite_tolerance_is_two(self, tmp_path):
+        # an infinite tolerance would make the check impossible to fail
+        code, blob = run(tmp_path, "--tol", "orthonormality=inf", "verify", "--suite", "states")
+        assert code == 2 and blob == b""
+
+    def test_negative_l_max_is_two(self, tmp_path):
+        code, blob = run(tmp_path, "spectrum", "--l-max", "-1")
+        assert code == 2 and blob == b""
+
+    def test_coherent_eigenvalue_beyond_supported_range_is_two(self, tmp_path):
+        for argv in (["coherent"], ["export", "--kind", "coherent"]):
+            code, blob = run(tmp_path, *argv, "--z-re", "1e308")
+            assert code == 2 and blob == b""
+
     def test_bad_config_is_two(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("width = 3\n")

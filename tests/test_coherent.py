@@ -87,6 +87,9 @@ class TestCoefficients:
             CoherentSpec(0, complex("inf"))
         with pytest.raises(DomainError):
             CoherentSpec(0, 3.0, truncation=5)
+        for z in (351.0, 1e308):
+            with pytest.raises(DomainError):
+                CoherentSpec(0, z)
         assert CoherentSpec(0, 3.0).truncation == default_truncation(0, 3.0)
 
 

@@ -20,7 +20,6 @@ from morseband import (
     QuantumNumbers,
     degeneracy_scan,
     energy,
-    enumerate_subspace,
     is_prime,
     landau_a0,
     landau_energy,
@@ -188,24 +187,6 @@ class TestLandauLimit:
             landau_limit_error(0, 0, p)
         with pytest.raises(DomainError):
             landau_energy(-1, p)
-
-
-class TestSubspaces:
-    def test_oblique_walks_fixed_level_index(self):
-        got = enumerate_subspace("oblique", 2, 4)
-        assert got == [QuantumNumbers(l, l + 3) for l in range(4)]
-
-    def test_vertical_walks_fixed_l(self):
-        got = enumerate_subspace("vertical", 3, 3)
-        assert got == [QuantumNumbers(3, 4), QuantumNumbers(3, 5), QuantumNumbers(3, 6)]
-
-    def test_guards(self):
-        with pytest.raises(DomainError):
-            enumerate_subspace("diagonal", 0, 3)
-        with pytest.raises(DomainError):
-            enumerate_subspace("oblique", -1, 3)
-        with pytest.raises(DomainError):
-            enumerate_subspace("oblique", 0, 0)
 
 
 class TestParams:

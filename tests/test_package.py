@@ -1,0 +1,44 @@
+"""The package namespace: one list of public names, built from the modules."""
+
+import morseband
+from morseband import algebra, coherent, errors, model, moments, quadrature, specfun, states, verify
+
+MODULES = (errors, specfun, quadrature, model, states, algebra, coherent, moments, verify)
+
+# The public API; removing a name from it is a deliberate, visible change.
+PUBLIC_NAMES = {
+    "AccuracyLossError", "AgreementReport", "BranchDiagnostic", "CheckResult",
+    "CoherentSpec", "ConfigError", "ConvergenceError", "DEFAULT_TOLERANCES",
+    "DegeneracyReport", "DomainError", "FD_MARGIN", "GridMismatchError", "GridSpec",
+    "IntegrationResult", "LandauParams", "MomentSet", "MorsebandError",
+    "OperatorResult", "PhysParams", "QuantumNumbers", "RangeError", "SUITE_NAMES",
+    "SampledState", "TailDominanceError", "__version__", "algebra_grid", "apply_L3",
+    "apply_Lminus", "apply_Lplus", "apply_casimir", "apply_hamiltonian",
+    "assoc_bessel", "assoc_bessel_rodrigues", "bessel_i", "bessel_j", "bessel_k",
+    "bg_coefficients", "bg_measure_density", "bg_state_closed", "bg_state_series",
+    "commutator_residual", "default_coherent_grid", "default_grid",
+    "default_moments_grid", "default_truncation", "degeneracy_scan", "digamma",
+    "energy", "fd_derivative", "gauss_laguerre_nodes", "grid_inner_product",
+    "hermite", "identity_resolution_check", "integrate_radial",
+    "integrate_semi_infinite_u", "is_prime", "laguerre", "laguerre_deriv",
+    "landau_a0", "landau_delta", "landau_energy", "landau_limit_error",
+    "landau_state_asym", "landau_state_sym", "literal_branch_diagnostic",
+    "ln_gamma", "log_weighted_gamma_integral", "measure_weight", "moments_closed",
+    "moments_quadrature", "ode_residual", "radial_identity_integral",
+    "resolve_tolerances", "run_suite", "series_closed_agreement",
+    "spectrum_product", "thread_budget", "trigamma", "uncertainty_limit_curve",
+    "wavefunction", "weighted_norm",
+}
+
+
+def test_all_is_the_modules_all_without_duplicates():
+    expected = ["__version__"] + [name for m in MODULES for name in m.__all__]
+    assert morseband.__all__ == expected
+    assert len(set(expected)) == len(expected)
+
+
+def test_every_public_name_resolves_to_its_module_object():
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(morseband, name) is getattr(module, name)
+    assert set(morseband.__all__) == PUBLIC_NAMES

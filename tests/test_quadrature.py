@@ -132,6 +132,12 @@ class TestRadial:
         with pytest.raises(DomainError):
             integrate_radial(lambda r: r, 0.0)
 
+    def test_integrand_must_accept_arrays(self):
+        # an integrand written for scalars is an error, not a slow path
+        for f in (lambda r: r if r > 0 else 0.0, lambda r: 1.0 if r < 5.0 else 0.0):
+            with pytest.raises(ValueError):
+                integrate_radial(f, 10.0)
+
 
 def _flat_state(nx: int, ny: int, fx, x_min=0.0, x_max=1.0, y_period=1.0) -> SampledState:
     grid = GridSpec(x_min, x_max, nx, ny)

@@ -174,7 +174,7 @@ class TestBesselI:
 
 class TestBesselK:
     def test_values_against_mpmath(self):
-        for nu in (0.0, 1.0 / 3.0, 0.5, 1.0, 3.5, 7.0, 15.0):
+        for nu in (0.0, 1.0, 7.0, 15.0):
             for x in (0.05, 0.5, 1.99, 2.0, 5.0, 50.0):
                 want = mpf(mpmath.besselk(nu, x))
                 got = bessel_k(nu, x)
@@ -189,17 +189,13 @@ class TestBesselK:
 
     def test_negative_order_symmetry(self):
         assert bessel_k(-3.0, 1.5) == bessel_k(3.0, 1.5)
-        assert bessel_k(-0.5, 0.7) == bessel_k(0.5, 0.7)
+        assert bessel_k(-3.0, 4.5) == bessel_k(3.0, 4.5)
 
-    def test_near_integer_order_guard_small_x(self):
-        with pytest.raises(AccuracyLossError):
-            bessel_k(7.0 + 1e-7, 0.5)
-        # snap window: treated as the integer order
-        want = mpf(mpmath.besselk(7, 0.5))
-        assert abs(bessel_k(7.0 + 1e-12, 0.5) - want) <= 1e-9 * want
-        # away from the series region, the integral route has no such seam
-        want = mpf(mpmath.besselk(7.0 + 1e-7, 5.0))
-        assert abs(bessel_k(7.0 + 1e-7, 5.0) - want) <= 5e-13 * want
+    def test_non_integer_order_is_refused(self):
+        for nu in (1.0 / 3.0, 0.5, 3.5, 7.0 + 1e-7, 7.0 + 1e-12):
+            for x in (0.5, 5.0):
+                with pytest.raises(DomainError):
+                    bessel_k(nu, x)
 
     def test_overflow_guard(self):
         with pytest.raises(RangeError):

@@ -107,14 +107,11 @@ class TestProfileRoutes:
             b = assoc_bessel_rodrigues(1, 3, 0.7, xi)
             assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
-    def test_underflow_flag_separates_dead_prefactor(self):
-        value, flag = assoc_bessel(120, 121, 2.0, 20.0, return_underflow_flag=True)
-        assert value == 0.0 and flag is True
-        values, flags = assoc_bessel(
-            120, 121, 2.0, np.array([1.0, 20.0]), return_underflow_flag=True
-        )
-        assert values[0] > 0.0 and not flags[0]
-        assert values[1] == 0.0 and flags[1]
+    def test_dead_prefactor_underflows_to_zero(self):
+        assert assoc_bessel(120, 121, 2.0, 20.0) == 0.0
+        values = assoc_bessel(120, 121, 2.0, np.array([1.0, 20.0]))
+        assert values[0] > 0.0
+        assert values[1] == 0.0
 
     def test_guards(self):
         with pytest.raises(DomainError):
