@@ -40,6 +40,7 @@ from .model import (
     landau_a0,
     landau_energy,
     landau_limit_error,
+    spectrum_product,
 )
 from .moments import moments_closed, moments_quadrature
 from .quadrature import FD_MARGIN, GridSpec, weighted_norm
@@ -221,7 +222,7 @@ def _cmd_spectrum(args: argparse.Namespace, cfg: RunConfig) -> int:
     for n in range(1, args.n_max + 1):
         for l in range(min(l_max, n - 1) + 1):
             q = QuantumNumbers(l, n)
-            product = (2 * n - 2 * l - 1) * (2 * n + 2 * l + 1)
+            product = spectrum_product(q)
             rows.append((l, n, q.N, product, energy(q, cfg.params), multiplicity[product]))
     _table_output(cfg, "spectrum", ("l", "n", "N", "product", "energy", "multiplicity"), rows)
     return 0

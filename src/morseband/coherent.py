@@ -47,8 +47,8 @@ __all__ = [
 ]
 
 _OMITTED_COEFF_LIMIT = 1e-14
-# Largest supported |Z|: the normalization needs I_{2l+1}(2|Z|), whose
-# argument contract ends at 700.
+# Largest supported |Z|: at 2|Z| <= 700 the normalization's I_{2l+1}(2|Z|)
+# is still a finite double even unscaled (I_1 overflows near 713).
 _Z_MAX = 350.0
 
 
@@ -114,6 +114,12 @@ def default_coherent_grid(p: PhysParams) -> GridSpec:
     return GridSpec(x_c - 0.62 * p.a0, x_c + 5.0 * p.a0, 4096, 128)
 
 
+def _ln_bessel_norm(l: int, r: float) -> float:
+    """ln I_{2l+1}(2r), recovered from the scaled value e^(-2r) I_{2l+1}(2r)
+    so that it stays finite for every supported |Z| = r."""
+    return math.log(bessel_i(2.0 * l + 1.0, 2.0 * r, scaled=True)) + 2.0 * r
+
+
 def bg_coefficients(spec: CoherentSpec) -> list[complex]:
     """Expansion coefficients c_N of |Z> over the levels (l, l+N+1).
 
@@ -126,9 +132,7 @@ def bg_coefficients(spec: CoherentSpec) -> list[complex]:
     r = abs(z)
     if r == 0.0:
         return [1.0 + 0.0j] + [0.0j] * spec.truncation
-    # ln I_{2l+1}(2r) recovered from the scaled value e^(-2r) I(2r)
-    ln_bessel = math.log(bessel_i(2.0 * l + 1.0, 2.0 * r, scaled=True)) + 2.0 * r
-    ln_front = (l + 0.5) * math.log(r) - 0.5 * ln_bessel
+    ln_front = (l + 0.5) * math.log(r) - 0.5 * _ln_bessel_norm(l, r)
     phase = z / r
     out: list[complex] = []
     for N in range(spec.truncation + 1):
@@ -181,12 +185,11 @@ def bg_state_closed(spec: CoherentSpec, p: PhysParams, grid: GridSpec) -> Sample
     kappa = p.kappa
     xy = x[:, None] + 1j * y[None, :]
     w = p.beta * z * np.exp(-kappa * xy)
-    ln_bessel = math.log(bessel_i(2.0 * l + 1.0, 2.0 * r, scaled=True)) + 2.0 * r
     ln_front = (
         0.5 * math.log(2.0 * math.pi * (2 * l + 1))
         - math.log(p.a0)
         + (l + 0.5) * (math.log(r) + math.log(p.beta))
-        - 0.5 * ln_bessel
+        - 0.5 * _ln_bessel_norm(l, r)
     )
     values = (
         math.exp(ln_front)
@@ -209,13 +212,13 @@ def bg_measure_density(l: int, r: float) -> float:
 
     Computed from exponentially scaled Bessel factors, whose e^(+-2r)
     prefactors cancel exactly, so the product never overflows. Tends to
-    1/(2 pi) as r grows. Supported for r up to 350 (the Bessel kernel's
-    argument contract).
+    1/(2 pi) as r grows. Supported for 0 < r <= 350, the range of |Z|
+    that :class:`CoherentSpec` accepts; any other r raises DomainError.
     """
     if l < 0:
         raise DomainError(f"l must be >= 0, got {l!r}")
-    if not r > 0.0:
-        raise DomainError(f"bg_measure_density requires r > 0, got {r!r}")
+    if not 0.0 < r <= _Z_MAX:
+        raise DomainError(f"bg_measure_density requires 0 < r <= {_Z_MAX}, got {r!r}")
     nu = 2.0 * l + 1.0
     product = bessel_i(nu, 2.0 * r, scaled=True) * bessel_k(nu, 2.0 * r, scaled=True)
     return (2.0 / math.pi) * product * r

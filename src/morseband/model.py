@@ -184,15 +184,21 @@ def _factor_pair_count(product: int, n_max: int) -> int:
     return count
 
 
+# Largest n_max whose largest product 4 n_max^2 - 1 is below 1e7.
+_SCAN_N_MAX = 1581
+
+
 def degeneracy_scan(n_max: int) -> list[DegeneracyReport]:
     """Group every level with n <= n_max by its exact spectrum product.
 
     Returns reports sorted by product. Each grouping is cross-checked
     against an independent divisor-pair count of the product, so a bug in
-    either route cannot pass silently.
+    either route cannot pass silently. n_max is capped at 1581, the largest
+    n whose largest product 4n^2 - 1 stays below 1e7; the scan's cost grows
+    about as n^2.7, so a larger request is refused before any work is done.
     """
-    if n_max < 1:
-        raise DomainError(f"degeneracy_scan requires n_max >= 1, got {n_max!r}")
+    if not 1 <= n_max <= _SCAN_N_MAX:
+        raise DomainError(f"degeneracy_scan requires 1 <= n_max <= {_SCAN_N_MAX}, got {n_max!r}")
     groups: dict[int, list[QuantumNumbers]] = {}
     for n in range(1, n_max + 1):
         for l in range(n):

@@ -64,6 +64,13 @@ class TestExitCodes:
             code, blob = run(tmp_path, *argv, "--z-re", "1e308")
             assert code == 2 and blob == b""
 
+    def test_n_max_beyond_scan_range_is_two(self, tmp_path):
+        # at n = 1582 the largest product 4n^2 - 1 passes 1e7; the scan
+        # is refused before it starts, so this returns at once
+        for command in ("degeneracy", "spectrum"):
+            code, blob = run(tmp_path, command, "--n-max", "1582")
+            assert code == 2 and blob == b""
+
     def test_bad_config_is_two(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("width = 3\n")

@@ -20,7 +20,6 @@ import pytest
 from morseband import (
     AgreementReport,
     CoherentSpec,
-    ConvergenceError,
     DomainError,
     QuantumNumbers,
     apply_Lminus,
@@ -209,7 +208,7 @@ class TestMeasure:
             assert abs(got - 1.0) <= 1e-4
 
     def test_kernel_domain_edge(self):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(DomainError):
             bg_measure_density(0, 600.0)
         with pytest.raises(DomainError):
             bg_measure_density(0, 0.0)
