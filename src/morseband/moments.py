@@ -25,8 +25,8 @@ from .errors import AccuracyLossError, DomainError
 from .model import PhysParams, QuantumNumbers
 from .quadrature import (
     GridSpec,
+    _row_weights,
     fd_derivative,
-    grid_inner_product,
     integrate_semi_infinite_u,
 )
 from .specfun import digamma, ln_gamma, trigamma
@@ -174,22 +174,36 @@ def moments_closed(q: QuantumNumbers, p: PhysParams) -> MomentSet:
 def _grid_moments(s: SampledState, hbar: float) -> MomentSet:
     """Raw moments of a sampled state by quadrature; the state is
     normalized by its own computed norm, so small grid-norm drift does
-    not leak into the moments."""
-    norm = grid_inner_product(s, s).real
+    not leak into the moments.
 
-    def braket(values: np.ndarray) -> complex:
-        other = dataclasses.replace(s, values=values, labels=None)
-        return grid_inner_product(s, other) / norm
+    One weighted pass: the y sums of bra = conj(sqrt(w) psi) against
+    sqrt(w) psi, sqrt(w) d_x psi and sqrt(w) d_x^2 psi give three rows,
+    and each moment is the dot product of one row with the Simpson
+    weights times dy from ``quadrature._row_weights``, times 1, x or x^2.
+    Scaling both factors by sqrt(w) keeps every product finite where the
+    state grows and the weight underflows, as in ``grid_inner_product``.
+    """
+    root_w = np.sqrt(s.weight)[:, None]
+    amp = np.multiply(s.values, root_w, order="C")
+    parts = amp.view(np.float64)
+    density = np.einsum("ij,ij->i", parts, parts)
+    bra = np.conjugate(amp, out=amp)
 
-    x_col = s.x[:, None]
-    p_values = -1j * hbar * fd_derivative(s, "x", 1).values
-    p2_values = -(hbar**2) * fd_derivative(s, "x", 2).values
+    def row(order: int) -> np.ndarray:
+        ket = fd_derivative(s, "x", order).values * root_w
+        return np.einsum("ij,ij->i", bra, ket)
+
+    d1 = row(1)
+    d2 = row(2)
+    wx = _row_weights(s)
+    xwx = s.x * wx
+    norm = wx @ density
     return MomentSet.from_means(
-        mean_x=braket(x_col * s.values).real,
-        mean_x2=braket(x_col**2 * s.values).real,
-        mean_p=braket(p_values),
-        mean_p2=braket(p2_values),
-        mean_xp=braket(x_col * p_values),
+        mean_x=xwx @ density / norm,
+        mean_x2=(s.x * xwx) @ density / norm,
+        mean_p=-1j * hbar * (wx @ d1) / norm,
+        mean_p2=-(hbar**2) * (wx @ d2) / norm,
+        mean_xp=-1j * hbar * (xwx @ d1) / norm,
         hbar=hbar,
     )
 

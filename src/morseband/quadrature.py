@@ -253,6 +253,15 @@ def _check_same_grid(a, b) -> None:
         raise GridMismatchError("states carry different measure weights")
 
 
+def _row_weights(state) -> np.ndarray:
+    """Weight of each grid row in an integral over the strip: the Simpson
+    weights along x times the y spacing. Every grid quadrature takes its
+    rule from here."""
+    grid = state.grid
+    h = (grid.x_max - grid.x_min) / (grid.nx - 1)
+    return _simpson_weights(grid.nx, h) * (state.y_period / grid.ny)
+
+
 def grid_inner_product(a, b) -> complex:
     """Weighted inner product <a|b> of two states on the same grid.
 
@@ -260,17 +269,14 @@ def grid_inner_product(a, b) -> complex:
     Each factor is scaled by sqrt(weight) before the product is formed:
     states may grow large exactly where the weight underflows to zero,
     and this ordering keeps the integrand finite instead of forming
-    0 * inf. Summation order is fixed, so repeated calls are
-    bit-identical.
+    0 * inf. The y sum of each row is then weighted by the Simpson
+    weights times dy from ``_row_weights``. Summation order is fixed, so
+    repeated calls are bit-identical.
     """
     _check_same_grid(a, b)
-    grid = a.grid
-    h = (grid.x_max - grid.x_min) / (grid.nx - 1)
-    wx = _simpson_weights(grid.nx, h)
-    dy = a.y_period / grid.ny
     root_w = np.sqrt(a.weight)[:, None]
-    inner_y = np.sum(np.conj(a.values * root_w) * (b.values * root_w), axis=1) * dy
-    return complex(np.sum(wx * inner_y))
+    inner_y = np.sum(np.conj(a.values * root_w) * (b.values * root_w), axis=1)
+    return complex(np.sum(_row_weights(a) * inner_y))
 
 
 def weighted_norm(a, exclude_margin: int = 0) -> float:
@@ -283,15 +289,12 @@ def weighted_norm(a, exclude_margin: int = 0) -> float:
     grid = a.grid
     if exclude_margin < 0 or 2 * exclude_margin >= grid.nx:
         raise DomainError(f"exclude_margin {exclude_margin!r} incompatible with nx = {grid.nx}")
-    h = (grid.x_max - grid.x_min) / (grid.nx - 1)
-    wx = _simpson_weights(grid.nx, h)
-    dy = a.y_period / grid.ny
     amp = a.values * np.sqrt(a.weight)[:, None]
-    density = np.sum(amp.real**2 + amp.imag**2, axis=1) * dy
+    density = np.sum(amp.real**2 + amp.imag**2, axis=1)
     if exclude_margin:
         density[:exclude_margin] = 0.0
         density[-exclude_margin:] = 0.0
-    total = float(np.sum(wx * density))
+    total = float(np.sum(_row_weights(a) * density))
     return math.sqrt(max(total, 0.0))
 
 
@@ -301,25 +304,58 @@ _EDGE1_ROW1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
 _EDGE2_ROW0 = np.array([35.0, -104.0, 114.0, -56.0, 11.0]) / 12.0
 _EDGE2_ROW1 = np.array([11.0, -20.0, 6.0, 4.0, -1.0]) / 12.0
 
+# fourth-order centred stencils on rows i-2..i+2, before division by 12 h^order
+_CENTRED_TAPS = {
+    1: ((0, 1.0), (1, -8.0), (3, 8.0), (4, -1.0)),
+    2: ((0, -1.0), (1, 16.0), (2, -30.0), (3, 16.0), (4, -1.0)),
+}
+
+# float64 values per block of rows the centred stencil accumulates at a
+# time: 256 KiB, so the scratch term stays in cache
+_BLOCK_FLOATS = 32768
+
 
 def _x_derivative(values: np.ndarray, h: float, order: int) -> np.ndarray:
-    out = np.empty_like(values)
-    v = values
+    """Grid derivative along axis 0 of a real or complex array.
+
+    The coefficients are real, so they act on the real and imaginary
+    parts alike: the stencils run on float64 views of the interleaved
+    complex rows and accumulate into the output in place, block by block
+    with one small scratch term, instead of forming a full-size complex
+    temporary per term. Terms are added left to right and the sum is
+    multiplied by the reciprocal of the divisor, which is how numpy
+    divides a complex array by a real scalar, so every value is
+    bit-identical to the stencil evaluated in complex arithmetic.
+    """
+    out = np.empty(values.shape, dtype=complex)
+    values = np.ascontiguousarray(values, dtype=complex)
+    v = values.view(np.float64)
+    o = out.view(np.float64)
+    nx, width = v.shape
+    (k0, c0), *rest = _CENTRED_TAPS[order]
     if order == 1:
-        out[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
+        divisor = 12.0 * h
         head = _EDGE1_ROW0, _EDGE1_ROW1
         flip = -1.0
         scale = h
     else:
-        out[2:-2] = (-v[:-4] + 16.0 * v[1:-3] - 30.0 * v[2:-2] + 16.0 * v[3:-1] - v[4:]) / (
-            12.0 * h * h
-        )
+        divisor = 12.0 * h * h
         head = _EDGE2_ROW0, _EDGE2_ROW1
         flip = 1.0
         scale = h * h
+    block = max(1, _BLOCK_FLOATS // width)
+    term = np.empty((block, width))
+    for a in range(2, nx - 2, block):
+        b = min(a + block, nx - 2)
+        body, t = o[a:b], term[: b - a]
+        np.multiply(v[a - 2 + k0 : b - 2 + k0], c0, out=body)
+        for k, c in rest:
+            np.multiply(v[a - 2 + k : b - 2 + k], c, out=t)
+            body += t
+        body *= 1.0 / divisor
     for i, row in enumerate(head):
-        out[i] = np.tensordot(row, v[:5], axes=(0, 0)) / scale
-        out[-1 - i] = flip * np.tensordot(row[::-1], v[-5:], axes=(0, 0)) / scale
+        out[i] = np.tensordot(row, values[:5], axes=(0, 0)) / scale
+        out[-1 - i] = flip * np.tensordot(row[::-1], values[-5:], axes=(0, 0)) / scale
     return out
 
 
@@ -353,7 +389,7 @@ def fd_derivative(state, axis: str, order: int = 1):
     if axis == "x":
         grid = state.grid
         h = (grid.x_max - grid.x_min) / (grid.nx - 1)
-        new_values = _x_derivative(np.asarray(state.values, dtype=complex), h, order)
+        new_values = _x_derivative(state.values, h, order)
     elif axis == "y":
         new_values = _y_derivative(np.asarray(state.values, dtype=complex), state.y_period, order)
     else:

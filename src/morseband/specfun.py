@@ -3,9 +3,10 @@
 Every function the model's closed forms require, with documented accuracy
 contracts. Each one is a thin wrapper over ``scipy.special`` (``ln_gamma``
 over ``math.lgamma``) that adds the domain checks and turns an
-overflowing result into ``RangeError`` instead of returning inf. All
-routines are pure functions of their arguments, so they are safe to call
-from any number of threads.
+overflowing result into ``RangeError`` instead of returning inf. A
+non-finite argument (inf or nan, in any element of an array argument)
+is refused with ``DomainError``. All routines are pure functions of
+their arguments, so they are safe to call from any number of threads.
 
 Accuracy contracts, as asserted against mpmath at 30 digits by the test
 suite. The bound is on |got - want| / max(floor, |want|):
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy import special
 
 from .errors import DomainError, RangeError
@@ -55,28 +57,45 @@ def _finite(value, what: str):
     return value
 
 
+def _positive(x: float, what: str) -> None:
+    if not (x > 0.0 and math.isfinite(x)):
+        raise DomainError(f"{what} requires finite x > 0, got {x!r}")
+
+
+def _degree(m, what: str) -> int:
+    if not (m >= 0 and math.isfinite(m) and m == int(m)):
+        raise DomainError(f"{what} degree must be a non-negative integer, got {m!r}")
+    return int(m)
+
+
+def _finite_points(u, what: str) -> None:
+    if not np.all(np.isfinite(u)):
+        raise DomainError(f"{what} requires finite arguments")
+
+
 def ln_gamma(x: float) -> float:
     """Natural log of the Gamma function for positive real arguments.
 
     Thin wrapper over the C library routine, which is accurate to a few
-    ulp on the contract domain; this function only adds the domain check.
+    ulp on the contract domain; this function adds the domain check and
+    turns an overflow (x near 1e308) into RangeError.
     """
-    if not x > 0.0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
+    _positive(x, "ln_gamma")
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise RangeError(f"ln_gamma({x!r}) is not a finite double") from None
 
 
 def digamma(x: float) -> float:
     """Logarithmic derivative of the Gamma function, psi(x) = d ln Gamma/dx."""
-    if not x > 0.0:
-        raise DomainError(f"digamma requires x > 0, got {x!r}")
+    _positive(x, "digamma")
     return _finite(float(special.psi(x)), f"digamma({x})")
 
 
 def trigamma(x: float) -> float:
     """First derivative of digamma; equals the Hurwitz zeta value zeta(2, x)."""
-    if not x > 0.0:
-        raise DomainError(f"trigamma requires x > 0, got {x!r}")
+    _positive(x, "trigamma")
     return _finite(float(special.polygamma(1, x)), f"trigamma({x})")
 
 
@@ -86,11 +105,11 @@ def laguerre(m: int, alpha: float, u):
     ``u`` may be a float or a numpy array; the result broadcasts
     elementwise.
     """
-    if m < 0 or m != int(m):
-        raise DomainError(f"laguerre degree must be a non-negative integer, got {m!r}")
-    if not alpha > -1.0:
-        raise DomainError(f"laguerre requires alpha > -1, got {alpha!r}")
-    return special.eval_genlaguerre(int(m), alpha, u)
+    m = _degree(m, "laguerre")
+    if not (alpha > -1.0 and math.isfinite(alpha)):
+        raise DomainError(f"laguerre requires finite alpha > -1, got {alpha!r}")
+    _finite_points(u, "laguerre")
+    return special.eval_genlaguerre(m, alpha, u)
 
 
 def laguerre_deriv(m: int, alpha: float, u, order: int = 1):
@@ -102,6 +121,7 @@ def laguerre_deriv(m: int, alpha: float, u, order: int = 1):
     if order < 1:
         raise DomainError(f"derivative order must be >= 1, got {order!r}")
     if m < order:
+        _finite_points(u, "laguerre_deriv")
         return u * 0.0
     sign = -1.0 if order % 2 else 1.0
     return sign * laguerre(m - order, alpha + order, u)
@@ -109,9 +129,9 @@ def laguerre_deriv(m: int, alpha: float, u, order: int = 1):
 
 def hermite(N: int, t):
     """Physicists' Hermite polynomial H_N(t)."""
-    if N < 0 or N != int(N):
-        raise DomainError(f"hermite degree must be a non-negative integer, got {N!r}")
-    return special.eval_hermite(int(N), t)
+    N = _degree(N, "hermite")
+    _finite_points(t, "hermite")
+    return special.eval_hermite(N, t)
 
 
 def bessel_j(nu: float, z: complex) -> complex:
@@ -119,7 +139,7 @@ def bessel_j(nu: float, z: complex) -> complex:
     argument supported. Raises DomainError beyond ``|z| = 1e3``."""
     if not (nu >= 0.0 and math.isfinite(nu)):
         raise DomainError(f"bessel_j requires finite nu >= 0, got {nu!r}")
-    if abs(z) > _J_Z_MAX:
+    if not abs(z) <= _J_Z_MAX:
         raise DomainError(f"bessel_j requires |z| <= {_J_Z_MAX!r}, got |z| = {abs(z)!r}")
     return _finite(complex(special.jv(nu, complex(z))), f"J_{nu}({z})")
 
@@ -131,8 +151,8 @@ def bessel_i(nu: float, x: float, scaled: bool = False) -> float:
     """
     if not (nu >= 0.0 and math.isfinite(nu)):
         raise DomainError(f"bessel_i requires finite nu >= 0, got {nu!r}")
-    if not x >= 0.0:
-        raise DomainError(f"bessel_i requires x >= 0, got {x!r}")
+    if not (x >= 0.0 and math.isfinite(x)):
+        raise DomainError(f"bessel_i requires finite x >= 0, got {x!r}")
     if scaled:
         return _finite(float(special.ive(nu, x)), f"e^-x I_{nu}(x) at x = {x}")
     return _finite(float(special.iv(nu, x)), f"I_{nu}({x}) (request the scaled variant)")
@@ -145,8 +165,7 @@ def bessel_k(nu: float, x: float, scaled: bool = False) -> float:
     non-integer order and RangeError when the value overflows (x near zero
     with large order, where the e^x scaling cannot rescue it).
     """
-    if not x > 0.0:
-        raise DomainError(f"bessel_k requires x > 0, got {x!r}")
+    _positive(x, "bessel_k")
     if not (math.isfinite(nu) and nu == int(nu)):
         raise DomainError(f"bessel_k requires an integer order, got {nu!r}")
     nu = abs(nu)

@@ -117,13 +117,20 @@ def assoc_bessel(l: int, n: int, beta: float, xi):
     xi_arr = np.asarray(xi, dtype=float)
     if np.any(xi_arr <= 0.0):
         raise DomainError("assoc_bessel requires xi > 0")
+    with np.errstate(over="ignore"):
+        u = beta / xi_arr
+    if not np.all(np.isfinite(u)):
+        raise RangeError(
+            "profile argument beta/xi overflows on this grid; shrink the window "
+            "on the growing side"
+        )
     ln_pref = (
         l * math.log(beta)
         + 0.5 * (math.lgamma(n - l) - math.lgamma(n + l + 1))
         - (l + 1.0) * np.log(xi_arr)
     )
     pref = np.exp(ln_pref)
-    poly = laguerre(n - l - 1, 2.0 * l + 1.0, beta / xi_arr)
+    poly = laguerre(n - l - 1, 2.0 * l + 1.0, u)
     value = pref * poly
     return float(value) if np.isscalar(xi) else value
 

@@ -8,6 +8,7 @@ is (l+1)^2 hbar^2/4 rather than the quoted hbar^2/4; that regression
 documents what this implementation computes.
 """
 
+import dataclasses
 import math
 
 import mpmath
@@ -16,15 +17,21 @@ import pytest
 from morseband import (
     AccuracyLossError,
     DomainError,
+    GridSpec,
     LandauParams,
     MomentSet,
     QuantumNumbers,
     default_moments_grid,
+    fd_derivative,
+    grid_inner_product,
     landau_delta,
+    landau_state_asym,
+    landau_state_sym,
     log_weighted_gamma_integral,
     moments_closed,
     moments_quadrature,
     uncertainty_limit_curve,
+    wavefunction,
 )
 
 mpmath.mp.dps = 30
@@ -50,6 +57,62 @@ class TestClosedAgainstQuadrature:
     def test_level_guard(self, p):
         with pytest.raises(DomainError):
             moments_closed(QuantumNumbers(0, 4), p)
+
+
+def _braket_moments(s, hbar: float) -> MomentSet:
+    """Reference route: every moment is its own inner product of the state
+    against x psi, x^2 psi, p psi, p^2 psi or x p psi, with p = -i hbar d/dx."""
+    norm = grid_inner_product(s, s).real
+
+    def braket(values):
+        return grid_inner_product(s, dataclasses.replace(s, values=values, labels=None)) / norm
+
+    x = s.x[:, None]
+    p_values = -1j * hbar * fd_derivative(s, "x", 1).values
+    p2_values = -(hbar**2) * fd_derivative(s, "x", 2).values
+    return MomentSet.from_means(
+        mean_x=braket(x * s.values).real,
+        mean_x2=braket(x**2 * s.values).real,
+        mean_p=braket(p_values),
+        mean_p2=braket(p2_values),
+        mean_xp=braket(x * p_values),
+        hbar=hbar,
+    )
+
+
+class TestFusedPassAgainstBrakets:
+    # the one-pass moments must reproduce the six separate inner products
+    # to rounding; the floor of 1 covers sigma_pp, which cancels to ~0
+    @pytest.mark.parametrize("l, N", [(0, 0), (2, 1), (4, 2)])
+    def test_eigenstates(self, p, l, N):
+        q = QuantumNumbers(l, l + N + 1)
+        x_c = p.x_weight_mode
+        grid = GridSpec(x_c - p.a0, x_c + 6.0 * p.a0, 4096, 8)
+        fused = moments_quadrature(q, p, grid)
+        reference = _braket_moments(wavefunction(q, p, grid), p.hbar)
+        for name in FIELDS:
+            a, b = getattr(fused, name), getattr(reference, name)
+            assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0), name
+
+    @pytest.mark.parametrize(
+        "lp",
+        [LandauParams(gauge="symmetric", n=1, l=1), LandauParams(gauge="asymmetric", N=2)],
+        ids=["symmetric-1-1", "asymmetric-2"],
+    )
+    def test_landau_states(self, p, lp):
+        # the same box and grid as landau_delta; the symmetric-gauge state
+        # is not separable in x and y
+        r_c = LandauParams.cyclotron_radius(p)
+        p_box = dataclasses.replace(p, a0=24.0 * r_c)
+        if lp.gauge == "asymmetric":
+            centre = lp.guiding_centre(p)
+            grid = GridSpec(centre - 12.0 * r_c, centre + 12.0 * r_c, 4096, 8)
+            state = landau_state_asym(lp, p_box, grid)
+        else:
+            grid = GridSpec(-12.0 * r_c, 12.0 * r_c, 4096, 512)
+            state = landau_state_sym(lp.n, lp.l, p_box, grid)
+        want = _braket_moments(state, p.hbar).delta
+        assert abs(landau_delta(lp, p) - want) <= 1e-12 * abs(want)
 
 
 class TestClosedStructure:

@@ -11,6 +11,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 from scipy.special import logsumexp
 
 from morseband import (
@@ -223,6 +224,34 @@ class TestDerivatives:
             errs_edge.append(np.max(err))
         assert math.log2(errs_interior[0] / errs_interior[1]) >= 3.7
         assert math.log2(errs_edge[0] / errs_edge[1]) >= 2.7
+
+    @pytest.mark.parametrize("layout", ["C", "F", "real"])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_x_stencils_exact_on_complex_quartics(self, order, layout):
+        # the centred stencils and the one-sided closures are exact on
+        # polynomials of degree <= 4; per-column complex coefficients expose
+        # any mixing of the real and imaginary parts, on every row
+        nx, ny, x_min, x_max = 24, 8, -0.7, 1.3
+        grid = GridSpec(x_min, x_max, nx, ny)
+        x = np.linspace(x_min, x_max, nx)
+        y = np.arange(ny) / ny
+        rng = np.random.default_rng(10 * order + len(layout))
+        for k in range(5):
+            coeff = rng.standard_normal(ny) + 1j * rng.standard_normal(ny)
+            if layout == "real":
+                coeff = coeff.real
+            values = x[:, None] ** k * coeff[None, :]
+            if layout == "F":
+                values = np.asfortranarray(values)
+            kept = values.copy()
+            s = SampledState(grid=grid, x=x, y=y, values=values, weight=np.ones(nx), y_period=1.0)
+            d = fd_derivative(s, "x", order)
+            monomial = np.zeros(k + 1)
+            monomial[k] = 1.0
+            exact = P.polyval(x, P.polyder(monomial, order))[:, None] * coeff[None, :]
+            scale = max(1.0, float(np.max(np.abs(exact))))
+            assert np.max(np.abs(d.values - exact)) <= 1e-9 * scale
+            assert np.array_equal(s.values, kept)
 
     def test_y_derivative_is_spectrally_exact_on_harmonics(self):
         for m in (1, 5, 15):

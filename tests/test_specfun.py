@@ -238,3 +238,33 @@ class TestCrossIdentities:
         uv = u * v
         rhs = math.exp(v) * uv ** (-alpha / 2.0) * bessel_j(alpha, 2.0 * math.sqrt(uv))
         assert abs(total - rhs.real) <= 1e-9 * abs(rhs.real)
+
+
+class TestNonFiniteArguments:
+    # inf and nan are outside every contract domain; an overflow of a
+    # finite argument is a RangeError, never a bare OverflowError
+    @pytest.mark.parametrize(
+        "fn, args, kwargs, error",
+        [
+            (ln_gamma, (math.inf,), {}, DomainError),
+            (ln_gamma, (1e308,), {}, RangeError),
+            (digamma, (math.inf,), {}, DomainError),
+            (trigamma, (math.inf,), {}, DomainError),
+            (laguerre, (3, 1.0, math.inf), {}, DomainError),
+            (laguerre, (3, 1.0, np.array([0.5, 2.0, math.nan])), {}, DomainError),
+            (laguerre, (3, math.inf, 1.0), {}, DomainError),
+            (laguerre, (math.inf, 1.0, 1.0), {}, DomainError),
+            (laguerre_deriv, (1, 1.0, np.array([1.0, math.inf])), {"order": 2}, DomainError),
+            (hermite, (3, math.inf), {}, DomainError),
+            (hermite, (3, np.array([0.0, -math.inf])), {}, DomainError),
+            (hermite, (math.nan, 1.0), {}, DomainError),
+            (bessel_j, (0.0, complex(1.0, math.nan)), {}, DomainError),
+            (bessel_i, (0.0, math.inf), {"scaled": True}, DomainError),
+            (bessel_i, (0.0, math.nan), {}, DomainError),
+            (bessel_k, (0, math.inf), {}, DomainError),
+            (bessel_k, (0, math.inf), {"scaled": True}, DomainError),
+        ],
+    )
+    def test_refused(self, fn, args, kwargs, error):
+        with pytest.raises(error):
+            fn(*args, **kwargs)

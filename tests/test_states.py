@@ -92,6 +92,14 @@ class TestOrthonormality:
         with pytest.raises(RangeError):
             wavefunction(QuantumNumbers(3, 6), p, grid)
 
+    def test_window_past_the_profile_argument_range_is_refused(self, p):
+        # xi = e^(kappa x) = e^-712 is subnormal at the left edge, so beta/xi
+        # overflows: the same growing-side overflow, not a domain error of
+        # the Laguerre factor
+        grid = GridSpec(-712.0 / p.kappa, p.x_weight_mode, 64, 8)
+        with pytest.raises(RangeError):
+            wavefunction(QuantumNumbers(3, 6), p, grid)
+
 
 class TestProfileRoutes:
     def test_laguerre_route_matches_exact_derivative_route(self):
