@@ -14,9 +14,11 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +33,7 @@ from .algebra import (
     apply_hamiltonian,
 )
 from .coherent import CoherentSpec, bg_measure_density, bg_state_closed, default_coherent_grid
-from .errors import ConfigError, MorsebandError
+from .errors import ConfigError, MorsebandError, RangeError
 from .model import (
     PhysParams,
     QuantumNumbers,
@@ -44,7 +46,14 @@ from .model import (
 )
 from .moments import moments_closed, moments_quadrature
 from .quadrature import FD_MARGIN, GridSpec, weighted_norm
-from .states import LandauParams, default_grid, landau_state_asym, landau_state_sym, wavefunction
+from .states import (
+    LandauParams,
+    SampledState,
+    default_grid,
+    landau_state_asym,
+    landau_state_sym,
+    wavefunction,
+)
 from .verify import SUITE_NAMES, resolve_tolerances, run_suite
 
 __all__ = ["RunConfig", "main"]
@@ -121,11 +130,40 @@ def _json_text(obj, indent: int = 0) -> str:
     return json.dumps(str(obj))
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(cfg: RunConfig, blocks: Iterable[str]) -> None:
+    """Write the text blocks in order to stdout, or to the --out file."""
     if cfg.output_path is None:
-        sys.stdout.write(text)
+        for block in blocks:
+            sys.stdout.write(block)
     else:
-        Path(cfg.output_path).write_text(text)
+        with Path(cfg.output_path).open("w") as fh:
+            fh.writelines(blocks)
+
+
+def _density(values: np.ndarray) -> np.ndarray:
+    """|v|^2 of every cell, bit for bit as ``abs(v) ** 2`` on one numpy scalar.
+
+    On a whole array, ``np.abs`` of a complex value and ``** 2`` (a plain
+    square) each differ from that scalar route in the last bit on some
+    cells. ``np.hypot`` is the scalar modulus, and ``np.float_power``
+    calls libm ``pow`` per element as the scalar power does. An
+    overflowing cell comes out as inf.
+    """
+    with np.errstate(over="ignore"):
+        return np.float_power(np.hypot(values.real, values.imag), 2)
+
+
+def _printed_density(values: np.ndarray) -> np.ndarray:
+    """The density a state-printing command prints, refused with RangeError
+    before anything is written when any cell is not finite. A finite density
+    bounds |v|, so the amplitudes printed beside it are finite too."""
+    density = _density(values)
+    if not np.all(np.isfinite(density)):
+        raise RangeError(
+            "|psi|^2 overflows on this grid and cannot be printed; shrink the "
+            "window on the growing side"
+        )
+    return density
 
 
 def _table_output(cfg: RunConfig, command: str, header: tuple[str, ...], rows: list[tuple]) -> None:
@@ -134,9 +172,9 @@ def _table_output(cfg: RunConfig, command: str, header: tuple[str, ...], rows: l
             "command": command,
             "rows": [dict(zip(header, row)) for row in rows],
         }
-        _emit(cfg, _json_text(payload) + "\n")
+        _emit(cfg, [_json_text(payload) + "\n"])
     else:
-        _emit(cfg, _csv_block(header, rows))
+        _emit(cfg, [_csv_block(header, rows)])
 
 
 # ---------------------------------------------------------------- config
@@ -256,13 +294,13 @@ def _cmd_degeneracy(args: argparse.Namespace, cfg: RunConfig) -> int:
                 for report in reports
             ],
         }
-        _emit(cfg, _json_text(payload) + "\n")
+        _emit(cfg, [_json_text(payload) + "\n"])
     else:
         text = _csv_block(
             ("multiplicity", "count"), [(k, histogram[k]) for k in sorted(histogram)]
         )
         text += "\n" + _csv_block(("product", "multiplicity", "states"), classes)
-        _emit(cfg, text)
+        _emit(cfg, [text])
     return 0
 
 
@@ -271,9 +309,10 @@ def _cmd_wavefunction(args: argparse.Namespace, cfg: RunConfig) -> int:
     grid = cfg.grid or default_grid(cfg.params)
     s = wavefunction(q, cfg.params, grid)
     phase = cmath.exp(1j * args.n * cfg.params.kappa * s.y[0])
+    density = _printed_density(s.values[:, 0])
     radial = s.values[:, 0] * phase
     rows = [
-        (float(s.x[i]), float(radial[i].real), float(abs(s.values[i, 0]) ** 2), float(s.weight[i]))
+        (float(s.x[i]), float(radial[i].real), float(density[i]), float(s.weight[i]))
         for i in range(grid.nx)
     ]
     _table_output(cfg, "wavefunction", ("x", "radial", "density", "weight"), rows)
@@ -336,9 +375,9 @@ def _cmd_coherent(args: argparse.Namespace, cfg: RunConfig) -> int:
     spec = CoherentSpec(args.l, z)
     grid = cfg.grid or default_coherent_grid(cfg.params)
     s = bg_state_closed(spec, cfg.params, grid)
+    density = _printed_density(s.values[:, 0])
     state_rows = [
-        (float(s.x[i]), float(abs(s.values[i, 0]) ** 2), float(s.weight[i]))
-        for i in range(grid.nx)
+        (float(s.x[i]), float(density[i]), float(s.weight[i])) for i in range(grid.nx)
     ]
     measure_rows = [
         (r, bg_measure_density(args.l, r)) for r in (i / 10.0 for i in range(1, 101))
@@ -349,11 +388,11 @@ def _cmd_coherent(args: argparse.Namespace, cfg: RunConfig) -> int:
             "state": [dict(zip(("x", "density", "weight"), row)) for row in state_rows],
             "measure": [dict(zip(("r", "measure_density"), row)) for row in measure_rows],
         }
-        _emit(cfg, _json_text(payload) + "\n")
+        _emit(cfg, [_json_text(payload) + "\n"])
     else:
         text = _csv_block(("x", "density", "weight"), state_rows)
         text += "\n" + _csv_block(("r", "measure_density"), measure_rows)
-        _emit(cfg, text)
+        _emit(cfg, [text])
     return 0
 
 
@@ -415,7 +454,7 @@ def _cmd_landau_limit(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     report = run_suite(args.suite, tolerances=cfg.tolerances)
-    _emit(cfg, _json_text(report) + "\n")
+    _emit(cfg, [_json_text(report) + "\n"])
     return 0 if report["passed"] else 1
 
 
@@ -445,10 +484,29 @@ def _export_state(args: argparse.Namespace, cfg: RunConfig):
     return s, grid, label
 
 
+def _export_rows(s: SampledState, density: np.ndarray) -> Iterator[str]:
+    """The CSV data lines of a state, one text block per x row.
+
+    Each row is one ``%`` over a template of ny lines: ``"%.16e" % v`` gives
+    the same text as ``_fmt_float(v)`` for every double, inf, nan and -0.0
+    included, and y, x and the weight are formatted once each.
+    """
+    ny = s.grid.ny
+    cells: list = [None] * (4 * ny)
+    cells[0::4] = [_fmt_float(y) for y in s.y]
+    for i in range(s.grid.nx):
+        cells[1::4] = s.values[i].real.tolist()
+        cells[2::4] = s.values[i].imag.tolist()
+        cells[3::4] = density[i].tolist()
+        line = f"{_fmt_float(s.x[i])},%s,%.16e,%.16e,%.16e,{_fmt_float(s.weight[i])}\n"
+        yield (line * ny) % tuple(cells)
+
+
 def _cmd_export(args: argparse.Namespace, cfg: RunConfig) -> int:
     s, grid, label = _export_state(args, cfg)
+    density = _printed_density(s.values)
     p = cfg.params
-    lines = [
+    header = [
         f"# morseband-{__version__}",
         f"# {label}",
         "# " + " ".join(f"{k}={_fmt_float(getattr(p, k))}" for k in _PARAM_KEYS),
@@ -456,16 +514,7 @@ def _cmd_export(args: argparse.Namespace, cfg: RunConfig) -> int:
         f" nx={grid.nx} ny={grid.ny}",
         "x,y,re_psi,im_psi,density,weight",
     ]
-    for i in range(grid.nx):
-        w = _fmt_float(s.weight[i])
-        x = _fmt_float(s.x[i])
-        for j in range(grid.ny):
-            v = s.values[i, j]
-            lines.append(
-                f"{x},{_fmt_float(s.y[j])},{_fmt_float(v.real)},{_fmt_float(v.imag)},"
-                f"{_fmt_float(abs(v) ** 2)},{w}"
-            )
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(cfg, itertools.chain(["\n".join(header) + "\n"], _export_rows(s, density)))
     return 0
 
 

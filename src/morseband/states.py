@@ -103,6 +103,13 @@ def measure_weight(x, p: PhysParams):
     return float(out) if np.isscalar(x) else out
 
 
+def _argument_overflow() -> RangeError:
+    return RangeError(
+        "profile argument beta/xi overflows on this grid; shrink the window "
+        "on the growing side"
+    )
+
+
 def assoc_bessel(l: int, n: int, beta: float, xi):
     """Radial-like profile in xi = e^(kappa x) for level (l, n).
 
@@ -120,10 +127,7 @@ def assoc_bessel(l: int, n: int, beta: float, xi):
     with np.errstate(over="ignore"):
         u = beta / xi_arr
     if not np.all(np.isfinite(u)):
-        raise RangeError(
-            "profile argument beta/xi overflows on this grid; shrink the window "
-            "on the growing side"
-        )
+        raise _argument_overflow()
     ln_pref = (
         l * math.log(beta)
         + 0.5 * (math.lgamma(n - l) - math.lgamma(n + l + 1))
@@ -180,6 +184,10 @@ def wavefunction(q: QuantumNumbers, p: PhysParams, grid: GridSpec) -> SampledSta
     """
     x, y = _grid_axes(grid, p)
     xi = np.exp(p.kappa * x)
+    if not np.all(xi > 0.0):
+        # xi underflows to 0 one step past where beta/xi overflows: the same
+        # growing-side window, not a domain error of the profile
+        raise _argument_overflow()
     profile = assoc_bessel(q.l, q.n, p.beta, xi)
     amp = math.sqrt(-p.e * p.B0 / (math.pi * p.hbar * p.c) * (2 * q.l + 1))
     phase = np.exp(-1j * q.n * p.kappa * y)

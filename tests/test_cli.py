@@ -11,7 +11,10 @@ with one concrete trigger per code.
 import json
 import math
 
-from morseband import __version__
+import numpy as np
+import pytest
+
+from morseband import GridSpec, SampledState, __version__, cli
 from morseband.cli import _json_text, main
 
 
@@ -27,6 +30,23 @@ def data_lines(blob: bytes) -> list[str]:
         for line in blob.decode().splitlines()
         if line and not line.startswith("#")
     ]
+
+
+def per_cell_rows(s) -> str:
+    """The data lines of ``export`` as the per-cell loop before the row
+    writer wrote them: the reference the row writer must match byte for byte."""
+    lines = []
+    with np.errstate(over="ignore"):
+        for i in range(s.grid.nx):
+            w = format(float(s.weight[i]), ".16e")
+            x = format(float(s.x[i]), ".16e")
+            for j in range(s.grid.ny):
+                v = s.values[i, j]
+                lines.append(
+                    f"{x},{format(float(s.y[j]), '.16e')},{format(float(v.real), '.16e')},"
+                    f"{format(float(v.imag), '.16e')},{format(float(abs(v) ** 2), '.16e')},{w}\n"
+                )
+    return "".join(lines)
 
 
 class TestExitCodes:
@@ -81,6 +101,15 @@ class TestExitCodes:
         code, _ = run(tmp_path, "wavefunction", "--l", "3", "--n", "2")
         assert code == 2
 
+    def test_overflowing_export_density_is_two(self, tmp_path, capsys):
+        # |psi|^2 overflows at (l, n) = (2, 10) on the default grid
+        argv = ["export", "--kind", "eigen", "--l", "2", "--n", "10"]
+        code, _ = run(tmp_path, *argv)
+        assert code == 2
+        assert not (tmp_path / "out.txt").exists()
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+
     def test_unwritable_out_is_three(self):
         code = main(["--out", "/nonexistent-dir/x.csv", "spectrum"])
         assert code == 3
@@ -123,12 +152,11 @@ class TestDeterminism:
 
 class TestJsonText:
     def test_non_finite_numbers_are_strings(self, tmp_path):
-        # the density overflows at n = 9 on the default grid
-        code, blob = run(tmp_path, "--format", "json", "wavefunction", "--l", "0", "--n", "9")
-        assert code == 0
-        rows = json.loads(blob)["rows"]
-        printed = {v for row in rows for v in row.values() if isinstance(v, str)}
-        assert printed and printed <= {"inf", "-inf", "nan"}
+        # the density overflows at n = 9 on the default grid: the state is
+        # refused before anything is written, so no "inf" is ever printed
+        code, _ = run(tmp_path, "--format", "json", "wavefunction", "--l", "0", "--n", "9")
+        assert code == 2
+        assert not (tmp_path / "out.txt").exists()
 
     def test_every_non_finite_float_has_its_own_string(self):
         text = _json_text({"values": [math.inf, -math.inf, math.nan, 0.5]})
@@ -319,6 +347,61 @@ class TestExport:
             name="ls.csv",
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "grid_cfg, argv",
+        [
+            ("x_min = -2\nx_max = 9\nnx = 40\nny = 8\n", ["--kind", "eigen", "--l", "1", "--n", "3"]),
+            (
+                "x_min = 2\nx_max = 9\nnx = 48\nny = 8\n",
+                ["--kind", "coherent", "--l", "1", "--z-re", "1.5", "--z-im", "-0.75"],
+            ),
+            ("x_min = -6\nx_max = 6\nnx = 24\nny = 16\n", ["--kind", "landau-sym", "--n", "1", "--l", "2"]),
+            (None, ["--kind", "landau-asym", "--n", "2", "--ky", "0.5"]),
+        ],
+        ids=["eigen", "coherent", "landau-sym", "landau-asym"],
+    )
+    def test_rows_match_the_per_cell_loop(self, tmp_path, capsys, grid_cfg, argv):
+        config = []
+        if grid_cfg is not None:
+            (tmp_path / "grid.cfg").write_text(grid_cfg)
+            config = ["--config", str(tmp_path / "grid.cfg")]
+        code, blob = run(tmp_path, *config, "export", *argv)
+        assert code == 0
+        args = cli._build_parser().parse_args([*config, "export", *argv])
+        s, _, _ = cli._export_state(args, cli._load_run_config(args))
+        header, _, rows = blob.decode().partition("x,y,re_psi,im_psi,density,weight\n")
+        assert header.count("\n") == 4
+        assert rows == per_cell_rows(s)
+        assert main([*config, "export", *argv]) == 0
+        assert capsys.readouterr().out.encode() == blob
+
+    def test_row_writer_is_exact_on_edge_cells(self):
+        rng = np.random.default_rng(7)
+        shape = (8, 8)
+        values = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.uniform(
+            -40.0, 40.0, shape
+        )
+        values[0, :6] = [
+            complex(1.2532713955973815e-30, -3.6470973560424327e-31),  # np.abs is one bit off
+            complex(5.787103522958906e-26, 1.1252395612950644e-26),  # a plain square is one bit off
+            complex(-0.0, 0.5),
+            complex(0.25, -0.0),
+            complex(5e-324, -2.5e-310),  # subnormal
+            complex(1e200, 1.0),  # the density overflows
+        ]
+        x = np.linspace(-1.0, 1.0, 8)
+        for v in (values, values.real.copy()):
+            s = SampledState(
+                grid=GridSpec(-1.0, 1.0, *shape),
+                x=x,
+                y=np.linspace(-0.5, 0.5, 8, endpoint=False),
+                values=v,
+                weight=np.exp(x),
+                y_period=1.0,
+            )
+            written = "".join(cli._export_rows(s, cli._density(s.values)))
+            assert written == per_cell_rows(s)
 
     def test_row_count_matches_grid(self, tmp_path):
         cfg = tmp_path / "grid.cfg"

@@ -100,6 +100,14 @@ class TestOrthonormality:
         with pytest.raises(RangeError):
             wavefunction(QuantumNumbers(3, 6), p, grid)
 
+    @pytest.mark.parametrize("edge", [-712.0, -760.0])
+    def test_both_growing_side_edges_give_one_error(self, p, edge):
+        # at -712/kappa xi is subnormal and beta/xi overflows; at -760/kappa
+        # xi itself underflows to 0: the same window defect either way
+        grid = GridSpec(edge / p.kappa, 1.0, 64, 8)
+        with pytest.raises(RangeError, match="shrink the window on the growing side"):
+            wavefunction(QuantumNumbers(3, 6), p, grid)
+
 
 class TestProfileRoutes:
     def test_laguerre_route_matches_exact_derivative_route(self):
