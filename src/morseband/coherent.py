@@ -5,15 +5,12 @@ levels (l, l+N+1) with coefficients fixed by the lowering-operator
 eigenvalue property. Two independent evaluations are provided:
 
 * the defining series over eigenstates, and
-* a closed form whose fractional powers of Z are combined analytically
-  before evaluation, so that no branch cut crosses the grid.
+* a closed form in J_{2l+1}(2s)/s^(2l+1) with s^2 = beta Z e^(-kappa(x+iy)).
 
-The literal closed-form expression multiplies two principal-branch
-fractional powers; their product flips sign wherever the combined
-argument wraps past pi, which is a property of the printed expression,
-not of the state. :func:`literal_branch_diagnostic` measures that region
-instead of silently re-branching; the production closed form is the
-branch-free combination, and the series stays the defining object.
+For the integer order a = 2l+1 that ratio is even in s (J_a(-z) =
+(-1)^a J_a(z)), so any s chosen consistently gives the exact value: the
+closed form carries no branch cut, and the series stays the defining
+object.
 """
 
 from __future__ import annotations
@@ -23,6 +20,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import special
 
 from .errors import DomainError
 from .model import PhysParams, QuantumNumbers
@@ -33,7 +31,6 @@ from .states import SampledState, _grid_axes, measure_weight, wavefunction
 __all__ = [
     "CoherentSpec",
     "AgreementReport",
-    "BranchDiagnostic",
     "default_truncation",
     "default_coherent_grid",
     "bg_coefficients",
@@ -43,7 +40,6 @@ __all__ = [
     "radial_identity_integral",
     "identity_resolution_check",
     "series_closed_agreement",
-    "literal_branch_diagnostic",
 ]
 
 _OMITTED_COEFF_LIMIT = 1e-14
@@ -69,9 +65,10 @@ class CoherentSpec:
     """Labels of one coherent state: family l, eigenvalue Z, series order.
 
     ``truncation=None`` resolves to :func:`default_truncation`. The
-    constructor refuses |Z| > 350 and verifies that the first omitted
-    series coefficient is at most 1e-14 of the largest retained one, so a
-    spec that validates cannot silently drop weight.
+    constructor refuses |Z| > 350 and any nonzero |Z| so small that the
+    normalization's I_{2l+1}(2|Z|) underflows. It verifies that the first
+    omitted series coefficient is at most 1e-14 of the largest retained
+    one, so a spec that validates cannot silently drop weight.
     """
 
     l: int
@@ -87,6 +84,10 @@ class CoherentSpec:
         r = abs(z)
         if r > _Z_MAX:
             raise DomainError(f"|Z| must be <= {_Z_MAX}, got {r!r}")
+        if r > 0.0 and bessel_i(2.0 * self.l + 1.0, 2.0 * r, scaled=True) < np.finfo(float).tiny:
+            raise DomainError(
+                f"|Z| = {r!r} is too small for l = {self.l}: I_{2 * self.l + 1}(2|Z|) underflows"
+            )
         object.__setattr__(self, "Z", z)
         if self.truncation is None:
             object.__setattr__(self, "truncation", default_truncation(self.l, z))
@@ -150,60 +151,49 @@ def bg_state_series(spec: CoherentSpec, p: PhysParams, grid: GridSpec) -> Sample
     return replace(level, values=values, labels=None)
 
 
-_JTILDE_CAP = 400
-
-
-def _jtilde(alpha: int, w: np.ndarray) -> np.ndarray:
-    """Entire series sum_k (-w)^k / (k! G(k + alpha + 1)); equals
-    J_alpha(2 sqrt(w)) / w^(alpha/2) on any branch, with no branch of
-    its own."""
-    term = np.full(w.shape, math.exp(-math.lgamma(alpha + 1.0)), dtype=complex)
-    total = term.copy()
-    for k in range(_JTILDE_CAP):
-        term = term * (-w) / ((k + 1.0) * (k + alpha + 1.0))
-        total += term
-        if np.max(np.abs(term)) <= 1e-17 * max(np.max(np.abs(total)), 1e-300):
-            return total
-    raise DomainError("jtilde series did not converge; |w| out of supported range")
-
-
 def bg_state_closed(spec: CoherentSpec, p: PhysParams, grid: GridSpec) -> SampledState:
     """Closed-form evaluation of the coherent state.
 
-    The fractional powers (|Z|/Z)^(l+1/2) and w^(l+1/2) (from the Bessel
-    factor, w = beta Z e^(-kappa(x+iy))) are combined before evaluation:
-    their product is single-valued and equals
-    (|Z| beta)^(l+1/2) e^(-(l+1/2) kappa (x+iy)), so no branch decision
-    survives into the numerics. At Z = 0 the state reduces to the bottom
-    level (l, l+1) exactly.
+    With a = 2l+1 and s = sqrt(beta Z) e^(-kappa(x+iy)/2), the state is
+    C e^(Z e^(-i kappa y) - (l+1) kappa (x+iy)) (beta |Z|)^(a/2) J_a(2s) / s^a,
+    C = sqrt(2 pi a / I_a(2|Z|)) / a0. J_a(2s)/s^a is even in s, so either
+    square root gives the exact value as long as s^a is the a-th power of
+    the s that enters J: no branch decision survives into the numerics.
+    Every factor but the exponentially scaled Bessel value
+    jve(a, 2s) = J_a(2s) e^(-|Im 2s|) is summed as one exponent before a
+    single exp. At Z = 0 the state reduces to the bottom level (l, l+1)
+    exactly. A window reaching so far to the growing side that the state
+    overflows raises RangeError.
     """
     l, z = spec.l, spec.Z
     if z == 0:
         return replace(wavefunction(QuantumNumbers(l, l + 1), p, grid), labels=None)
-    r = abs(z)
     x, y = _grid_axes(grid, p)
     kappa = p.kappa
-    xy = x[:, None] + 1j * y[None, :]
-    w = p.beta * z * np.exp(-kappa * xy)
+    root = cmath.sqrt(p.beta * z)  # s at x = y = 0
+    # ln C + (l + 1/2) ln(beta |Z|) - a ln(root): the moduli cancel
     ln_front = (
         0.5 * math.log(2.0 * math.pi * (2 * l + 1))
         - math.log(p.a0)
-        + (l + 0.5) * (math.log(r) + math.log(p.beta))
-        - 0.5 * _ln_bessel_norm(l, r)
+        - 0.5 * _ln_bessel_norm(l, abs(z))
+        - 1j * (2 * l + 1) * cmath.phase(root)
     )
-    values = (
-        math.exp(ln_front)
-        * np.exp(z * np.exp(-1j * kappa * y)[None, :] - (l + 1.0) * kappa * xy)
-        * _jtilde(2 * l + 1, w)
-    )
-    return SampledState(
-        grid=grid,
-        x=x,
-        y=y,
-        values=values,
-        weight=measure_weight(x, p),
-        y_period=p.a0,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        two_s = np.multiply.outer(2.0 * root * np.exp(-0.5 * kappa * x), np.exp(-0.5j * kappa * y))
+        values = np.add.outer(
+            ln_front - 0.5 * kappa * x, z * np.exp(-1j * kappa * y) - 0.5j * kappa * y
+        )
+        values += np.abs(two_s.imag)
+        np.exp(values, out=values)
+        values *= special.jve(2 * l + 1, two_s, out=two_s)
+        return SampledState(
+            grid=grid,
+            x=x,
+            y=y,
+            values=values,
+            weight=measure_weight(x, p),
+            y_period=p.a0,
+        )
 
 
 def bg_measure_density(l: int, r: float) -> float:
@@ -233,16 +223,8 @@ def radial_identity_integral(l: int, N: int) -> IntegrationResult:
     nu = 2.0 * l + 1.0
 
     def integrand(r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        out = np.empty(r.shape)
-        for i, ri in enumerate(r.ravel()):
-            if ri <= 0.0:
-                out.ravel()[i] = 0.0
-                continue
-            # r^p K(2r) = exp(p ln r - 2r) * (scaled K), assembled in logs
-            ln_mag = power * math.log(ri) - 2.0 * ri
-            out.ravel()[i] = math.exp(ln_mag) * bessel_k(nu, 2.0 * ri, scaled=True)
-        return out
+        # r^p K(2r) = exp(p ln r - 2r) * (scaled K), assembled in logs
+        return np.exp(power * np.log(r) - 2.0 * r) * bessel_k(nu, 2.0 * r, scaled=True)
 
     r_max = 20.0 + 3.0 * power
     return integrate_radial(integrand, r_max)
@@ -292,49 +274,3 @@ def series_closed_agreement(spec: CoherentSpec, p: PhysParams, grid: GridSpec) -
     trusted = dens >= 1e-12 * np.max(dens)
     pointwise = float(np.max(np.abs(diff[trusted]) / np.abs(series.values[trusted])))
     return AgreementReport(weighted_l2=num / den, pointwise_max=pointwise)
-
-
-@dataclass(frozen=True)
-class BranchDiagnostic:
-    """Where the literal two-factor principal-branch closed form deviates.
-
-    flipped_fraction: fraction of trusted cells where the literal product
-    equals exactly minus the branch-free value.
-    max_other_deviation: worst |ratio - (+-1)| over trusted cells, i.e.
-    how far the literal form is from being a pure sign flip.
-    """
-
-    flipped_fraction: float
-    max_other_deviation: float
-
-
-def literal_branch_diagnostic(spec: CoherentSpec, p: PhysParams, grid: GridSpec) -> BranchDiagnostic:
-    """Measure the sign-flip region of the literal closed-form expression.
-
-    Writing the fractional factors with principal branches, the literal
-    and branch-free forms differ by exp((l+1/2)(Log w + Log(|Z|/Z)
-    - ln(|Z| beta) + kappa (x+iy))), which is +1 or -1 cell by cell
-    (the exponent is an integer multiple of 2 pi i times l+1/2). The
-    flip region is a genuine feature of the printed expression; the
-    quantitative check that the ratio formula matches a direct
-    principal-branch evaluation lives in the test suite.
-    """
-    l, z = spec.l, spec.Z
-    if z == 0:
-        return BranchDiagnostic(flipped_fraction=0.0, max_other_deviation=0.0)
-    x, y = _grid_axes(grid, p)
-    xy = x[:, None] + 1j * y[None, :]
-    w = p.beta * z * np.exp(-p.kappa * xy)
-    log_ratio = np.log(w) + cmath.log(abs(z) / z) - math.log(abs(z) * p.beta) + p.kappa * xy
-    ratio = np.exp((l + 0.5) * log_ratio)
-    dens = measure_weight(x, p)[:, None] * np.ones((1, grid.ny))
-    trusted = dens >= 1e-12 * np.max(dens)
-    r = ratio[trusted]
-    dist_plus = np.abs(r - 1.0)
-    dist_minus = np.abs(r + 1.0)
-    flipped = dist_minus < dist_plus
-    max_other = float(np.max(np.where(flipped, dist_minus, dist_plus)))
-    return BranchDiagnostic(
-        flipped_fraction=float(np.count_nonzero(flipped)) / r.size,
-        max_other_deviation=max_other,
-    )

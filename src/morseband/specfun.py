@@ -3,7 +3,7 @@
 Every function the model's closed forms require, with documented accuracy
 contracts. Each one is a thin wrapper over ``scipy.special`` (``ln_gamma``
 over ``math.lgamma``) that adds the domain checks and turns an
-overflowing result into ``RangeError`` instead of returning inf. A
+overflowing value (in any element of an array) into ``RangeError``. A
 non-finite argument (inf or nan, in any element of an array argument)
 is refused with ``DomainError``. All routines are pure functions of
 their arguments, so they are safe to call from any number of threads.
@@ -158,16 +158,22 @@ def bessel_i(nu: float, x: float, scaled: bool = False) -> float:
     return _finite(float(special.iv(nu, x)), f"I_{nu}({x}) (request the scaled variant)")
 
 
-def bessel_k(nu: float, x: float, scaled: bool = False) -> float:
+def bessel_k(nu: float, x, scaled: bool = False):
     """Modified Bessel function of the second kind, K_nu(x), integer nu.
 
-    ``scaled=True`` returns e^x K_nu(x). Raises DomainError for a
-    non-integer order and RangeError when the value overflows (x near zero
-    with large order, where the e^x scaling cannot rescue it).
+    ``x`` may be a float or a numpy array; the result broadcasts
+    elementwise. ``scaled=True`` returns e^x K_nu(x). Raises DomainError
+    for a non-integer order or any x that is not finite and positive, and
+    RangeError when any value overflows (x near zero with large order,
+    where the e^x scaling cannot rescue it).
     """
-    _positive(x, "bessel_k")
+    if not np.all((np.asarray(x) > 0.0) & np.isfinite(x)):
+        raise DomainError(f"bessel_k requires finite x > 0, got {x!r}")
     if not (math.isfinite(nu) and nu == int(nu)):
         raise DomainError(f"bessel_k requires an integer order, got {nu!r}")
     nu = abs(nu)
     value = special.kve(nu, x) if scaled else special.kv(nu, x)
-    return _finite(float(value), f"K_{nu}({x})")
+    if not np.all(np.isfinite(value)):
+        # K_nu decreases in x, so an overflow shows first at the smallest x
+        raise RangeError(f"K_{nu}(x) at x = {float(np.min(x))!r} is not a finite double")
+    return value if np.ndim(value) else float(value)

@@ -84,6 +84,12 @@ class TestExitCodes:
             code, blob = run(tmp_path, *argv, "--z-re", "1e308")
             assert code == 2 and blob == b""
 
+    def test_coherent_eigenvalue_too_small_to_normalize_is_two(self, tmp_path):
+        # I_7(2|Z|) underflows at |Z| = 1e-50, so the state has no normalization
+        for argv in (["coherent"], ["export", "--kind", "coherent"]):
+            code, blob = run(tmp_path, *argv, "--l", "3", "--z-re", "1e-50")
+            assert code == 2 and blob == b""
+
     def test_n_max_beyond_scan_range_is_two(self, tmp_path):
         # at n = 1582 the largest product 4n^2 - 1 passes 1e7; the scan
         # is refused before it starts, so this returns at once

@@ -1,5 +1,6 @@
-"""Coherent states: series vs closed form, the printed-branch diagnosis,
-the lowering eigenvalue, and the resolution of identity.
+"""Coherent states: series vs closed form, the closed form against an
+mpmath referee, the printed-branch sign flips, the lowering eigenvalue,
+and the resolution of identity.
 
 The projection oracle is the strongest check here: grid inner products
 of the closed-form state against eigenstates must reproduce the series
@@ -13,15 +14,20 @@ grid.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morseband import (
     AgreementReport,
     CoherentSpec,
     DomainError,
+    GridSpec,
     QuantumNumbers,
+    RangeError,
     apply_Lminus,
     bessel_i,
     bessel_j,
@@ -33,7 +39,6 @@ from morseband import (
     default_truncation,
     grid_inner_product,
     identity_resolution_check,
-    literal_branch_diagnostic,
     radial_identity_integral,
     wavefunction,
     weighted_norm,
@@ -89,6 +94,12 @@ class TestCoefficients:
         for z in (351.0, 1e308):
             with pytest.raises(DomainError):
                 CoherentSpec(0, z)
+        # a nonzero |Z| whose I_{2l+1}(2|Z|) underflows has no normalization
+        for l, z in ((3, 1e-50), (3, 1e-50j), (0, 1e-310)):
+            with pytest.raises(DomainError, match="underflows"):
+                CoherentSpec(l, z)
+        assert CoherentSpec(0, 1e-300).Z == 1e-300
+        assert CoherentSpec(3, 0.0).Z == 0.0
         assert CoherentSpec(0, 3.0).truncation == default_truncation(0, 3.0)
 
 
@@ -146,14 +157,13 @@ def series_agreement(l, Z, p, grid) -> AgreementReport:
 
 
 class TestLiteralBranch:
-    def test_printed_form_flips_sign_on_part_of_the_domain(self, p):
+    @staticmethod
+    def _literal_signs(p, Z) -> list[int]:
         # evaluate the closed form literally: principal fractional powers
         # in both factors, no continuation across the cut
         grid = default_coherent_grid(p)
         l = 1
-        Z = 0.5 * cmath.exp(1j * math.pi / 3.0)
-        spec = CoherentSpec(l, Z)
-        state = bg_state_closed(spec, p, grid)
+        state = bg_state_closed(CoherentSpec(l, Z), p, grid)
         denom = math.sqrt(bessel_i(2 * l + 1, 2.0 * abs(Z)))
         front = math.sqrt(2.0 * math.pi * (2 * l + 1)) / p.a0
         phase = (abs(Z) / Z) ** (l + 0.5)
@@ -174,21 +184,110 @@ class TestLiteralBranch:
             assert abs(abs(ratio) - 1.0) <= 1e-10
             assert abs(ratio.imag) <= 1e-10
             signs.append(1 if ratio.real > 0 else -1)
+        return signs
+
+    def test_printed_form_flips_sign_on_part_of_the_domain(self, p):
+        signs = self._literal_signs(p, 0.5 * cmath.exp(1j * math.pi / 3.0))
         assert -1 in signs and 1 in signs
+        # a positive real eigenvalue never flips
+        assert set(self._literal_signs(p, 0.7 + 0.0j)) == {1}
 
-    def test_diagnostic_fraction_and_exactness(self, p):
-        grid = default_coherent_grid(p)
-        diag = literal_branch_diagnostic(
-            CoherentSpec(1, 0.5 * cmath.exp(1j * math.pi / 3.0)), p, grid
-        )
-        assert diag.flipped_fraction == 0.171875
-        assert diag.max_other_deviation <= 1e-12
 
-    def test_positive_real_eigenvalue_never_flips(self, p):
-        grid = default_coherent_grid(p)
-        diag = literal_branch_diagnostic(CoherentSpec(1, 0.7 + 0.0j), p, grid)
-        assert diag.flipped_fraction == 0.0
-        assert diag.max_other_deviation <= 1e-12
+def _referee(p, l, Z, x, y) -> tuple[complex, float]:
+    """The closed form at one cell in mpmath, and |2s J_a'(2s) / J_a(2s)|,
+    the factor by which a relative rounding of the Bessel argument grows
+    in the value. The principal sqrt of w is enough, because J_a(2s)/s^a
+    is even in s for the odd integer a."""
+    a = 2 * l + 1
+    Z = mpmath.mpc(Z)
+    kappa, beta = mpmath.mpf(p.kappa), mpmath.mpf(p.beta)
+    xy = mpmath.mpf(x) + 1j * mpmath.mpf(y)
+    s = mpmath.sqrt(beta * Z * mpmath.exp(-kappa * xy))
+    r = abs(Z)
+    front = mpmath.sqrt(2 * mpmath.pi * a / mpmath.besseli(a, 2 * r)) / mpmath.mpf(p.a0)
+    bessel = mpmath.besselj(a, 2 * s)
+    value = (
+        front
+        * (beta * r) ** (mpmath.mpf(a) / 2)
+        * mpmath.exp(Z * mpmath.exp(-1j * kappa * mpmath.mpf(y)) - (l + 1) * kappa * xy)
+        * bessel
+        / s**a
+    )
+    return complex(value), float(abs(2 * s * mpmath.besselj(a, 2 * s, derivative=1) / bessel))
+
+
+def _trusted_cells(state) -> np.ndarray:
+    dens = state.weight[:, None] * np.abs(state.values) ** 2
+    return np.argwhere(dens >= 1e-12 * np.max(dens))
+
+
+def _referee_errors(p, l, Z, state, cells) -> list[tuple[float, float]]:
+    """(relative error, Bessel argument condition) of each cell."""
+    out = []
+    for i, j in cells:
+        want, cond = _referee(p, l, Z, state.x[i], state.y[j])
+        out.append((abs(state.values[i, j] - want) / abs(want), cond))
+    return out
+
+
+class TestClosedFormReferee:
+    def test_verify_worst_cell(self, p):
+        # the verify sample's worst series/closed cell; a hand-summed
+        # Bessel series was off by 6.4e-10 on this row
+        l, Z = 2, SAMPLE_Z[2]
+        state = bg_state_closed(CoherentSpec(l, Z), p, default_coherent_grid(p))
+        i = int(np.argmin(np.abs(state.x + 2.668)))
+        cells = [(i, j) for i2, j in _trusted_cells(state) if i2 == i]
+        assert len(cells) == state.grid.ny
+        assert max(err for err, _ in _referee_errors(p, l, Z, state, cells)) <= 1e-13
+
+    def test_large_eigenvalue(self, p):
+        # |Z| = 10 lies in the CLI sweep's range; a hand-summed Bessel
+        # series cancels like e^(2 sqrt|w|) and lost every digit on the
+        # left trusted rows here
+        state = bg_state_closed(CoherentSpec(0, 10.0), p, default_coherent_grid(p))
+        rows = np.unique(_trusted_cells(state)[:, 0])
+        cells = [(i, j) for i in rows[:: max(1, rows.size // 24)] for j in (0, 37, 64, 101)]
+        assert max(err for err, _ in _referee_errors(p, 0, 10.0, state, cells)) <= 1e-13
+
+    @given(
+        l=st.integers(0, 6),
+        log_r=st.floats(-3.0, math.log10(350.0) - 1e-12),
+        angle=st.floats(-math.pi, math.pi),
+        pick=st.integers(0, 2**32),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_random_trusted_cells(self, p, l, log_r, angle, pick):
+        # Rounding the inputs alone costs a few ulp of the exponent, whose
+        # size is |Z|, and of the Bessel argument, amplified by its
+        # condition; near a zero of J_a that condition runs into the
+        # thousands at |Z| = 350, so the bound carries both terms. The
+        # default window is sampled on a coarser mesh to keep each example
+        # cheap.
+        Z = 10.0**log_r * cmath.exp(1j * angle)
+        window = default_coherent_grid(p)
+        grid = GridSpec(window.x_min, window.x_max, 513, 16)
+        state = bg_state_closed(CoherentSpec(l, Z), p, grid)
+        cells = _trusted_cells(state)
+        picked = [cells[(pick + k * 7919) % len(cells)] for k in range(3)]
+        eps = np.finfo(float).eps
+        for err, cond in _referee_errors(p, l, Z, state, picked):
+            assert err <= 1e-13 + 4.0 * eps * (abs(Z) + cond)
+
+    @pytest.mark.parametrize("r", [40.0, 100.0, 350.0])
+    def test_norm_at_large_eigenvalue(self, p, r):
+        # what is left comes from the fixed window, not from the closed form
+        s = bg_state_closed(CoherentSpec(0, r * cmath.exp(0.3j)), p, default_coherent_grid(p))
+        assert np.all(np.isfinite(s.values))
+        assert abs(grid_inner_product(s, s).real - 1.0) <= 1e-2
+
+    @pytest.mark.parametrize("x_min", [-30.0, -700.0])
+    def test_growing_side_window_is_refused_without_warnings(self, p, x_min):
+        grid = GridSpec(x_min, 10.0, 256, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match="shrink the window on the growing side"):
+                bg_state_closed(CoherentSpec(1, 1.8 * cmath.exp(0.25j * math.pi)), p, grid)
 
 
 class TestMeasure:
@@ -238,3 +337,11 @@ class TestIdentityResolution:
             identity_resolution_check(0, 9)
         with pytest.raises(DomainError):
             radial_identity_integral(-1, 0)
+
+    def test_overflowing_kernel_is_a_range_error_without_warnings(self):
+        # K_101(2r) overflows near r = 0; the integrand must refuse it, not
+        # hand the quadrature 0 * inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError):
+                radial_identity_integral(50, 0)

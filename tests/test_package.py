@@ -7,7 +7,7 @@ MODULES = (errors, specfun, quadrature, model, states, algebra, coherent, moment
 
 # The public API; removing a name from it is a deliberate, visible change.
 PUBLIC_NAMES = {
-    "AccuracyLossError", "AgreementReport", "BranchDiagnostic", "CheckResult",
+    "AccuracyLossError", "AgreementReport", "CheckResult",
     "CoherentSpec", "ConfigError", "ConvergenceError", "DEFAULT_TOLERANCES",
     "DegeneracyReport", "DomainError", "FD_MARGIN", "GridMismatchError", "GridSpec",
     "IntegrationResult", "LandauParams", "MomentSet", "MorsebandError",
@@ -22,7 +22,7 @@ PUBLIC_NAMES = {
     "hermite", "identity_resolution_check", "integrate_radial",
     "integrate_semi_infinite_u", "is_prime", "laguerre", "laguerre_deriv",
     "landau_a0", "landau_delta", "landau_energy", "landau_limit_error",
-    "landau_state_asym", "landau_state_sym", "literal_branch_diagnostic",
+    "landau_state_asym", "landau_state_sym",
     "ln_gamma", "log_weighted_gamma_integral", "measure_weight", "moments_closed",
     "moments_quadrature", "ode_residual", "radial_identity_integral",
     "resolve_tolerances", "run_suite", "series_closed_agreement",

@@ -210,10 +210,20 @@ class TestBesselK:
     def test_overflow_guard(self):
         with pytest.raises(RangeError):
             bessel_k(15.0, 1e-25)
+        with pytest.raises(RangeError):
+            bessel_k(15.0, np.array([1.0, 1e-25]), scaled=True)
+
+    def test_array_argument_matches_scalar_calls(self):
+        x = np.array([0.05, 0.5, 2.0, 50.0])
+        for scaled in (False, True):
+            got = bessel_k(7, x, scaled=scaled)
+            assert got.tolist() == [bessel_k(7, float(v), scaled=scaled) for v in x]
 
     def test_guards(self):
         with pytest.raises(DomainError):
             bessel_k(1.0, 0.0)
+        with pytest.raises(DomainError):
+            bessel_k(1.0, np.array([1.0, -1.0]))
         with pytest.raises(DomainError):
             bessel_k(math.inf, 1.0)
 
@@ -263,6 +273,7 @@ class TestNonFiniteArguments:
             (bessel_i, (0.0, math.nan), {}, DomainError),
             (bessel_k, (0, math.inf), {}, DomainError),
             (bessel_k, (0, math.inf), {"scaled": True}, DomainError),
+            (bessel_k, (0, np.array([1.0, math.nan])), {}, DomainError),
         ],
     )
     def test_refused(self, fn, args, kwargs, error):
