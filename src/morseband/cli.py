@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -307,7 +308,8 @@ def _cmd_degeneracy(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _cmd_wavefunction(args: argparse.Namespace, cfg: RunConfig) -> int:
     q = QuantumNumbers(args.l, args.n)
     grid = cfg.grid or default_grid(cfg.params)
-    s = wavefunction(q, cfg.params, grid)
+    # only column 0 (y = -a0/2 on every grid) is printed: build the fewest columns
+    s = wavefunction(q, cfg.params, dataclasses.replace(grid, ny=8))
     phase = cmath.exp(1j * args.n * cfg.params.kappa * s.y[0])
     density = _printed_density(s.values[:, 0])
     radial = s.values[:, 0] * phase
@@ -374,7 +376,8 @@ def _cmd_coherent(args: argparse.Namespace, cfg: RunConfig) -> int:
     z = complex(args.z_re, args.z_im)
     spec = CoherentSpec(args.l, z)
     grid = cfg.grid or default_coherent_grid(cfg.params)
-    s = bg_state_closed(spec, cfg.params, grid)
+    # only column 0 (y = -a0/2 on every grid) is printed: build the fewest columns
+    s = bg_state_closed(spec, cfg.params, dataclasses.replace(grid, ny=8))
     density = _printed_density(s.values[:, 0])
     state_rows = [
         (float(s.x[i]), float(density[i]), float(s.weight[i])) for i in range(grid.nx)
@@ -484,27 +487,170 @@ def _export_state(args: argparse.Namespace, cfg: RunConfig):
     return s, grid, label
 
 
-def _export_rows(s: SampledState, density: np.ndarray) -> Iterator[str]:
-    """The CSV data lines of a state, one text block per x row.
+# Decimal exponents E of the finite nonzero doubles run from -324 to 308, so
+# the scale 10^(16-E) that brings 17 digits before the point runs over these k.
+_E_MIN, _E_MAX = -324, 308
+_POW10_MIN, _POW10_MAX = 16 - _E_MAX, 16 - _E_MIN
+_FIELD = 24  # the widest finite text of format(v, ".16e"): "-d.dddddddddddddddde-ddd"
+_TIE_MARGIN = 2.0**-32
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for 53-bit doubles
+_BLOCK_LINES = 2048
 
-    Each row is one ``%`` over a template of ny lines: ``"%.16e" % v`` gives
-    the same text as ``_fmt_float(v)`` for every double, inf, nan and -0.0
-    included, and y, x and the weight are formatted once each.
+
+@functools.cache
+def _pow10_table() -> tuple[np.ndarray, ...]:
+    """10^k = (hi + lo) 2^exp for k in [_POW10_MIN, _POW10_MAX], hi in [1, 2).
+
+    Built with Python integers: each true division of two ints is
+    correctly rounded, so hi is 10^k 2^-exp rounded to a double and lo is
+    the remainder rounded to a double. Returns hi, its Veltkamp halves
+    (26 bits each) for the exact product in ``_scaled_digits``, lo and exp.
     """
-    ny = s.grid.ny
-    cells: list = [None] * (4 * ny)
-    cells[0::4] = [_fmt_float(y) for y in s.y]
-    for i in range(s.grid.nx):
-        cells[1::4] = s.values[i].real.tolist()
-        cells[2::4] = s.values[i].imag.tolist()
-        cells[3::4] = density[i].tolist()
-        line = f"{_fmt_float(s.x[i])},%s,%.16e,%.16e,%.16e,{_fmt_float(s.weight[i])}\n"
-        yield (line * ny) % tuple(cells)
+    his, los, exps = [], [], []
+    for k in range(_POW10_MIN, _POW10_MAX + 1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        shift = den.bit_length() - num.bit_length()
+        if num << max(shift, 0) < den << max(-shift, 0):
+            shift += 1
+        num, den = (num << shift, den) if shift >= 0 else (num, den << -shift)
+        hi = num / den
+        his.append(hi)
+        los.append((num * 2**52 - int(hi * 2**52) * den) / (den * 2**52))
+        exps.append(-shift)
+    hi = np.array(his)
+    big = hi * _SPLIT
+    hi_top = big - (big - hi)
+    return hi, hi_top, hi - hi_top, np.array(los), np.array(exps)
+
+
+@functools.cache
+def _digit_texts() -> tuple[np.ndarray, np.ndarray]:
+    """The texts "0000" ... "9999" as uint32, and "e-324" ... "e+308"
+    zero-padded to 5 bytes, one row per exponent."""
+    quads = np.frombuffer("".join(f"{i:04d}" for i in range(10**4)).encode(), dtype=np.uint32)
+    tails = "".join(f"e{E:+03d}".ljust(5, "\0") for E in range(_E_MIN, _E_MAX + 1))
+    return quads, np.frombuffer(tails.encode(), dtype=np.uint8).reshape(-1, 5)
+
+
+def _scaled_digits(m: np.ndarray, e: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor(D) and D - floor(D) for D = m 2^e 10^(16-E), m in [1/2, 1)."""
+    hi, hi_top, hi_bot, lo, exp = _pow10_table()
+    k = np.clip(16 - E, _POW10_MIN, _POW10_MAX) - _POW10_MIN
+    top, bot = hi_top[k], hi_bot[k]
+    prod = m * hi[k]
+    big = m * _SPLIT
+    m_top = big - (big - m)
+    m_bot = m - m_top
+    # Dekker's two-product: prod + tail == m * hi exactly
+    tail = ((m_top * top - prod) + m_top * bot + m_bot * top) + m_bot * bot
+    tail += m * lo[k]
+    scale = e + exp[k]
+    prod = np.ldexp(prod, scale)
+    tail = np.ldexp(tail, scale)
+    whole = np.floor(prod)
+    tail += prod - whole
+    step = np.floor(tail)
+    return whole.astype(np.int64) + step.astype(np.int64), tail - step
+
+
+def _e17_fields(v) -> np.ndarray:
+    """The bytes of ``format(v, ".16e")`` for every cell of a float block.
+
+    Returns an array of shape ``v.shape + (_FIELD,)`` of uint8, each text
+    left-aligned on its sign slot: a positive number leaves byte 0 zero
+    and a two-digit exponent leaves the last byte zero; no other byte is
+    zero. With |v| = m 2^e, m in [1/2, 1), and E = floor(log10 |v|),
+    D = |v| 10^(16-E) is m (hi + lo) 2^(e+exp) from the table. Dekker's
+    two-product gives m hi exactly, and what is left out is at most
+    2^-105 2^(e+exp): m times lo's own rounding error (2^-107), the
+    rounding of m lo (2^-107) and of the tail sum (2^-106). As m hi
+    2^(e+exp) = D < 2^57 with m hi >= 1/2, the computed D is within 2^-47
+    of the exact one, and its floor and fraction are taken without further
+    rounding. The rounding of D is proven wherever its fraction is more
+    than ``_TIE_MARGIN`` = 2^-32 from 1/2, 2^15 times the error. The text
+    is then right when floor(D) >= 10^16 and round(D) <= 10^17, a
+    round(D) of 10^17 carrying into the exponent: floor(D) >= 10^16 rules
+    out an E one too high, and with E one too low round(D) = 10^17 is the
+    carry the true E would give. Where either bound fails, E is moved by
+    one and D taken again. The other cells, exact ties such as 1 + 2^-17
+    among them, non-finite cells, and any cell whose moved E still fails,
+    are written by ``format(v, ".16e")`` itself, which defines the text.
+    """
+    v = np.asarray(v, dtype=float)
+    flat = v.ravel()
+    a = np.abs(flat)
+    finite = np.isfinite(a)
+    nonzero = finite & (a > 0.0)
+    a[~nonzero] = 1.0
+    m, e = np.frexp(a)
+    E = np.floor(np.log10(a)).astype(np.int64)
+    whole, frac = _scaled_digits(m, e, E)
+    digits = whole + (frac > 0.5)
+    off = np.flatnonzero((whole < 10**16) | (digits > 10**17))
+    if off.size:
+        E[off] += np.where(whole[off] < 10**16, -1, 1)
+        whole[off], frac[off] = _scaled_digits(m[off], e[off], E[off])
+        digits[off] = whole[off] + (frac[off] > 0.5)
+    unproven = (np.abs(frac - 0.5) <= _TIE_MARGIN) | (whole < 10**16) | (digits > 10**17)
+    carry = digits == 10**17
+    digits[carry] = 10**16
+    E[carry] += 1
+    digits[~nonzero] = 0
+    E[~nonzero] = 0
+
+    quads, tails = _digit_texts()
+    out = np.zeros((flat.size, _FIELD), np.uint8)
+    out[:, 0] = np.signbit(flat) * np.uint8(ord("-"))
+    lead, rest = np.divmod(digits, 10**16)
+    out[:, 1] = lead + ord("0")
+    out[:, 2] = ord(".")
+    fraction = out[:, 3:19].view(np.uint32)
+    for col, part in enumerate(np.divmod(rest, 10**8)):
+        part = part.astype(np.uint32)
+        top = part // 10**4
+        fraction[:, 2 * col] = quads[top]
+        fraction[:, 2 * col + 1] = quads[part - top * 10**4]
+    out[:, 19:] = tails[np.clip(E, _E_MIN, _E_MAX) - _E_MIN]
+    for i in np.flatnonzero(~finite | (nonzero & unproven)):
+        text = format(float(flat[i]), ".16e").encode()
+        out[i] = 0
+        out[i, : len(text)] = np.frombuffer(text, np.uint8)
+    return out.reshape(v.shape + (_FIELD,))
+
+
+def _export_rows(s: SampledState) -> Iterator[str]:
+    """The CSV data lines of a state, one text block per run of x rows.
+
+    Every number reads as ``format(v, ".16e")`` would write it, byte for
+    byte (see ``_e17_fields``), and the density is ``_density`` of the
+    block's cells. A block is a zero-padded byte matrix with one line per
+    (x, y) cell and one slot per column, each slot a field and its ``,``
+    or newline; one pass of ``bytes.translate`` deletes the pad bytes,
+    which is faster here than a boolean mask. A block holds about
+    ``_BLOCK_LINES`` lines, so its temporaries stay small beside the text
+    already written, and no state-sized array is held while it grows.
+    """
+    nx, ny = s.values.shape
+    rows = max(1, _BLOCK_LINES // ny)
+    y = _e17_fields(s.y)
+    x_w = _e17_fields(np.stack((s.x, s.weight), axis=-1))
+    for i in range(0, nx, rows):
+        n = min(rows, nx - i)
+        block = np.zeros((n, ny, 6, _FIELD + 1), np.uint8)
+        block[:, :, :, _FIELD] = ord(",")
+        block[:, :, 5, _FIELD] = ord("\n")
+        block[:, :, 0, :_FIELD] = x_w[i : i + n, None, 0]
+        block[:, :, 1, :_FIELD] = y
+        cells = s.values[i : i + n]
+        cells = np.stack((cells.real, cells.imag, _density(cells)), axis=-1)
+        block[:, :, 2:5, :_FIELD] = _e17_fields(cells)
+        block[:, :, 5, :_FIELD] = x_w[i : i + n, None, 1]
+        yield block.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _cmd_export(args: argparse.Namespace, cfg: RunConfig) -> int:
     s, grid, label = _export_state(args, cfg)
-    density = _printed_density(s.values)
+    _printed_density(s.values)  # refuses an overflowing state before anything is written
     p = cfg.params
     header = [
         f"# morseband-{__version__}",
@@ -514,7 +660,7 @@ def _cmd_export(args: argparse.Namespace, cfg: RunConfig) -> int:
         f" nx={grid.nx} ny={grid.ny}",
         "x,y,re_psi,im_psi,density,weight",
     ]
-    _emit(cfg, itertools.chain(["\n".join(header) + "\n"], _export_rows(s, density)))
+    _emit(cfg, itertools.chain(["\n".join(header) + "\n"], _export_rows(s)))
     return 0
 
 

@@ -99,7 +99,9 @@ def measure_weight(x, p: PhysParams):
     Accepts a scalar or an array.
     """
     kx = p.kappa * np.asarray(x, dtype=float)
-    out = np.exp(kx - p.beta * np.exp(-kx))
+    # far on the growing side exp(-kx) overflows to inf and the weight is 0
+    with np.errstate(over="ignore"):
+        out = np.exp(kx - p.beta * np.exp(-kx))
     return float(out) if np.isscalar(x) else out
 
 
@@ -312,6 +314,9 @@ def landau_state_asym(lp: LandauParams, p: PhysParams, grid: GridSpec) -> Sample
     )
 
 
+_LANDAU_BLOCK = 1 << 16  # cells per block of the symmetric-gauge state's real factors
+
+
 def landau_state_sym(n: int, l: int, p: PhysParams, grid: GridSpec) -> SampledState:
     """Flat-field level in the symmetric gauge: (x + i y)^l vortex factor,
     Gaussian envelope, Laguerre radial polynomial; unit norm under the
@@ -322,12 +327,21 @@ def landau_state_sym(n: int, l: int, p: PhysParams, grid: GridSpec) -> SampledSt
     s = math.sqrt(2.0) * r_c
     xx = x[:, None]
     yy = y[None, :]
-    rho2 = xx * xx + yy * yy
     norm = math.exp(0.5 * (math.lgamma(n + 1.0) - math.lgamma(n + l + 1.0)) - 0.5 * math.log(math.pi))
-    vortex = ((xx + 1j * yy) / s) ** l
-    values = (
-        norm / s * vortex * np.exp(-rho2 / (4.0 * r_c * r_c)) * laguerre(n, float(l), rho2 / (2.0 * r_c * r_c))
-    )
+    # norm/s * ((x + iy)/s)^l * exp(-rho2/4r_c^2) * L(rho2/2r_c^2), multiplied left to
+    # right in place, the real factors a block of rows at a time: the same roundings
+    # as the expression, and no full-grid temporary besides the values
+    values = xx + 1j * yy
+    values /= s
+    values **= l
+    np.multiply(norm / s, values, out=values)
+    step = max(1, _LANDAU_BLOCK // grid.ny)
+    for i in range(0, grid.nx, step):
+        rows = xx[i : i + step]
+        rho2 = rows * rows + yy * yy
+        block = values[i : i + step]
+        block *= np.exp(-rho2 / (4.0 * r_c * r_c))
+        block *= laguerre(n, float(l), rho2 / (2.0 * r_c * r_c))
     return SampledState(
         grid=grid, x=x, y=y, values=values, weight=np.ones(grid.nx), y_period=p.a0
     )

@@ -10,11 +10,31 @@ with one concrete trigger per code.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from morseband import GridSpec, SampledState, __version__, cli
+import morseband
+from morseband import (
+    CoherentSpec,
+    GridSpec,
+    PhysParams,
+    QuantumNumbers,
+    SampledState,
+    __version__,
+    bg_state_closed,
+    cli,
+    default_coherent_grid,
+    default_grid,
+    wavefunction,
+)
 from morseband.cli import _json_text, main
 
 
@@ -273,6 +293,42 @@ class TestReportCommands:
         for r in rows:
             assert abs(r["delta_closed"] - r["delta_quadrature"]) <= 1e-7
 
+    @pytest.mark.parametrize("grid_cfg", [None, "x_min = 1\nx_max = 9\nnx = 40\nny = 24\n"])
+    def test_column_printers_match_the_full_grid(self, tmp_path, grid_cfg):
+        # wavefunction and coherent print column 0 only and build 8 columns;
+        # the text must be what the whole grid's column 0 gives
+        config = []
+        if grid_cfg is not None:
+            (tmp_path / "grid.cfg").write_text(grid_cfg)
+            config = ["--config", str(tmp_path / "grid.cfg")]
+        p = PhysParams.natural()
+
+        q = QuantumNumbers(1, 3)
+        grid = cli._load_run_config(cli._build_parser().parse_args([*config, "spectrum"])).grid
+        s = wavefunction(q, p, grid or default_grid(p))
+        assert s.grid.ny > 8
+        phase = complex(np.exp(1j * q.n * p.kappa * s.y[0]))
+        radial = s.values[:, 0] * phase
+        density = cli._density(s.values[:, 0])
+        want = cli._csv_block(
+            ("x", "radial", "density", "weight"),
+            [(float(s.x[i]), float(radial[i].real), float(density[i]), float(s.weight[i])) for i in range(s.grid.nx)],
+        )
+        _, blob = run(tmp_path, *config, "wavefunction", "--l", "1", "--n", "3", name="w.csv")
+        assert blob.decode() == want
+
+        s = bg_state_closed(CoherentSpec(2, complex(0.9, 0.5)), p, grid or default_coherent_grid(p))
+        assert s.grid.ny > 8
+        density = cli._density(s.values[:, 0])
+        want = cli._csv_block(
+            ("x", "density", "weight"),
+            [(float(s.x[i]), float(density[i]), float(s.weight[i])) for i in range(s.grid.nx)],
+        )
+        _, blob = run(
+            tmp_path, *config, "coherent", "--l", "2", "--z-re", "0.9", "--z-im", "0.5", name="c.csv"
+        )
+        assert blob.decode().partition("\n\n")[0] + "\n" == want
+
     def test_ladder_check_residuals(self, tmp_path):
         _, blob = run(tmp_path, "--format", "json", "ladder-check", "--n-max", "2")
         rows = json.loads(blob)["rows"]
@@ -363,9 +419,18 @@ class TestExport:
                 ["--kind", "coherent", "--l", "1", "--z-re", "1.5", "--z-im", "-0.75"],
             ),
             ("x_min = -6\nx_max = 6\nnx = 24\nny = 16\n", ["--kind", "landau-sym", "--n", "1", "--l", "2"]),
+            # nx = 600 rows of ny = 8 fill two whole blocks and part of a third
+            ("x_min = -2\nx_max = 9\nnx = 600\nny = 8\n", ["--kind", "eigen", "--l", "0", "--n", "2"]),
+            (None, ["--kind", "eigen", "--l", "2", "--n", "7"]),
+            # the density reaches 1e15 near the left edge, where exact ties occur
+            (None, ["--kind", "coherent", "--l", "1", "--z-re", "8", "--z-im", "0.7"]),
+            (None, ["--kind", "landau-sym", "--n", "2", "--l", "1"]),
             (None, ["--kind", "landau-asym", "--n", "2", "--ky", "0.5"]),
         ],
-        ids=["eigen", "coherent", "landau-sym", "landau-asym"],
+        ids=[
+            "eigen", "coherent", "landau-sym", "eigen-partial-block",
+            "eigen-default", "coherent-default", "landau-sym-default", "landau-asym",
+        ],
     )
     def test_rows_match_the_per_cell_loop(self, tmp_path, capsys, grid_cfg, argv):
         config = []
@@ -376,9 +441,13 @@ class TestExport:
         assert code == 0
         args = cli._build_parser().parse_args([*config, "export", *argv])
         s, _, _ = cli._export_state(args, cli._load_run_config(args))
+        if s.grid.nx == 600:
+            per_block = cli._BLOCK_LINES // s.grid.ny
+            assert s.grid.nx > per_block and s.grid.nx % per_block
         header, _, rows = blob.decode().partition("x,y,re_psi,im_psi,density,weight\n")
         assert header.count("\n") == 4
         assert rows == per_cell_rows(s)
+        del rows  # the coherent text is 73 MB; free it before the stdout run
         assert main([*config, "export", *argv]) == 0
         assert capsys.readouterr().out.encode() == blob
 
@@ -406,7 +475,7 @@ class TestExport:
                 weight=np.exp(x),
                 y_period=1.0,
             )
-            written = "".join(cli._export_rows(s, cli._density(s.values)))
+            written = "".join(cli._export_rows(s))
             assert written == per_cell_rows(s)
 
     def test_row_count_matches_grid(self, tmp_path):
@@ -417,3 +486,92 @@ class TestExport:
         )
         rows = data_lines(blob)
         assert len(rows) == 1 + 16 * 8
+
+
+def _texts(fields: np.ndarray) -> list[str]:
+    return [bytes(f[f != 0]).decode("ascii") for f in fields.reshape(-1, cli._FIELD)]
+
+
+def _format_all(v) -> list[str]:
+    return [format(float(x), ".16e") for x in np.asarray(v, dtype=float).ravel()]
+
+
+class TestE17Fields:
+    """``cli._e17_fields`` against ``format(v, ".16e")``, which defines the text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=7),
+            elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        )
+    )
+    def test_every_double(self, v):
+        fields = cli._e17_fields(v)
+        assert fields.shape == v.shape + (cli._FIELD,)
+        assert _texts(fields) == _format_all(v)
+
+    def test_edge_cells(self):
+        v = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                      -1.7976931348623157e308, 9.9999999999999999e22, 1.0, -1.0])
+        assert _texts(cli._e17_fields(v)) == _format_all(v)
+        assert _texts(cli._e17_fields(v))[:3] == [
+            "0.0000000000000000e+00", "-0.0000000000000000e+00", "4.9406564584124654e-324"
+        ]
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        for v in (powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)):
+            assert _texts(cli._e17_fields(v)) == _format_all(v)
+            assert _texts(cli._e17_fields(-v)) == _format_all(-v)
+
+    def test_round_up_carries_into_the_next_decade(self):
+        # the double nearest 1e-14 lies below it, and its 17 digits round up
+        # to 10^17: the text is 1.0...e-14, one decade above floor(log10 v)
+        assert Fraction(1e-14) < Fraction(1, 10**14)
+        assert _texts(cli._e17_fields(np.array([1e-14]))) == ["1.0000000000000000e-14"]
+
+    def test_exact_ties_round_half_to_even(self):
+        # 1 + 2^-17 = 1.00000762939453125 and 1 + 3*2^-17 = 1.00002288818359375:
+        # 18 digits ending in 5, so the 17-digit rounding is an exact tie
+        v = np.array([1 + 2**-17, 1 + 3 * 2**-17])
+        for x in v:
+            assert (Fraction(float(x)) * 10**16).denominator == 2
+        assert _texts(cli._e17_fields(v)) == ["1.0000076293945312e+00", "1.0000228881835938e+00"]
+
+    def test_format_writes_only_ties_and_non_finite_cells(self, monkeypatch):
+        calls = []
+
+        def spy(x, spec):
+            calls.append(x)
+            return format(x, spec)
+
+        monkeypatch.setattr(cli, "format", spy, raising=False)
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        bits = np.random.default_rng(5).integers(0, 2**64, 20000, dtype=np.uint64, endpoint=False)
+        v = np.concatenate([
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), -powers,
+            bits.view(np.float64), [1 + 2**-17, -1 - 3 * 2**-17, 2.0**52 + 0.5, np.inf, -np.inf, np.nan],
+        ])
+
+        def is_tie(x):
+            # exact floor(log10 |x|): the printed exponent, or one less after a carry
+            exact = Fraction(abs(x))
+            E = int(format(x, ".16e").partition("e")[2])
+            E -= exact < Fraction(10) ** E
+            return (exact * Fraction(10) ** (16 - E)).denominator == 2
+
+        want = [x for x in v.tolist() if not math.isfinite(x) or is_tie(x)]
+        assert _texts(cli._e17_fields(v)) == _format_all(v)
+        assert len(want) >= 7
+        assert [repr(x) for x in calls] == [repr(x) for x in want]
+
+    def test_no_table_is_built_at_import(self):
+        src = os.path.dirname(os.path.dirname(morseband.__file__))
+        code = (
+            "import morseband.cli as c, sys; "
+            "sys.exit(c._pow10_table.cache_info().currsize + c._digit_texts.cache_info().currsize)"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

@@ -9,10 +9,13 @@ behind discretization error.
 """
 
 import math
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import special
 
 from morseband import (
     DomainError,
@@ -53,6 +56,14 @@ class TestMeasureWeight:
         got = measure_weight(x, p)
         assert got.shape == (3,)
         assert np.all(got > 0)
+
+    def test_dead_growing_side_is_zero_without_warnings(self, p):
+        # exp(-kappa x) overflows to inf below about x = -709/kappa
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert measure_weight(-2000.0, p) == 0.0
+            got = measure_weight(np.array([-2000.0, -800.0, 1.0]), p)
+        assert got[0] == 0.0 and got[1] == 0.0 and got[2] > 0.0
 
 
 class TestOrthonormality:
@@ -191,6 +202,33 @@ class TestLandauStates:
         dy = box / grid.ny
         norm = float(np.sum(np.abs(s.values) ** 2) * dx * dy)
         assert abs(norm - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("n, l", [(0, 0), (1, 2), (3, 3)])
+    def test_sym_state_is_built_in_place(self, p, n, l):
+        # landau_delta's grid; the reference is the state's expression written
+        # as one product, which holds about seven full temporaries (112 MiB);
+        # in place with row blocks only the 32 MiB of values is full-size
+        r_c = LandauParams.cyclotron_radius(p)
+        p_box = replace(p, a0=24.0 * r_c)
+        grid = GridSpec(-12.0 * r_c, 12.0 * r_c, 4096, 512)
+        tracemalloc.start()
+        try:
+            got = landau_state_sym(n, l, p_box, grid).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2**20
+        xx = np.linspace(grid.x_min, grid.x_max, grid.nx)[:, None]
+        yy = (-0.5 * p_box.a0 + np.arange(grid.ny) * (p_box.a0 / grid.ny))[None, :]
+        s = math.sqrt(2.0) * r_c
+        rho2 = xx * xx + yy * yy
+        norm = math.exp(0.5 * (math.lgamma(n + 1.0) - math.lgamma(n + l + 1.0)) - 0.5 * math.log(math.pi))
+        vortex = ((xx + 1j * yy) / s) ** l
+        want = (
+            norm / s * vortex * np.exp(-rho2 / (4.0 * r_c * r_c))
+            * special.eval_genlaguerre(n, float(l), rho2 / (2.0 * r_c * r_c))
+        )
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_label_validation(self):
         with pytest.raises(DomainError):
