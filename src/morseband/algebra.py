@@ -27,7 +27,6 @@ from .quadrature import FD_MARGIN, GridSpec, fd_derivative, weighted_norm
 from .states import SampledState
 
 __all__ = [
-    "OperatorResult",
     "algebra_grid",
     "apply_Lplus",
     "apply_Lminus",
@@ -36,19 +35,6 @@ __all__ = [
     "apply_hamiltonian",
     "commutator_residual",
 ]
-
-
-@dataclasses.dataclass(frozen=True)
-class OperatorResult:
-    """An operator image together with its relative eigen-residual,
-    measured over interior cells only."""
-
-    output: SampledState
-    residual_norm: float
-
-    def __post_init__(self) -> None:
-        if not self.residual_norm >= 0.0:
-            raise DomainError(f"residual_norm must be >= 0, got {self.residual_norm!r}")
 
 
 def algebra_grid(p: PhysParams) -> GridSpec:
@@ -60,8 +46,39 @@ def algebra_grid(p: PhysParams) -> GridSpec:
     return GridSpec(x_c - p.a0, x_c + 4.0 * p.a0, 8192, 64)
 
 
-def _derived(s: SampledState, values: np.ndarray) -> SampledState:
-    return dataclasses.replace(s, values=values, labels=None)
+# The generators and their quadratic combinations act on value arrays
+# sampled on the grid of s, which supplies the axes, the weight and the
+# period; composing them builds no intermediate state.
+
+
+def _plus(v: np.ndarray, s: SampledState, p: PhysParams) -> np.ndarray:
+    dx = fd_derivative(v, s, "x")
+    dy = fd_derivative(v, s, "y")
+    field_term = (p.e * p.B0 * p.a0 / (math.pi * p.hbar * p.c)) * np.exp(-p.kappa * s.x)
+    phase = np.exp(-1j * p.kappa * s.y)[None, :]
+    return (p.a0 / (2.0 * math.pi)) * phase * (-dx + 1j * dy + field_term[:, None] * v)
+
+
+def _minus(v: np.ndarray, s: SampledState, p: PhysParams) -> np.ndarray:
+    dx = fd_derivative(v, s, "x")
+    dy = fd_derivative(v, s, "y")
+    phase = np.exp(1j * p.kappa * s.y)[None, :]
+    return (p.a0 / (2.0 * math.pi)) * phase * (dx + 1j * dy)
+
+
+def _three(v: np.ndarray, s: SampledState, p: PhysParams) -> np.ndarray:
+    dy = fd_derivative(v, s, "y")
+    return 1j * (p.a0 / (2.0 * math.pi)) * dy
+
+
+def _hamiltonian(v: np.ndarray, s: SampledState, p: PhysParams) -> np.ndarray:
+    scale = 2.0 * math.pi**2 * p.hbar**2 / (p.mu * p.a0**2)
+    return scale * (_plus(_minus(v, s, p), s, p) + _three(v, s, p) - 0.25 * v)
+
+
+def _casimir(v: np.ndarray, s: SampledState, p: PhysParams) -> np.ndarray:
+    l3 = _three(v, s, p)
+    return _plus(_minus(v, s, p), s, p) - _three(l3, s, p) + l3
 
 
 def apply_Lplus(s: SampledState, p: PhysParams) -> SampledState:
@@ -70,58 +87,34 @@ def apply_Lplus(s: SampledState, p: PhysParams) -> SampledState:
 
     The charge is negative, so the multiplicative term equals
     -kappa beta e^(-kappa x). On the level (l, n-1) this produces
-    sqrt((n+l)(n-l-1)) times the level (l, n).
+    sqrt((n+l)(n-l-1)) times the level (l, n). Returns the image as an
+    unlabeled state on the grid of s.
     """
-    dx = fd_derivative(s, "x", 1).values
-    dy = fd_derivative(s, "y", 1).values
-    field_term = (p.e * p.B0 * p.a0 / (math.pi * p.hbar * p.c)) * np.exp(-p.kappa * s.x)
-    phase = np.exp(-1j * p.kappa * s.y)[None, :]
-    values = (p.a0 / (2.0 * math.pi)) * phase * (-dx + 1j * dy + field_term[:, None] * s.values)
-    return _derived(s, values)
+    return dataclasses.replace(s, values=_plus(s.values, s, p), labels=None)
 
 
 def apply_Lminus(s: SampledState, p: PhysParams) -> SampledState:
     """Lowering operator: (a0/2pi) e^(+i kappa y) (d/dx + i d/dy).
 
     Annihilates the bottom level (l, l+1) of each vertical family.
+    Returns the image as an unlabeled state on the grid of s.
     """
-    dx = fd_derivative(s, "x", 1).values
-    dy = fd_derivative(s, "y", 1).values
-    phase = np.exp(1j * p.kappa * s.y)[None, :]
-    values = (p.a0 / (2.0 * math.pi)) * phase * (dx + 1j * dy)
-    return _derived(s, values)
+    return dataclasses.replace(s, values=_minus(s.values, s, p), labels=None)
 
 
 def apply_L3(s: SampledState, p: PhysParams) -> SampledState:
     """Number operator i (a0/2pi) d/dy; eigenvalue n on the level (l, n).
 
     Purely spectral along the periodic axis, so it adds no open-axis
-    boundary contamination.
+    boundary contamination. Returns the image as an unlabeled state on
+    the grid of s.
     """
-    dy = fd_derivative(s, "y", 1).values
-    values = 1j * (p.a0 / (2.0 * math.pi)) * dy
-    return _derived(s, values)
+    return dataclasses.replace(s, values=_three(s.values, s, p), labels=None)
 
 
-def _hamiltonian_values(s: SampledState, p: PhysParams) -> SampledState:
-    scale = 2.0 * math.pi**2 * p.hbar**2 / (p.mu * p.a0**2)
-    plus_minus = apply_Lplus(apply_Lminus(s, p), p)
-    l3 = apply_L3(s, p)
-    values = scale * (plus_minus.values + l3.values - 0.25 * s.values)
-    return _derived(s, values)
-
-
-def _casimir_values(s: SampledState, p: PhysParams) -> SampledState:
-    plus_minus = apply_Lplus(apply_Lminus(s, p), p)
-    l3 = apply_L3(s, p)
-    l33 = apply_L3(l3, p)
-    return _derived(s, plus_minus.values - l33.values + l3.values)
-
-
-def _eigen_residual(applied: SampledState, s: SampledState, eigenvalue: float, margin: int) -> float:
-    defect = dataclasses.replace(applied, values=applied.values - eigenvalue * s.values)
-    scale = max(abs(eigenvalue), 1.0) * weighted_norm(s, exclude_margin=margin)
-    return weighted_norm(defect, exclude_margin=margin) / scale
+def _eigen_residual(applied: np.ndarray, s: SampledState, eigenvalue: float, margin: int) -> float:
+    scale = max(abs(eigenvalue), 1.0) * weighted_norm(s.values, s, exclude_margin=margin)
+    return weighted_norm(applied - eigenvalue * s.values, s, exclude_margin=margin) / scale
 
 
 # stacked x-derivative applications widen the contaminated boundary band
@@ -130,39 +123,38 @@ _COMPOSED_MARGIN = 2 * FD_MARGIN
 
 def apply_casimir(
     s: SampledState, p: PhysParams, reference_eigenvalue: float | None = None
-) -> OperatorResult:
-    """L+ L- - L3^2 + L3 by composition, with the residual against
-    -l(l+1) times the input.
+) -> float:
+    """Relative eigen-residual of L+ L- - L3^2 + L3, applied by
+    composition, against -l(l+1) times the input.
 
-    Unlabeled states must supply ``reference_eigenvalue`` explicitly
-    (useful as a non-eigenstate control).
+    The residual is the weighted norm of the defect over interior cells
+    only, over max(|eigenvalue|, 1) ||s||. Unlabeled states must supply
+    ``reference_eigenvalue`` explicitly (useful as a non-eigenstate
+    control).
     """
     if reference_eigenvalue is None:
         if s.labels is None:
             raise DomainError("apply_casimir needs a labeled eigenstate or an explicit eigenvalue")
         l = s.labels.l
         reference_eigenvalue = -float(l * (l + 1))
-    out = _casimir_values(s, p)
-    residual = _eigen_residual(out, s, reference_eigenvalue, _COMPOSED_MARGIN)
-    return OperatorResult(output=out, residual_norm=residual)
+    return _eigen_residual(_casimir(s.values, s, p), s, reference_eigenvalue, _COMPOSED_MARGIN)
 
 
 def apply_hamiltonian(
     s: SampledState, p: PhysParams, reference_energy: float | None = None
-) -> OperatorResult:
-    """(2 pi^2 hbar^2 / mu a0^2)(L+ L- + L3 - 1/4) by composition, with
-    the residual against the level energy times the input.
+) -> float:
+    """Relative eigen-residual of (2 pi^2 hbar^2 / mu a0^2)(L+ L- + L3 - 1/4),
+    applied by composition, against the level energy times the input.
 
-    Unlabeled states must supply ``reference_energy`` (non-eigenstate
-    controls compare against a chosen level's energy).
+    The residual is measured as in :func:`apply_casimir`. Unlabeled
+    states must supply ``reference_energy`` (non-eigenstate controls
+    compare against a chosen level's energy).
     """
     if reference_energy is None:
         if s.labels is None:
             raise DomainError("apply_hamiltonian needs a labeled eigenstate or an explicit energy")
         reference_energy = energy(s.labels, p)
-    out = _hamiltonian_values(s, p)
-    residual = _eigen_residual(out, s, reference_energy, _COMPOSED_MARGIN)
-    return OperatorResult(output=out, residual_norm=residual)
+    return _eigen_residual(_hamiltonian(s.values, s, p), s, reference_energy, _COMPOSED_MARGIN)
 
 
 def commutator_residual(s: SampledState, p: PhysParams, pair: str) -> float:
@@ -178,55 +170,43 @@ def commutator_residual(s: SampledState, p: PhysParams, pair: str) -> float:
     - "h_casimir": [H, C] on a labeled state, over E max(l(l+1), 1) ||s||
     - "h_plus": [H, L+], over ||H s|| (the model has no dynamical
       symmetry, so this one is genuinely nonzero)
+
+    The operators are composed on value arrays; no intermediate state
+    is built.
     """
+    v = s.values
     if pair == "ladder":
-        defect = (
-            apply_Lplus(apply_Lminus(s, p), p).values
-            - apply_Lminus(apply_Lplus(s, p), p).values
-            + 2.0 * apply_L3(s, p).values
-        )
+        defect = _plus(_minus(v, s, p), s, p) - _minus(_plus(v, s, p), s, p) + 2.0 * _three(v, s, p)
         margin = _COMPOSED_MARGIN
-        scale = weighted_norm(s, exclude_margin=margin)
+        scale = weighted_norm(v, s, exclude_margin=margin)
     elif pair in ("three_plus", "three_minus"):
-        ladder = apply_Lplus if pair == "three_plus" else apply_Lminus
+        ladder = _plus if pair == "three_plus" else _minus
         sign = -1.0 if pair == "three_plus" else 1.0
-        stepped = ladder(s, p)
-        defect = (
-            apply_L3(stepped, p).values
-            - ladder(apply_L3(s, p), p).values
-            + sign * stepped.values
-        )
+        stepped = ladder(v, s, p)
+        defect = _three(stepped, s, p) - ladder(_three(v, s, p), s, p) + sign * stepped
         margin = _COMPOSED_MARGIN
-        scale = weighted_norm(s, exclude_margin=margin)
+        scale = weighted_norm(v, s, exclude_margin=margin)
     elif pair == "h_three":
-        defect = (
-            _hamiltonian_values(apply_L3(s, p), p).values
-            - apply_L3(_hamiltonian_values(s, p), p).values
-        )
+        hv = _hamiltonian(v, s, p)
+        defect = _hamiltonian(_three(v, s, p), s, p) - _three(hv, s, p)
         margin = _COMPOSED_MARGIN
-        scale = weighted_norm(_hamiltonian_values(s, p), exclude_margin=margin)
+        scale = weighted_norm(hv, s, exclude_margin=margin)
     elif pair == "h_casimir":
         if s.labels is None:
             raise DomainError("the h_casimir identity check needs a labeled eigenstate")
-        defect = (
-            _hamiltonian_values(_casimir_values(s, p), p).values
-            - _casimir_values(_hamiltonian_values(s, p), p).values
-        )
+        defect = _hamiltonian(_casimir(v, s, p), s, p) - _casimir(_hamiltonian(v, s, p), s, p)
         margin = 4 * FD_MARGIN
         l = s.labels.l
         scale = (
             energy(s.labels, p)
             * max(float(l * (l + 1)), 1.0)
-            * weighted_norm(s, exclude_margin=margin)
+            * weighted_norm(v, s, exclude_margin=margin)
         )
     elif pair == "h_plus":
-        defect = (
-            _hamiltonian_values(apply_Lplus(s, p), p).values
-            - apply_Lplus(_hamiltonian_values(s, p), p).values
-        )
+        hv = _hamiltonian(v, s, p)
+        defect = _hamiltonian(_plus(v, s, p), s, p) - _plus(hv, s, p)
         margin = 3 * FD_MARGIN
-        scale = weighted_norm(_hamiltonian_values(s, p), exclude_margin=margin)
+        scale = weighted_norm(hv, s, exclude_margin=margin)
     else:
         raise DomainError(f"unknown commutator pair {pair!r}")
-    defect_state = dataclasses.replace(s, values=defect, labels=None)
-    return weighted_norm(defect_state, exclude_margin=margin) / scale
+    return weighted_norm(defect, s, exclude_margin=margin) / scale

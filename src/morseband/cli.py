@@ -51,6 +51,7 @@ from .states import (
     LandauParams,
     SampledState,
     default_grid,
+    landau_box,
     landau_state_asym,
     landau_state_sym,
     wavefunction,
@@ -329,16 +330,14 @@ def _cmd_ladder_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     margin = 2 * FD_MARGIN
 
     def step_defect(s, target_state, coeff: float, raised: bool) -> float:
-        stepped = apply_Lplus(s, p) if raised else apply_Lminus(s, p)
+        stepped = (apply_Lplus(s, p) if raised else apply_Lminus(s, p)).values
         if target_state is None:
-            return weighted_norm(stepped, exclude_margin=margin) / weighted_norm(
-                s, exclude_margin=margin
+            return weighted_norm(stepped, s, exclude_margin=margin) / weighted_norm(
+                s.values, s, exclude_margin=margin
             )
-        diff = dataclasses.replace(
-            stepped, values=stepped.values - coeff * target_state.values, labels=None
-        )
-        return weighted_norm(diff, exclude_margin=margin) / (
-            coeff * weighted_norm(target_state, exclude_margin=margin)
+        diff = stepped - coeff * target_state.values
+        return weighted_norm(diff, s, exclude_margin=margin) / (
+            coeff * weighted_norm(target_state.values, target_state, exclude_margin=margin)
         )
 
     rows = []
@@ -359,8 +358,8 @@ def _cmd_ladder_check(args: argparse.Namespace, cfg: RunConfig) -> int:
                     n,
                     raise_defect,
                     lower_defect,
-                    apply_casimir(s, p).residual_norm,
-                    apply_hamiltonian(s, p).residual_norm,
+                    apply_casimir(s, p),
+                    apply_hamiltonian(s, p),
                 )
             )
     _table_output(
@@ -471,19 +470,17 @@ def _export_state(args: argparse.Namespace, cfg: RunConfig):
         grid = cfg.grid or default_coherent_grid(p)
         s = bg_state_closed(CoherentSpec(args.l, complex(args.z_re, args.z_im)), p, grid)
         label = f"kind=coherent l={args.l} z_re={args.z_re!r} z_im={args.z_im!r}"
+    elif args.kind == "landau-sym":
+        p_box, box = landau_box(LandauParams(gauge="symmetric", n=args.n, l=args.l), p, 1024, 256)
+        grid = cfg.grid or box
+        s = landau_state_sym(args.n, args.l, p_box, grid)
+        label = f"kind=landau-sym n={args.n} l={args.l}"
     else:
-        r_c = LandauParams.cyclotron_radius(p)
-        p_box = dataclasses.replace(p, a0=24.0 * r_c)
-        if args.kind == "landau-sym":
-            grid = cfg.grid or GridSpec(-12.0 * r_c, 12.0 * r_c, 1024, 256)
-            s = landau_state_sym(args.n, args.l, p_box, grid)
-            label = f"kind=landau-sym n={args.n} l={args.l}"
-        else:
-            lp = LandauParams(gauge="asymmetric", N=args.n, k_y=args.ky)
-            centre = lp.guiding_centre(p)
-            grid = cfg.grid or GridSpec(centre - 12.0 * r_c, centre + 12.0 * r_c, 1024, 8)
-            s = landau_state_asym(lp, p_box, grid)
-            label = f"kind=landau-asym N={args.n} ky={args.ky!r}"
+        lp = LandauParams(gauge="asymmetric", N=args.n, k_y=args.ky)
+        p_box, box = landau_box(lp, p, 1024, 8)
+        grid = cfg.grid or box
+        s = landau_state_asym(lp, p_box, grid)
+        label = f"kind=landau-asym N={args.n} ky={args.ky!r}"
     return s, grid, label
 
 

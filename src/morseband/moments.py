@@ -15,13 +15,12 @@ combination is asserted to be real.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyLossError, DomainError
+from .errors import AccuracyLossError, DomainError, RangeError
 from .model import PhysParams, QuantumNumbers
 from .quadrature import (
     GridSpec,
@@ -33,6 +32,7 @@ from .specfun import digamma, ln_gamma, trigamma
 from .states import (
     LandauParams,
     SampledState,
+    landau_box,
     landau_state_asym,
     landau_state_sym,
     wavefunction,
@@ -45,7 +45,6 @@ __all__ = [
     "moments_quadrature",
     "log_weighted_gamma_integral",
     "landau_delta",
-    "uncertainty_limit_curve",
 ]
 
 _TINY = 1e-300
@@ -181,7 +180,9 @@ def _grid_moments(s: SampledState, hbar: float) -> MomentSet:
     and each moment is the dot product of one row with the Simpson
     weights times dy from ``quadrature._row_weights``, times 1, x or x^2.
     Scaling both factors by sqrt(w) keeps every product finite where the
-    state grows and the weight underflows, as in ``grid_inner_product``.
+    state grows and the weight underflows, as in ``grid_inner_product``;
+    the derivative arrays are scaled in place. A derivative that
+    overflows on the grid leaves a non-finite row and raises RangeError.
     """
     root_w = np.sqrt(s.weight)[:, None]
     amp = np.multiply(s.values, root_w, order="C")
@@ -190,11 +191,17 @@ def _grid_moments(s: SampledState, hbar: float) -> MomentSet:
     bra = np.conjugate(amp, out=amp)
 
     def row(order: int) -> np.ndarray:
-        ket = fd_derivative(s, "x", order).values * root_w
+        ket = fd_derivative(s.values, s, "x", order)
+        ket *= root_w
         return np.einsum("ij,ij->i", bra, ket)
 
     d1 = row(1)
     d2 = row(2)
+    if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
+        raise RangeError(
+            "momentum integrands overflow on this grid; shrink the window "
+            "on the growing side"
+        )
     wx = _row_weights(s)
     xwx = s.x * wx
     norm = wx @ density
@@ -250,41 +257,15 @@ def log_weighted_gamma_integral(nu: float, mu: float, j: int) -> tuple[float, fl
 def landau_delta(lp: LandauParams, p: PhysParams) -> float:
     """Uncertainty of a flat-field comparison state by quadrature.
 
-    The state is sampled on a synthetic box of 24 cyclotron radii around
-    its centre (the Gaussian envelope is below 1e-15 at the edge), and
-    the moments are taken under the flat measure the Landau states are
-    normalized in.
+    The state is sampled in the box of :func:`states.landau_box` (24
+    cyclotron radii around its centre; the Gaussian envelope is below
+    1e-15 at the edge), and the moments are taken under the flat measure
+    the Landau states are normalized in.
     """
-    r_c = LandauParams.cyclotron_radius(p)
-    box = 24.0 * r_c
-    p_box = dataclasses.replace(p, a0=box)
     if lp.gauge == "asymmetric":
-        centre = lp.guiding_centre(p)
-        grid = GridSpec(centre - 12.0 * r_c, centre + 12.0 * r_c, 4096, 8)
+        p_box, grid = landau_box(lp, p, 4096, 8)
         state = landau_state_asym(lp, p_box, grid)
     else:
-        grid = GridSpec(-12.0 * r_c, 12.0 * r_c, 4096, 512)
+        p_box, grid = landau_box(lp, p, 4096, 512)
         state = landau_state_sym(lp.n, lp.l, p_box, grid)
     return _grid_moments(state, p.hbar).delta
-
-
-def uncertainty_limit_curve(N: int, l_list) -> list[tuple[int, float]]:
-    """Closed-form uncertainty along one oblique family, in units of
-    hbar^2.
-
-    For N = 1 the curve is ((3l+2)/(l+1))^2 / 4, approaching 9/4; for
-    N = 2 it is ((10l^2+19l+8)/((l+1)(2l+3)))^2 / 4, approaching 25/4.
-    Both limits are flat-field values, reached at order 1/l.
-    """
-    if N not in (1, 2):
-        raise DomainError(f"limit curves exist for N in {{1,2}}, got {N!r}")
-    out: list[tuple[int, float]] = []
-    for l in l_list:
-        if l < 0:
-            raise DomainError(f"l must be >= 0, got {l!r}")
-        if N == 1:
-            ratio = (3.0 * l + 2.0) / (l + 1.0)
-        else:
-            ratio = (10.0 * l * l + 19.0 * l + 8.0) / ((l + 1.0) * (2.0 * l + 3.0))
-        out.append((int(l), 0.25 * ratio * ratio))
-    return out

@@ -23,7 +23,6 @@ along the open axis.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,6 +35,7 @@ from .errors import (
     ConvergenceError,
     DomainError,
     GridMismatchError,
+    RangeError,
     TailDominanceError,
 )
 
@@ -279,22 +279,39 @@ def grid_inner_product(a, b) -> complex:
     return complex(np.sum(_row_weights(a) * inner_y))
 
 
-def weighted_norm(a, exclude_margin: int = 0) -> float:
-    """Weighted L2 norm of a state, optionally ignoring boundary rows.
+def _check_shape(values: np.ndarray, s) -> None:
+    if values.shape != (s.grid.nx, s.grid.ny):
+        raise GridMismatchError(
+            f"values shape {values.shape} does not match grid {(s.grid.nx, s.grid.ny)}"
+        )
 
-    With ``exclude_margin = m`` the first and last m rows along the open
-    axis are dropped before integrating, which removes the rows where
+
+def weighted_norm(values: np.ndarray, s, exclude_margin: int = 0) -> float:
+    """Weighted L2 norm of an array sampled on the grid of the state s,
+    optionally ignoring boundary rows.
+
+    The grid, the measure weight and the periodic length come from s;
+    ``values`` must have the grid's shape (GridMismatchError otherwise).
+    Pass ``s.values`` for the norm of the state itself. Non-finite values
+    (an image that overflowed on this grid) raise RangeError. With
+    ``exclude_margin = m`` the first and last m rows along the open axis
+    are dropped before integrating, which removes the rows where
     one-sided derivative closures are least accurate.
     """
-    grid = a.grid
+    _check_shape(values, s)
+    if not np.all(np.isfinite(values)):
+        raise RangeError(
+            "values overflow on this grid; shrink the window on the growing side"
+        )
+    grid = s.grid
     if exclude_margin < 0 or 2 * exclude_margin >= grid.nx:
         raise DomainError(f"exclude_margin {exclude_margin!r} incompatible with nx = {grid.nx}")
-    amp = a.values * np.sqrt(a.weight)[:, None]
+    amp = values * np.sqrt(s.weight)[:, None]
     density = np.sum(amp.real**2 + amp.imag**2, axis=1)
     if exclude_margin:
         density[:exclude_margin] = 0.0
         density[-exclude_margin:] = 0.0
-    total = float(np.sum(_row_weights(a) * density))
+    total = float(np.sum(_row_weights(s) * density))
     return math.sqrt(max(total, 0.0))
 
 
@@ -373,29 +390,27 @@ def _y_derivative(values: np.ndarray, y_period: float, order: int) -> np.ndarray
     return np.fft.ifft(spectrum * mult, axis=1)
 
 
-def fd_derivative(state, axis: str, order: int = 1):
-    """Differentiate a sampled state along one grid axis.
+def fd_derivative(values: np.ndarray, s, axis: str, order: int = 1) -> np.ndarray:
+    """Differentiate an array sampled on the grid of the state s along
+    one grid axis.
 
-    axis "y" (periodic) uses spectral differentiation, exact for every
-    mode the grid resolves. axis "x" (open) uses fourth-order centred
-    stencils with one-sided five-point closures at the boundary rows;
-    compare derived states with ``exclude_margin = FD_MARGIN`` since the
-    closure rows carry larger error. ``order`` is 1 or 2.
+    axis "y" (periodic) uses spectral differentiation over the period
+    of s, exact for every mode the grid resolves. axis "x" (open) uses
+    fourth-order centred stencils with one-sided five-point closures at
+    the boundary rows; compare derivatives with
+    ``exclude_margin = FD_MARGIN`` since the closure rows carry larger
+    error. ``order`` is 1 or 2, and ``values`` must have the grid's
+    shape (GridMismatchError otherwise).
 
-    Returns a new state of the same type; the input is not modified.
+    Returns a new complex array; the input is not modified.
     """
+    _check_shape(values, s)
     if order not in (1, 2):
         raise DomainError(f"derivative order must be 1 or 2, got {order!r}")
     if axis == "x":
-        grid = state.grid
+        grid = s.grid
         h = (grid.x_max - grid.x_min) / (grid.nx - 1)
-        new_values = _x_derivative(state.values, h, order)
-    elif axis == "y":
-        new_values = _y_derivative(np.asarray(state.values, dtype=complex), state.y_period, order)
-    else:
-        raise DomainError(f'axis must be "x" or "y", got {axis!r}')
-    updates = {"values": new_values}
-    if hasattr(state, "labels"):
-        # a derivative is no longer the labeled eigenstate
-        updates["labels"] = None
-    return dataclasses.replace(state, **updates)
+        return _x_derivative(values, h, order)
+    if axis == "y":
+        return _y_derivative(np.asarray(values, dtype=complex), s.y_period, order)
+    raise DomainError(f'axis must be "x" or "y", got {axis!r}')

@@ -11,7 +11,7 @@ is written to form those combinations without overflowing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -312,6 +312,18 @@ def landau_state_asym(lp: LandauParams, p: PhysParams, grid: GridSpec) -> Sample
     return SampledState(
         grid=grid, x=x, y=y, values=values, weight=np.ones(grid.nx), y_period=p.a0
     )
+
+
+def landau_box(lp: LandauParams, p: PhysParams, nx: int, ny: int) -> tuple[PhysParams, GridSpec]:
+    """The box a flat-field comparison state is sampled in: parameters
+    with a0 = 24 r_c, so the periodic length is 24 cyclotron radii, and
+    an nx by ny window of +-12 r_c along x, centred on the guiding
+    centre in the asymmetric gauge and on the origin in the symmetric
+    one. The Gaussian envelope is below 1e-15 at its edges."""
+    r_c = lp.cyclotron_radius(p)
+    centre = lp.guiding_centre(p) if lp.gauge == "asymmetric" else 0.0
+    grid = GridSpec(centre - 12.0 * r_c, centre + 12.0 * r_c, nx, ny)
+    return replace(p, a0=24.0 * r_c), grid
 
 
 _LANDAU_BLOCK = 1 << 16  # cells per block of the symmetric-gauge state's real factors

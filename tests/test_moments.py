@@ -10,8 +10,10 @@ documents what this implementation computes.
 
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath
+import numpy as np
 import pytest
 
 from morseband import (
@@ -21,6 +23,7 @@ from morseband import (
     LandauParams,
     MomentSet,
     QuantumNumbers,
+    RangeError,
     default_moments_grid,
     fd_derivative,
     grid_inner_product,
@@ -30,9 +33,9 @@ from morseband import (
     log_weighted_gamma_integral,
     moments_closed,
     moments_quadrature,
-    uncertainty_limit_curve,
     wavefunction,
 )
+from morseband.states import landau_box
 
 mpmath.mp.dps = 30
 
@@ -68,8 +71,8 @@ def _braket_moments(s, hbar: float) -> MomentSet:
         return grid_inner_product(s, dataclasses.replace(s, values=values, labels=None)) / norm
 
     x = s.x[:, None]
-    p_values = -1j * hbar * fd_derivative(s, "x", 1).values
-    p2_values = -(hbar**2) * fd_derivative(s, "x", 2).values
+    p_values = -1j * hbar * fd_derivative(s.values, s, "x", 1)
+    p2_values = -(hbar**2) * fd_derivative(s.values, s, "x", 2)
     return MomentSet.from_means(
         mean_x=braket(x * s.values).real,
         mean_x2=braket(x**2 * s.values).real,
@@ -102,14 +105,11 @@ class TestFusedPassAgainstBrakets:
     def test_landau_states(self, p, lp):
         # the same box and grid as landau_delta; the symmetric-gauge state
         # is not separable in x and y
-        r_c = LandauParams.cyclotron_radius(p)
-        p_box = dataclasses.replace(p, a0=24.0 * r_c)
         if lp.gauge == "asymmetric":
-            centre = lp.guiding_centre(p)
-            grid = GridSpec(centre - 12.0 * r_c, centre + 12.0 * r_c, 4096, 8)
+            p_box, grid = landau_box(lp, p, 4096, 8)
             state = landau_state_asym(lp, p_box, grid)
         else:
-            grid = GridSpec(-12.0 * r_c, 12.0 * r_c, 4096, 512)
+            p_box, grid = landau_box(lp, p, 4096, 512)
             state = landau_state_sym(lp.n, lp.l, p_box, grid)
         want = _braket_moments(state, p.hbar).delta
         assert abs(landau_delta(lp, p) - want) <= 1e-12 * abs(want)
@@ -220,6 +220,42 @@ class TestFlatFieldTable:
             assert abs(got - want) <= 1e-7 * want
 
 
+def uncertainty_limit_curve(N: int, l_list) -> list[tuple[int, float]]:
+    """Closed-form uncertainty along one oblique family, in units of
+    hbar^2.
+
+    For N = 1 the curve is ((3l+2)/(l+1))^2 / 4, approaching 9/4; for
+    N = 2 it is ((10l^2+19l+8)/((l+1)(2l+3)))^2 / 4, approaching 25/4.
+    Both limits are flat-field values, reached at order 1/l.
+    """
+    if N not in (1, 2):
+        raise DomainError(f"limit curves exist for N in {{1,2}}, got {N!r}")
+    out: list[tuple[int, float]] = []
+    for l in l_list:
+        if l < 0:
+            raise DomainError(f"l must be >= 0, got {l!r}")
+        if N == 1:
+            ratio = (3.0 * l + 2.0) / (l + 1.0)
+        else:
+            ratio = (10.0 * l * l + 19.0 * l + 8.0) / ((l + 1.0) * (2.0 * l + 3.0))
+        out.append((int(l), 0.25 * ratio * ratio))
+    return out
+
+
+class TestLandauDeltaMemory:
+    def test_symmetric_grid_peak(self, p):
+        # 4096x512 complex cells are 32 MiB: the state, its weighted
+        # conjugate and one derivative, scaled in place, make 96 MiB; a
+        # derivative scaled into a fresh array adds a fourth (128 MiB)
+        tracemalloc.start()
+        try:
+            landau_delta(LandauParams(gauge="symmetric", n=1, l=1), p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * 2**20
+
+
 class TestLargeLLimit:
     def test_curve_matches_closed_route(self, p):
         for N in (1, 2):
@@ -247,6 +283,14 @@ class TestGrids:
         g = default_moments_grid(p)
         assert g.nx == 16384 and g.ny == 16
         assert g.x_min < p.x_weight_mode < g.x_max
+
+    def test_overflowing_derivative_is_refused(self, p):
+        # (0,1) is finite on this window but its x-derivative overflows at
+        # the left edge, where the weight is 0
+        grid = GridSpec(-708.5, 10.0, 4096, 8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RangeError):
+                moments_quadrature(QuantumNumbers(0, 1), p, grid)
 
     def test_quadrature_accepts_custom_grid(self, p):
         q = QuantumNumbers(0, 1)

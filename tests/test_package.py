@@ -11,7 +11,7 @@ PUBLIC_NAMES = {
     "CoherentSpec", "ConfigError", "ConvergenceError", "DEFAULT_TOLERANCES",
     "DegeneracyReport", "DomainError", "FD_MARGIN", "GridMismatchError", "GridSpec",
     "IntegrationResult", "LandauParams", "MomentSet", "MorsebandError",
-    "OperatorResult", "PhysParams", "QuantumNumbers", "RangeError", "SUITE_NAMES",
+    "PhysParams", "QuantumNumbers", "RangeError", "SUITE_NAMES",
     "SampledState", "TailDominanceError", "__version__", "algebra_grid", "apply_L3",
     "apply_Lminus", "apply_Lplus", "apply_casimir", "apply_hamiltonian",
     "assoc_bessel", "assoc_bessel_rodrigues", "bessel_i", "bessel_j", "bessel_k",
@@ -26,7 +26,7 @@ PUBLIC_NAMES = {
     "ln_gamma", "log_weighted_gamma_integral", "measure_weight", "moments_closed",
     "moments_quadrature", "ode_residual", "radial_identity_integral",
     "resolve_tolerances", "run_suite", "series_closed_agreement",
-    "spectrum_product", "thread_budget", "trigamma", "uncertainty_limit_curve",
+    "spectrum_product", "thread_budget", "trigamma",
     "wavefunction", "weighted_norm",
 }
 

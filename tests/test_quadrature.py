@@ -20,6 +20,7 @@ from morseband import (
     GridMismatchError,
     GridSpec,
     IntegrationResult,
+    RangeError,
     SampledState,
     TailDominanceError,
     fd_derivative,
@@ -187,9 +188,25 @@ class TestGridInnerProduct:
 
     def test_weighted_norm_margin_guard(self):
         s = _flat_state(16, 8, lambda x: np.ones_like(x))
-        assert abs(weighted_norm(s) - 1.0) <= 1e-14
+        assert abs(weighted_norm(s.values, s) - 1.0) <= 1e-14
         with pytest.raises(DomainError):
-            weighted_norm(s, exclude_margin=8)
+            weighted_norm(s.values, s, exclude_margin=8)
+
+    def test_weighted_norm_shape_guard(self):
+        # an array travels apart from the state whose grid it is sampled on;
+        # a transposed or wider array must not broadcast against the weight
+        s = _flat_state(16, 8, lambda x: x)
+        for shape in ((8, 16), (16, 9), (16,), (16, 8, 1)):
+            with pytest.raises(GridMismatchError):
+                weighted_norm(np.ones(shape, dtype=complex), s)
+
+    def test_weighted_norm_refuses_non_finite_values(self):
+        s = _flat_state(16, 8, lambda x: x)
+        for bad in (np.inf, -np.inf, np.nan):
+            values = np.ones((16, 8), dtype=complex)
+            values[0, 3] = bad
+            with pytest.raises(RangeError):
+                weighted_norm(values, s, exclude_margin=2)
 
     def test_grid_mismatch_raises(self):
         a = _flat_state(16, 8, lambda x: x)
@@ -203,9 +220,9 @@ class TestDerivatives:
         errs = []
         for nx in (64, 128):
             s = _flat_state(nx, 8, lambda x: np.exp(np.sin(3.0 * x)))
-            d = fd_derivative(s, "x", 1)
+            d = fd_derivative(s.values, s, "x", 1)
             exact = 3.0 * np.cos(3.0 * s.x) * np.exp(np.sin(3.0 * s.x))
-            errs.append(np.max(np.abs(d.values[:, 0].real - exact)))
+            errs.append(np.max(np.abs(d[:, 0].real - exact)))
         order = math.log2(errs[0] / errs[1])
         assert order >= 3.7
 
@@ -216,10 +233,10 @@ class TestDerivatives:
         errs_edge = []
         for nx in (64, 128):
             s = _flat_state(nx, 8, lambda x: np.exp(np.sin(3.0 * x)))
-            d = fd_derivative(s, "x", 2)
+            d = fd_derivative(s.values, s, "x", 2)
             f = np.exp(np.sin(3.0 * s.x))
             exact = (3.0 * np.cos(3.0 * s.x)) ** 2 * f - 9.0 * np.sin(3.0 * s.x) * f
-            err = np.abs(d.values[:, 0].real - exact)
+            err = np.abs(d[:, 0].real - exact)
             errs_interior.append(np.max(err[2:-2]))
             errs_edge.append(np.max(err))
         assert math.log2(errs_interior[0] / errs_interior[1]) >= 3.7
@@ -245,30 +262,38 @@ class TestDerivatives:
                 values = np.asfortranarray(values)
             kept = values.copy()
             s = SampledState(grid=grid, x=x, y=y, values=values, weight=np.ones(nx), y_period=1.0)
-            d = fd_derivative(s, "x", order)
+            d = fd_derivative(s.values, s, "x", order)
             monomial = np.zeros(k + 1)
             monomial[k] = 1.0
             exact = P.polyval(x, P.polyder(monomial, order))[:, None] * coeff[None, :]
             scale = max(1.0, float(np.max(np.abs(exact))))
-            assert np.max(np.abs(d.values - exact)) <= 1e-9 * scale
+            assert np.max(np.abs(d - exact)) <= 1e-9 * scale
             assert np.array_equal(s.values, kept)
 
     def test_y_derivative_is_spectrally_exact_on_harmonics(self):
         for m in (1, 5, 15):
             h = _harmonic_state(8, 64, m)
-            d = fd_derivative(h, "y", 1)
+            d = fd_derivative(h.values, h, "y", 1)
             exact = 2j * math.pi * m * h.values
-            assert np.max(np.abs(d.values - exact)) <= 5e-13 * max(1.0, 2 * math.pi * m)
-            d2 = fd_derivative(h, "y", 2)
+            assert np.max(np.abs(d - exact)) <= 5e-13 * max(1.0, 2 * math.pi * m)
+            d2 = fd_derivative(h.values, h, "y", 2)
             exact2 = -((2 * math.pi * m) ** 2) * h.values
-            assert np.max(np.abs(d2.values - exact2)) <= 5e-11 * (2 * math.pi * m) ** 2
+            assert np.max(np.abs(d2 - exact2)) <= 5e-11 * (2 * math.pi * m) ** 2
 
     def test_guards(self):
         s = _flat_state(16, 8, lambda x: x)
         with pytest.raises(DomainError):
-            fd_derivative(s, "x", 3)
+            fd_derivative(s.values, s, "x", 3)
         with pytest.raises(DomainError):
-            fd_derivative(s, "z", 1)
+            fd_derivative(s.values, s, "z", 1)
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_shape_guard(self, axis):
+        # (8, 16) would run through both stencils without complaint
+        s = _flat_state(16, 8, lambda x: x)
+        for shape in ((8, 16), (16, 9), (15, 8), (16,)):
+            with pytest.raises(GridMismatchError):
+                fd_derivative(np.ones(shape, dtype=complex), s, axis, 1)
 
 
 class TestContainers:

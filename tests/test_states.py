@@ -35,6 +35,7 @@ from morseband import (
     ode_residual,
     wavefunction,
 )
+from morseband.states import landau_box
 
 
 class TestMeasureWeight:
@@ -168,6 +169,19 @@ class TestRadialEquation:
 
 
 class TestLandauStates:
+    @pytest.mark.parametrize("k_y", [0.0, 0.7, -1.9])
+    def test_box_is_24_cyclotron_radii(self, p, k_y):
+        # the box export and landau_delta sample in, written out as before
+        r_c = LandauParams.cyclotron_radius(p)
+        asym = LandauParams(gauge="asymmetric", N=1, k_y=k_y)
+        centre = asym.guiding_centre(p)
+        p_box, grid = landau_box(asym, p, 1024, 8)
+        assert p_box == replace(p, a0=24.0 * r_c)
+        assert grid == GridSpec(centre - 12.0 * r_c, centre + 12.0 * r_c, 1024, 8)
+        p_box, grid = landau_box(LandauParams(gauge="symmetric", n=1, l=2), p, 4096, 512)
+        assert p_box == replace(p, a0=24.0 * r_c)
+        assert grid == GridSpec(-12.0 * r_c, 12.0 * r_c, 4096, 512)
+
     def test_asym_x_density_integral(self, p):
         lp = LandauParams(gauge="asymmetric", N=2, k_y=0.7)
         r_c = LandauParams.cyclotron_radius(p)
