@@ -112,9 +112,15 @@ def apply_L3(s: SampledState, p: PhysParams) -> SampledState:
     return dataclasses.replace(s, values=_three(s.values, s, p), labels=None)
 
 
-def _eigen_residual(applied: np.ndarray, s: SampledState, eigenvalue: float, margin: int) -> float:
-    scale = max(abs(eigenvalue), 1.0) * weighted_norm(s.values, s, exclude_margin=margin)
-    return weighted_norm(applied - eigenvalue * s.values, s, exclude_margin=margin) / scale
+def _relative_defect(
+    image: np.ndarray, reference: np.ndarray, s: SampledState, coeff, scale: float, margin: int
+) -> float:
+    """||image - coeff reference||_w / (scale ||reference||_w), both weighted
+    norms on the grid of s over the rows margin cells in from the open-axis
+    edges: how far an operator image is from coeff times the reference."""
+    return weighted_norm(image - coeff * reference, s, exclude_margin=margin) / (
+        scale * weighted_norm(reference, s, exclude_margin=margin)
+    )
 
 
 # stacked x-derivative applications widen the contaminated boundary band
@@ -137,7 +143,8 @@ def apply_casimir(
             raise DomainError("apply_casimir needs a labeled eigenstate or an explicit eigenvalue")
         l = s.labels.l
         reference_eigenvalue = -float(l * (l + 1))
-    return _eigen_residual(_casimir(s.values, s, p), s, reference_eigenvalue, _COMPOSED_MARGIN)
+    applied, scale = _casimir(s.values, s, p), max(abs(reference_eigenvalue), 1.0)
+    return _relative_defect(applied, s.values, s, reference_eigenvalue, scale, _COMPOSED_MARGIN)
 
 
 def apply_hamiltonian(
@@ -154,7 +161,8 @@ def apply_hamiltonian(
         if s.labels is None:
             raise DomainError("apply_hamiltonian needs a labeled eigenstate or an explicit energy")
         reference_energy = energy(s.labels, p)
-    return _eigen_residual(_hamiltonian(s.values, s, p), s, reference_energy, _COMPOSED_MARGIN)
+    applied, scale = _hamiltonian(s.values, s, p), max(abs(reference_energy), 1.0)
+    return _relative_defect(applied, s.values, s, reference_energy, scale, _COMPOSED_MARGIN)
 
 
 def commutator_residual(s: SampledState, p: PhysParams, pair: str) -> float:

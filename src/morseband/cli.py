@@ -27,6 +27,8 @@ import numpy as np
 
 from . import __version__
 from .algebra import (
+    _COMPOSED_MARGIN,
+    _relative_defect,
     algebra_grid,
     apply_Lminus,
     apply_Lplus,
@@ -46,7 +48,7 @@ from .model import (
     spectrum_product,
 )
 from .moments import moments_closed, moments_quadrature
-from .quadrature import FD_MARGIN, GridSpec, weighted_norm
+from .quadrature import GridSpec
 from .states import (
     LandauParams,
     SampledState,
@@ -327,18 +329,12 @@ def _cmd_ladder_check(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise ConfigError(f"--n-max must be >= 1, got {args.n_max}")
     p = cfg.params
     grid = cfg.grid or algebra_grid(p)
-    margin = 2 * FD_MARGIN
 
     def step_defect(s, target_state, coeff: float, raised: bool) -> float:
         stepped = (apply_Lplus(s, p) if raised else apply_Lminus(s, p)).values
         if target_state is None:
-            return weighted_norm(stepped, s, exclude_margin=margin) / weighted_norm(
-                s.values, s, exclude_margin=margin
-            )
-        diff = stepped - coeff * target_state.values
-        return weighted_norm(diff, s, exclude_margin=margin) / (
-            coeff * weighted_norm(target_state.values, target_state, exclude_margin=margin)
-        )
+            return _relative_defect(stepped, s.values, s, 0.0, 1.0, _COMPOSED_MARGIN)
+        return _relative_defect(stepped, target_state.values, s, coeff, coeff, _COMPOSED_MARGIN)
 
     rows = []
     for n in range(1, args.n_max + 1):

@@ -135,9 +135,11 @@ def assoc_bessel(l: int, n: int, beta: float, xi):
         + 0.5 * (math.lgamma(n - l) - math.lgamma(n + l + 1))
         - (l + 1.0) * np.log(xi_arr)
     )
-    pref = np.exp(ln_pref)
     poly = laguerre(n - l - 1, 2.0 * l + 1.0, u)
-    value = pref * poly
+    # far on the growing side the profile overflows to inf (or inf * 0 =
+    # nan); wavefunction refuses such a state with RangeError
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.exp(ln_pref) * poly
     return float(value) if np.isscalar(xi) else value
 
 
@@ -193,7 +195,10 @@ def wavefunction(q: QuantumNumbers, p: PhysParams, grid: GridSpec) -> SampledSta
     profile = assoc_bessel(q.l, q.n, p.beta, xi)
     amp = math.sqrt(-p.e * p.B0 / (math.pi * p.hbar * p.c) * (2 * q.l + 1))
     phase = np.exp(-1j * q.n * p.kappa * y)
-    values = amp * profile[:, None] * phase[None, :]
+    # an overflowing profile gives inf (or inf * 0 = nan) cells, which
+    # SampledState refuses with RangeError
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = amp * profile[:, None] * phase[None, :]
     return SampledState(
         grid=grid,
         x=x,

@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -134,6 +135,24 @@ class TestExitCodes:
         assert code == 2
         assert not (tmp_path / "out.txt").exists()
         assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wavefunction", "--l", "0", "--n", "15"],
+            ["export", "--kind", "eigen", "--l", "5", "--n", "25"],
+        ],
+    )
+    def test_overflowing_amplitudes_are_two_without_a_warning(self, tmp_path, capsys, argv):
+        # the profile itself overflows here, before any density is formed;
+        # numpy must not warn on the way to the refusal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run(tmp_path, *argv)
+            assert main(argv) == 2
+        assert code == 2
+        assert not (tmp_path / "out.txt").exists()
         assert capsys.readouterr().out == ""
 
     def test_unwritable_out_is_three(self):

@@ -96,8 +96,6 @@ class TestOrthonormality:
         with pytest.raises((ValueError, RuntimeError)):
             s.values[0, 0] = 0.0
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_window_is_refused(self, p):
         x_c = p.x_weight_mode
         grid = GridSpec(x_c - 30.0 * p.a0, x_c + p.a0, 64, 8)

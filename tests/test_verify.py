@@ -1,6 +1,7 @@
-"""The verify machinery itself: the worst-case reducer, bound directions,
-and the consistency of the check, tolerance and suite tables."""
+"""The verify machinery itself: the worst-case reducer and the runner,
+bound directions, and the one table that declares every check."""
 
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,11 @@ import pytest
 
 from morseband import ConfigError, verify
 from morseband.cli import main
+
+
+def run_cases(cases, tol, detail="worst at {}", bound="upper"):
+    """The runner's result for a fixed case list."""
+    return verify._run_check("t", verify._Check(tol, lambda: cases, detail, bound), tol)
 
 
 class TestWorstCase:
@@ -19,29 +25,56 @@ class TestWorstCase:
         assert result.detail == "worst at nu=1, x=0.1"
 
     def test_nan_after_a_finite_maximum_still_wins(self):
-        result = verify._worst("t", 1.0, [(0.5, "a"), (math.nan, "b"), (2.0, "c")])
+        cases = [(0.5, "a"), (math.nan, "b"), (2.0, "c")]
+        worst, where = verify._worst_case(cases)
+        assert math.isnan(worst) and where == "b"
+        result = run_cases(cases, 1.0)
         assert result.passed is False
         assert math.isnan(result.measured)
         assert result.detail == "worst at b"
 
     def test_tie_reports_the_first_maximum(self):
         cases = [(0.1, "a"), (0.5, "b"), (0.5, "c"), (0.2, "d")]
-        result = verify._worst("t", 1.0, cases, "pointwise, worst at {}")
+        assert verify._worst_case(cases) == (0.5, "b")
+        result = run_cases(cases, 1.0, "pointwise, worst at {}")
         assert result.measured == 0.5
         assert result.detail == "pointwise, worst at b"
         assert result.passed is True and result.bound == "upper"
-        assert verify._worst("t", 1.0, [(0.0, "a"), (0.0, "b")]).detail == "worst at a"
+        assert verify._worst_case([(0.0, "a"), (0.0, "b")]) == (0.0, "a")
+        assert run_cases([(0.0, "a"), (0.0, "b")], 1.0).detail == "worst at a"
 
     def test_upper_bound_passes_at_the_tolerance(self):
-        assert verify._worst("t", 0.5, [(0.5, "a")]).passed is True
-        assert verify._worst("t", 0.5, [(0.5000001, "a")]).passed is False
+        assert run_cases([(0.5, "a")], 0.5).passed is True
+        assert run_cases([(0.5000001, "a")], 0.5).passed is False
 
     def test_lower_bound_passes_only_at_or_above_the_tolerance(self):
-        assert verify._lower("t", 1.0, 1.0).passed is True
-        assert verify._lower("t", 2.0, 1.0).passed is True
-        assert verify._lower("t", 0.999, 1.0).passed is False
-        assert verify._lower("t", math.nan, 1.0).passed is False
-        assert verify._lower("t", 2.0, 1.0).bound == "lower"
+        assert run_cases([(1.0, "")], 1.0, bound="lower").passed is True
+        assert run_cases([(2.0, "")], 1.0, bound="lower").passed is True
+        assert run_cases([(0.999, "")], 1.0, bound="lower").passed is False
+        assert run_cases([(math.nan, "")], 1.0, bound="lower").passed is False
+        assert run_cases([(2.0, "")], 1.0, bound="lower").bound == "lower"
+
+    def test_lower_bound_reports_the_first_minimum(self):
+        cases = [(3.0, "a"), (1.0, "b"), (1.0, "c"), (math.nan, "d")]
+        assert verify._worst_case(cases[:3], "lower") == (1.0, "b")
+        worst, where = verify._worst_case(cases, "lower")
+        assert math.isnan(worst) and where == "d"
+
+    def test_non_increasing_family_fails_uncertainty_limit_order(self, monkeypatch):
+        # the N = 2 family's deltas stop increasing; N = 1 is left as it is
+        closed = verify.moments_closed
+
+        def flat_second_family(q, p):
+            m = closed(q, p)
+            if q.n - q.l - 1 == 2 and q.l >= 512:
+                return dataclasses.replace(m, delta=6.0)
+            return m
+
+        monkeypatch.setattr(verify, "moments_closed", flat_second_family)
+        result = verify._CHECKS["uncertainty_limit_order"](0.05)
+        assert result.passed is False
+        assert result.measured == math.inf
+        assert result.detail == "convergence-order defect at l=1024, worst at N=2; monotone=False"
 
     def test_nan_report_is_valid_json_with_exit_one(self, tmp_path, monkeypatch):
         monkeypatch.setattr(verify, "bessel_i", lambda *args, **kwargs: math.nan)
@@ -56,15 +89,36 @@ class TestWorstCase:
 
 
 class TestTables:
+    """DEFAULT_TOLERANCES, SUITES, SUITE_NAMES and _CHECKS all come from the
+    one table, _TABLE."""
+
     def test_every_check_has_a_tolerance(self):
-        assert set(verify._CHECKS) == set(verify.DEFAULT_TOLERANCES)
+        names = [name for checks in verify._TABLE.values() for name in checks]
+        assert list(verify._CHECKS) == names
+        assert list(verify.DEFAULT_TOLERANCES) == names
+        for checks in verify._TABLE.values():
+            for name, check in checks.items():
+                assert verify.DEFAULT_TOLERANCES[name] == check.tolerance
 
     def test_every_check_belongs_to_exactly_one_suite(self):
-        listed = [name for names in verify.SUITES.values() for name in names]
-        assert sorted(listed) == sorted(verify._CHECKS)
+        names = [name for checks in verify._TABLE.values() for name in checks]
+        assert len(set(names)) == len(names)
+        for suite, checks in verify._TABLE.items():
+            assert verify.SUITES[suite] == tuple(checks)
+            for name in checks:
+                assert [s for s, listed in verify.SUITES.items() if name in listed] == [suite]
 
-    def test_suite_names_follow_the_suite_table(self):
-        assert verify.SUITE_NAMES == tuple(verify.SUITES)
+    def test_suite_names_follow_the_suite_table(self, monkeypatch):
+        # the report order is the table order, also when checks run on threads
+        monkeypatch.setenv("MORSEBAND_THREADS", "2")
+        for name in verify._CHECKS:
+            stub = lambda tol, name=name: verify.CheckResult(name, True, 0.0, tol)  # noqa: E731
+            monkeypatch.setitem(verify._CHECKS, name, stub)
+        report = verify.run_suite("all")
+        assert verify.SUITE_NAMES == tuple(verify.SUITES) == tuple(verify._TABLE)
+        assert [r["suite"] for r in report["suites"]] == list(verify._TABLE)
+        for r in report["suites"]:
+            assert [c["name"] for c in r["checks"]] == list(verify._TABLE[r["suite"]])
 
     def test_unknown_suite_is_a_config_error(self):
         with pytest.raises(ConfigError, match="known suites: specfun, states"):
