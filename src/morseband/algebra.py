@@ -22,9 +22,9 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .model import PhysParams, energy
+from .model import PhysParams, QuantumNumbers, energy
 from .quadrature import FD_MARGIN, GridSpec, fd_derivative, weighted_norm
-from .states import SampledState
+from .states import SampledState, wavefunction
 
 __all__ = [
     "algebra_grid",
@@ -71,14 +71,23 @@ def _three(v: np.ndarray, s: SampledState, p: PhysParams) -> np.ndarray:
     return 1j * (p.a0 / (2.0 * math.pi)) * dy
 
 
-def _hamiltonian(v: np.ndarray, s: SampledState, p: PhysParams) -> np.ndarray:
+def _quadratic_images(v: np.ndarray, s: SampledState, p: PhysParams) -> tuple[np.ndarray, np.ndarray]:
+    """(L+ L- v, L3 v): the two images both quadratic operators are built from."""
+    return _plus(_minus(v, s, p), s, p), _three(v, s, p)
+
+
+def _hamiltonian(v: np.ndarray, s: SampledState, p: PhysParams, images=None) -> np.ndarray:
+    """H v from the images of :func:`_quadratic_images`, computed here
+    unless the caller already holds them."""
+    lpm, l3 = _quadratic_images(v, s, p) if images is None else images
     scale = 2.0 * math.pi**2 * p.hbar**2 / (p.mu * p.a0**2)
-    return scale * (_plus(_minus(v, s, p), s, p) + _three(v, s, p) - 0.25 * v)
+    return scale * (lpm + l3 - 0.25 * v)
 
 
-def _casimir(v: np.ndarray, s: SampledState, p: PhysParams) -> np.ndarray:
-    l3 = _three(v, s, p)
-    return _plus(_minus(v, s, p), s, p) - _three(l3, s, p) + l3
+def _casimir(v: np.ndarray, s: SampledState, p: PhysParams, images=None) -> np.ndarray:
+    """C v = (L+ L- - L3^2 + L3) v, from the images as in :func:`_hamiltonian`."""
+    lpm, l3 = _quadratic_images(v, s, p) if images is None else images
+    return lpm - _three(l3, s, p) + l3
 
 
 def apply_Lplus(s: SampledState, p: PhysParams) -> SampledState:
@@ -113,18 +122,31 @@ def apply_L3(s: SampledState, p: PhysParams) -> SampledState:
 
 
 def _relative_defect(
-    image: np.ndarray, reference: np.ndarray, s: SampledState, coeff, scale: float, margin: int
+    image: np.ndarray, reference: np.ndarray, s: SampledState, coeff, scale: float, margin: int,
+    reference_norm: float | None = None,
 ) -> float:
     """||image - coeff reference||_w / (scale ||reference||_w), both weighted
     norms on the grid of s over the rows margin cells in from the open-axis
-    edges: how far an operator image is from coeff times the reference."""
+    edges: how far an operator image is from coeff times the reference.
+    A caller already holding ||reference||_w passes it as reference_norm."""
+    if reference_norm is None:
+        reference_norm = weighted_norm(reference, s, exclude_margin=margin)
     return weighted_norm(image - coeff * reference, s, exclude_margin=margin) / (
-        scale * weighted_norm(reference, s, exclude_margin=margin)
+        scale * reference_norm
     )
 
 
 # stacked x-derivative applications widen the contaminated boundary band
 _COMPOSED_MARGIN = 2 * FD_MARGIN
+
+
+def _eigen_defect(
+    applied: np.ndarray, s: SampledState, eigenvalue: float, norm: float | None = None
+) -> float:
+    """Relative eigen-residual of an operator image of s: the defect against
+    eigenvalue times s over max(|eigenvalue|, 1) ||s||_w, on interior rows."""
+    scale = max(abs(eigenvalue), 1.0)
+    return _relative_defect(applied, s.values, s, eigenvalue, scale, _COMPOSED_MARGIN, norm)
 
 
 def apply_casimir(
@@ -143,8 +165,7 @@ def apply_casimir(
             raise DomainError("apply_casimir needs a labeled eigenstate or an explicit eigenvalue")
         l = s.labels.l
         reference_eigenvalue = -float(l * (l + 1))
-    applied, scale = _casimir(s.values, s, p), max(abs(reference_eigenvalue), 1.0)
-    return _relative_defect(applied, s.values, s, reference_eigenvalue, scale, _COMPOSED_MARGIN)
+    return _eigen_defect(_casimir(s.values, s, p), s, reference_eigenvalue)
 
 
 def apply_hamiltonian(
@@ -161,8 +182,44 @@ def apply_hamiltonian(
         if s.labels is None:
             raise DomainError("apply_hamiltonian needs a labeled eigenstate or an explicit energy")
         reference_energy = energy(s.labels, p)
-    applied, scale = _hamiltonian(s.values, s, p), max(abs(reference_energy), 1.0)
-    return _relative_defect(applied, s.values, s, reference_energy, scale, _COMPOSED_MARGIN)
+    return _eigen_defect(_hamiltonian(s.values, s, p), s, reference_energy)
+
+
+def _ladder_table(p: PhysParams, grid: GridSpec, n_max: int) -> list[tuple]:
+    """Rows (l, n, raise defect, lower defect, Casimir residual, Hamiltonian
+    residual) of ``ladder-check`` for every n <= n_max, in (n, l) order.
+
+    Each family l is walked upwards, so each state is built and normed
+    once and L-, L+ L-, L3 and L+ act on it once; C and H share the images.
+    A raise defect is measured once the state above is built; only the
+    current state, the one below and L+ of the one below are held."""
+    m = _COMPOSED_MARGIN
+    rows = {}
+    for l in range(n_max):
+        below = raised = None
+        for n in range(l + 1, n_max + 2):
+            s = wavefunction(QuantumNumbers(l, n), p, grid)
+            v, norm = s.values, weighted_norm(s.values, s, exclude_margin=m)
+            coeff = math.sqrt((n + l) * (n - l - 1))
+            if raised is not None:
+                rows[n - 1, l][2] = _relative_defect(raised, v, s, coeff, coeff, m, norm)
+                raised = None
+            if n > n_max:
+                break
+            lowered = _minus(v, s, p)
+            if below is None:
+                lower = _relative_defect(lowered, v, s, 0.0, 1.0, m, norm)
+            else:
+                lower = _relative_defect(lowered, below[0], s, coeff, coeff, m, below[1])
+            below = None
+            images = _plus(lowered, s, p), _three(v, s, p)
+            del lowered
+            casimir = _eigen_defect(_casimir(v, s, p, images), s, -float(l * (l + 1)), norm)
+            hamiltonian = _eigen_defect(_hamiltonian(v, s, p, images), s, energy(s.labels, p), norm)
+            del images
+            rows[n, l] = [l, n, None, lower, casimir, hamiltonian]
+            raised, below = _plus(v, s, p), (v, norm)
+    return [tuple(rows[key]) for key in sorted(rows)]
 
 
 def commutator_residual(s: SampledState, p: PhysParams, pair: str) -> float:

@@ -26,15 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algebra import (
-    _COMPOSED_MARGIN,
-    _relative_defect,
-    algebra_grid,
-    apply_Lminus,
-    apply_Lplus,
-    apply_casimir,
-    apply_hamiltonian,
-)
+from .algebra import _ladder_table, algebra_grid
 from .coherent import CoherentSpec, bg_measure_density, bg_state_closed, default_coherent_grid
 from .errors import ConfigError, MorsebandError, RangeError
 from .model import (
@@ -328,36 +320,7 @@ def _cmd_ladder_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.n_max < 1:
         raise ConfigError(f"--n-max must be >= 1, got {args.n_max}")
     p = cfg.params
-    grid = cfg.grid or algebra_grid(p)
-
-    def step_defect(s, target_state, coeff: float, raised: bool) -> float:
-        stepped = (apply_Lplus(s, p) if raised else apply_Lminus(s, p)).values
-        if target_state is None:
-            return _relative_defect(stepped, s.values, s, 0.0, 1.0, _COMPOSED_MARGIN)
-        return _relative_defect(stepped, target_state.values, s, coeff, coeff, _COMPOSED_MARGIN)
-
-    rows = []
-    for n in range(1, args.n_max + 1):
-        for l in range(n):
-            q = QuantumNumbers(l, n)
-            s = wavefunction(q, p, grid)
-            up = wavefunction(QuantumNumbers(l, n + 1), p, grid)
-            raise_defect = step_defect(s, up, math.sqrt((n + l + 1) * (n - l)), True)
-            if n == l + 1:
-                lower_defect = step_defect(s, None, 0.0, False)
-            else:
-                down = wavefunction(QuantumNumbers(l, n - 1), p, grid)
-                lower_defect = step_defect(s, down, math.sqrt((n + l) * (n - l - 1)), False)
-            rows.append(
-                (
-                    l,
-                    n,
-                    raise_defect,
-                    lower_defect,
-                    apply_casimir(s, p),
-                    apply_hamiltonian(s, p),
-                )
-            )
+    rows = _ladder_table(p, cfg.grid or algebra_grid(p), args.n_max)
     _table_output(
         cfg,
         "ladder-check",

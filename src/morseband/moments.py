@@ -25,7 +25,8 @@ from .model import PhysParams, QuantumNumbers
 from .quadrature import (
     GridSpec,
     _row_weights,
-    fd_derivative,
+    _x_step,
+    _x_stencil_blocks,
     integrate_semi_infinite_u,
 )
 from .specfun import digamma, ln_gamma, trigamma
@@ -175,28 +176,26 @@ def _grid_moments(s: SampledState, hbar: float) -> MomentSet:
     normalized by its own computed norm, so small grid-norm drift does
     not leak into the moments.
 
-    One weighted pass: the y sums of bra = conj(sqrt(w) psi) against
-    sqrt(w) psi, sqrt(w) d_x psi and sqrt(w) d_x^2 psi give three rows,
-    and each moment is the dot product of one row with the Simpson
-    weights times dy from ``quadrature._row_weights``, times 1, x or x^2.
-    Scaling both factors by sqrt(w) keeps every product finite where the
-    state grows and the weight underflows, as in ``grid_inner_product``;
-    the derivative arrays are scaled in place. A derivative that
-    overflows on the grid leaves a non-finite row and raises RangeError.
+    One weighted pass, block by block of rows: the y sums of
+    bra = conj(sqrt(w) psi) against sqrt(w) psi and against the sqrt(w)
+    scaled x-stencils of order 1 and 2 (``fd_derivative``'s kernel) fill
+    three rows, and no state-sized temporary is built. Each moment is one
+    row dotted with ``quadrature._row_weights`` times 1, x or x^2. The
+    sqrt(w) scaling keeps every product finite where the weight underflows,
+    as in ``grid_inner_product``; an overflowing derivative raises RangeError.
     """
     root_w = np.sqrt(s.weight)[:, None]
-    amp = np.multiply(s.values, root_w, order="C")
-    parts = amp.view(np.float64)
-    density = np.einsum("ij,ij->i", parts, parts)
-    bra = np.conjugate(amp, out=amp)
-
-    def row(order: int) -> np.ndarray:
-        ket = fd_derivative(s.values, s, "x", order)
-        ket *= root_w
-        return np.einsum("ij,ij->i", bra, ket)
-
-    d1 = row(1)
-    d2 = row(2)
+    nx = s.grid.nx
+    density, d1, d2 = np.empty(nx), np.empty(nx, complex), np.empty(nx, complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b, kets in _x_stencil_blocks(s.values, _x_step(s.grid), (1, 2)):
+            amp = np.multiply(s.values[a:b], root_w[a:b], order="C")
+            parts = amp.view(np.float64)
+            np.einsum("ij,ij->i", parts, parts, out=density[a:b])
+            bra = np.conjugate(amp, out=amp)
+            for ket, row in zip(kets, (d1, d2)):
+                ket *= root_w[a:b]
+                np.einsum("ij,ij->i", bra, ket, out=row[a:b])
     if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
         raise RangeError(
             "momentum integrands overflow on this grid; shrink the window "

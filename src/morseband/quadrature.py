@@ -253,13 +253,22 @@ def _check_same_grid(a, b) -> None:
         raise GridMismatchError("states carry different measure weights")
 
 
+def _x_step(grid: GridSpec) -> float:
+    return (grid.x_max - grid.x_min) / (grid.nx - 1)
+
+
 def _row_weights(state) -> np.ndarray:
     """Weight of each grid row in an integral over the strip: the Simpson
     weights along x times the y spacing. Every grid quadrature takes its
     rule from here."""
     grid = state.grid
-    h = (grid.x_max - grid.x_min) / (grid.nx - 1)
-    return _simpson_weights(grid.nx, h) * (state.y_period / grid.ny)
+    return _simpson_weights(grid.nx, _x_step(grid)) * (state.y_period / grid.ny)
+
+
+def _braket(bra: np.ndarray, ket: np.ndarray, state) -> complex:
+    """The one inner-product reduction: row sums of bra * ket weighted by
+    ``_row_weights``, in a fixed order, so repeated calls are bit-identical."""
+    return complex(np.sum(_row_weights(state) * np.sum(bra * ket, axis=1)))
 
 
 def grid_inner_product(a, b) -> complex:
@@ -270,13 +279,30 @@ def grid_inner_product(a, b) -> complex:
     states may grow large exactly where the weight underflows to zero,
     and this ordering keeps the integrand finite instead of forming
     0 * inf. The y sum of each row is then weighted by the Simpson
-    weights times dy from ``_row_weights``. Summation order is fixed, so
-    repeated calls are bit-identical.
+    weights times dy from ``_row_weights``.
     """
     _check_same_grid(a, b)
     root_w = np.sqrt(a.weight)[:, None]
-    inner_y = np.sum(np.conj(a.values * root_w) * (b.values * root_w), axis=1)
-    return complex(np.sum(_row_weights(a) * inner_y))
+    return _braket(np.conj(a.values * root_w), b.values * root_w, a)
+
+
+def _grid_gram(states) -> np.ndarray:
+    """Upper triangle (i <= j) of the matrix of ``grid_inner_product(a, b)``
+    among states on one grid, the same values, with the grid checked,
+    each state scaled by sqrt(w) and each bra conjugated once. Entries
+    below the diagonal are NaN: <b|a> may differ from conj(<a|b>) in the
+    last bit, so neither stands in for the other."""
+    first = states[0]
+    for s in states[1:]:
+        _check_same_grid(first, s)
+    root_w = np.sqrt(first.weight)[:, None]
+    kets = [s.values * root_w for s in states]
+    gram = np.full((len(kets), len(kets)), np.nan, dtype=complex)
+    for i, ket in enumerate(kets):
+        bra = np.conj(ket)
+        for j in range(i, len(kets)):
+            gram[i, j] = _braket(bra, kets[j], first)
+    return gram
 
 
 def _check_shape(values: np.ndarray, s) -> None:
@@ -332,48 +358,51 @@ _CENTRED_TAPS = {
 _BLOCK_FLOATS = 32768
 
 
-def _x_derivative(values: np.ndarray, h: float, order: int) -> np.ndarray:
-    """Grid derivative along axis 0 of a real or complex array.
+def _x_stencil_blocks(values: np.ndarray, h: float, orders: tuple[int, ...]):
+    """Grid derivatives along axis 0, streamed in blocks of rows: yield
+    (a, b, derivs), derivs[k] holding rows a..b-1 of the derivative of
+    order orders[k] (centred taps inside, one-sided closures on the two
+    rows at each edge). The block buffers are reused from block to block.
 
-    The coefficients are real, so they act on the real and imaginary
-    parts alike: the stencils run on float64 views of the interleaved
-    complex rows and accumulate into the output in place, block by block
-    with one small scratch term, instead of forming a full-size complex
-    temporary per term. Terms are added left to right and the sum is
-    multiplied by the reciprocal of the divisor, which is how numpy
-    divides a complex array by a real scalar, so every value is
-    bit-identical to the stencil evaluated in complex arithmetic.
+    The real taps run on float64 views of the complex rows and accumulate
+    in place in a cache-sized block with one scratch term. Terms are added
+    left to right and scaled by the reciprocal of the divisor, as numpy
+    divides complex by real, so every value is bit-identical to the
+    stencil evaluated in complex arithmetic on the whole array.
     """
-    out = np.empty(values.shape, dtype=complex)
     values = np.ascontiguousarray(values, dtype=complex)
     v = values.view(np.float64)
-    o = out.view(np.float64)
     nx, width = v.shape
-    (k0, c0), *rest = _CENTRED_TAPS[order]
-    if order == 1:
-        divisor = 12.0 * h
-        head = _EDGE1_ROW0, _EDGE1_ROW1
-        flip = -1.0
-        scale = h
-    else:
-        divisor = 12.0 * h * h
-        head = _EDGE2_ROW0, _EDGE2_ROW1
-        flip = 1.0
-        scale = h * h
-    block = max(1, _BLOCK_FLOATS // width)
-    term = np.empty((block, width))
-    for a in range(2, nx - 2, block):
-        b = min(a + block, nx - 2)
-        body, t = o[a:b], term[: b - a]
-        np.multiply(v[a - 2 + k0 : b - 2 + k0], c0, out=body)
-        for k, c in rest:
-            np.multiply(v[a - 2 + k : b - 2 + k], c, out=t)
-            body += t
-        body *= 1.0 / divisor
-    for i, row in enumerate(head):
-        out[i] = np.tensordot(row, values[:5], axes=(0, 0)) / scale
-        out[-1 - i] = flip * np.tensordot(row[::-1], values[-5:], axes=(0, 0)) / scale
-    return out
+    # no lone-row block: einsum, which the moments reduce blocks with, sums
+    # a lone row of more than 8192 values in another order than a 2-D block
+    block = max(2, _BLOCK_FLOATS // width)
+    starts = list(range(0, nx, block))
+    if nx - starts[-1] == 1:
+        starts.pop()
+    term = np.empty((block + 1, width))
+    stencils = [
+        (12.0 * h, (_EDGE1_ROW0, _EDGE1_ROW1), -1.0, h) if order == 1
+        else (12.0 * h * h, (_EDGE2_ROW0, _EDGE2_ROW1), 1.0, h * h)
+        for order in orders
+    ]
+    outs = [np.empty((block + 1, width // 2), dtype=complex) for _ in orders]
+    for a, b in zip(starts, starts[1:] + [nx]):
+        lo = max(a, 2)
+        hi = max(lo, min(b, nx - 2))
+        for order, (divisor, head, flip, scale), out in zip(orders, stencils, outs):
+            (k0, c0), *rest = _CENTRED_TAPS[order]
+            body, t = out.view(np.float64)[lo - a : hi - a], term[: hi - lo]
+            np.multiply(v[lo - 2 + k0 : hi - 2 + k0], c0, out=body)
+            for k, c in rest:
+                np.multiply(v[lo - 2 + k : hi - 2 + k], c, out=t)
+                body += t
+            body *= 1.0 / divisor
+            for i, row in enumerate(head):
+                if a <= i < b:
+                    out[i - a] = np.tensordot(row, values[:5], axes=(0, 0)) / scale
+                if a <= nx - 1 - i < b:
+                    out[nx - 1 - i - a] = flip * np.tensordot(row[::-1], values[-5:], axes=(0, 0)) / scale
+        yield a, b, [out[: b - a] for out in outs]
 
 
 def _y_derivative(values: np.ndarray, y_period: float, order: int) -> np.ndarray:
@@ -408,9 +437,10 @@ def fd_derivative(values: np.ndarray, s, axis: str, order: int = 1) -> np.ndarra
     if order not in (1, 2):
         raise DomainError(f"derivative order must be 1 or 2, got {order!r}")
     if axis == "x":
-        grid = s.grid
-        h = (grid.x_max - grid.x_min) / (grid.nx - 1)
-        return _x_derivative(values, h, order)
+        out = np.empty(values.shape, dtype=complex)
+        for a, b, (block,) in _x_stencil_blocks(values, _x_step(s.grid), (order,)):
+            out[a:b] = block
+        return out
     if axis == "y":
         return _y_derivative(np.asarray(values, dtype=complex), s.y_period, order)
     raise DomainError(f'axis must be "x" or "y", got {axis!r}')

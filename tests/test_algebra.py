@@ -8,7 +8,9 @@ eigen-residuals actually detect non-eigenstates.
 """
 
 import dataclasses
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +33,8 @@ from morseband import (
     wavefunction,
     weighted_norm,
 )
+from morseband.algebra import _COMPOSED_MARGIN, _relative_defect
+from morseband.cli import main
 
 BASIS = ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4))
 MARGIN = 8
@@ -170,3 +174,49 @@ class TestCommutators:
     def test_unknown_pair(self, p):
         with pytest.raises(DomainError):
             commutator_residual(_state(0, 1, p), p, "h_minus")
+
+
+class TestLadderCheck:
+    def test_rows_are_the_single_operators_bits(self, p, tmp_path):
+        # ladder-check shares each state's images and norm among its four
+        # residuals; every printed value must still be the one measured by
+        # the operators applied on their own
+        out = tmp_path / "ladder.json"
+        assert main(["--format", "json", "--out", str(out), "ladder-check", "--n-max", "3"]) == 0
+        want = []
+        for n in range(1, 4):
+            for l in range(n):
+                s = _state(l, n, p)
+                c = math.sqrt((n + l + 1) * (n - l))
+                up = _state(l, n + 1, p).values
+                raised = _relative_defect(apply_Lplus(s, p).values, up, s, c, c, _COMPOSED_MARGIN)
+                lowered = apply_Lminus(s, p).values
+                if n == l + 1:
+                    lower = _relative_defect(lowered, s.values, s, 0.0, 1.0, _COMPOSED_MARGIN)
+                else:
+                    c = math.sqrt((n + l) * (n - l - 1))
+                    down = _state(l, n - 1, p).values
+                    lower = _relative_defect(lowered, down, s, c, c, _COMPOSED_MARGIN)
+                want.append(
+                    {
+                        "l": l,
+                        "n": n,
+                        "raise_defect": raised,
+                        "lower_defect": lower,
+                        "casimir_residual": apply_casimir(s, p),
+                        "hamiltonian_residual": apply_hamiltonian(s, p),
+                    }
+                )
+        assert json.loads(out.read_text())["rows"] == want
+
+    def test_peak_memory(self, tmp_path):
+        # 8192x64 complex cells are 8 MiB; --n-max 2 peaks at 56.2 MiB traced
+        # holding the current state, the one below, L+ of the one below and
+        # the images in use; keeping all five states of the request fails
+        tracemalloc.start()
+        try:
+            assert main(["--out", str(tmp_path / "ladder.csv"), "ladder-check", "--n-max", "2"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 62 * 2**20

@@ -155,6 +155,17 @@ class TestExitCodes:
         assert not (tmp_path / "out.txt").exists()
         assert capsys.readouterr().out == ""
 
+    def test_overflowing_moments_grid_is_two_without_a_warning(self, tmp_path, capsys):
+        # (0,1) is finite on this window, but its x-derivative overflows at
+        # the left edge, where the weight is 0; the streamed moments must
+        # refuse it without a numpy warning
+        config = tmp_path / "grid.cfg"
+        config.write_text("x_min=-708.5\nx_max=10.0\nnx=4096\nny=8\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", str(config), "uncertainty", "--l-max", "0"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_unwritable_out_is_three(self):
         code = main(["--out", "/nonexistent-dir/x.csv", "spectrum"])
         assert code == 3

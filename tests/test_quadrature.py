@@ -30,6 +30,7 @@ from morseband import (
     integrate_semi_infinite_u,
     weighted_norm,
 )
+from morseband.quadrature import _grid_gram
 
 mpmath.mp.dps = 30
 
@@ -214,6 +215,41 @@ class TestGridInnerProduct:
         with pytest.raises(GridMismatchError):
             grid_inner_product(a, b)
 
+    def test_gram_is_the_pairwise_inner_products(self):
+        # one sqrt(w) scaling per state and one conjugate per bra must give
+        # the bits of grid_inner_product on every pair i <= j; the weight
+        # underflows to 0 on the first rows, where the values grow
+        nx, ny = 64, 16
+        rng = np.random.default_rng(5)
+        x = np.linspace(-1.0, 1.0, nx)
+        weight = np.exp(-4.0 * x**2)
+        weight[:6] = 0.0
+        states = [
+            SampledState(
+                grid=GridSpec(-1.0, 1.0, nx, ny),
+                x=x,
+                y=np.arange(ny) / ny,
+                values=(rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny)))
+                * np.exp(3.0 * (1.0 - x))[:, None],
+                weight=weight,
+                y_period=1.0,
+            )
+            for _ in range(5)
+        ]
+        gram = _grid_gram(states)
+        for i, a in enumerate(states):
+            for j, b in enumerate(states):
+                if j >= i:
+                    assert gram[i, j] == grid_inner_product(a, b)
+                else:
+                    assert np.isnan(gram[i, j])
+
+    def test_gram_grid_mismatch_raises(self):
+        a = _flat_state(16, 8, lambda x: x)
+        for other in (_flat_state(32, 8, lambda x: x), _flat_state(16, 8, lambda x: x, y_period=2.0)):
+            with pytest.raises(GridMismatchError):
+                _grid_gram([a, a, other])
+
 
 class TestDerivatives:
     def test_x_derivative_converges_at_fourth_order(self):
@@ -269,6 +305,23 @@ class TestDerivatives:
             scale = max(1.0, float(np.max(np.abs(exact))))
             assert np.max(np.abs(d - exact)) <= 1e-9 * scale
             assert np.array_equal(s.values, kept)
+
+    @pytest.mark.parametrize("ny", [8, 16400])
+    def test_x_stencils_are_the_complex_arithmetic_bits(self, ny):
+        # the blocked float64 accumulation must give the centred stencils
+        # evaluated in complex arithmetic, on every interior row, whether a
+        # block holds all rows (ny = 8) or two of them (ny = 16400)
+        nx = 21
+        rng = np.random.default_rng(ny)
+        s = _flat_state(nx, ny, lambda x: x, x_min=-0.3, x_max=2.9)
+        v = rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny))
+        h = (s.grid.x_max - s.grid.x_min) / (nx - 1)
+        d1 = (1.0 * v[:-4] + -8.0 * v[1:-3] + 8.0 * v[3:-1] + -1.0 * v[4:]) * (1.0 / (12.0 * h))
+        d2 = (
+            -1.0 * v[:-4] + 16.0 * v[1:-3] + -30.0 * v[2:-2] + 16.0 * v[3:-1] + -1.0 * v[4:]
+        ) * (1.0 / (12.0 * h * h))
+        assert np.array_equal(fd_derivative(v, s, "x", 1)[2:-2], d1)
+        assert np.array_equal(fd_derivative(v, s, "x", 2)[2:-2], d2)
 
     def test_y_derivative_is_spectrally_exact_on_harmonics(self):
         for m in (1, 5, 15):
