@@ -3,7 +3,9 @@
 Every command is a thin, deterministic wrapper over the library:
 identical invocations produce byte-identical output (fixed float
 formatting, fixed row and key order, no timestamps). Exit codes are
-0 success, 1 verification failure, 2 configuration error, 3 I/O error.
+0 success, 1 verification failure (a failed ``verify`` suite, or a
+degeneracy scan that disagrees with its divisor-pair census), 2
+configuration error, 3 I/O error.
 
 Tables honor --format csv|json; ``verify`` always emits JSON and
 ``export`` always emits CSV, since those are their defined shapes.
@@ -28,8 +30,9 @@ import numpy as np
 from . import __version__
 from .algebra import _ladder_table, algebra_grid
 from .coherent import CoherentSpec, bg_measure_density, bg_state_closed, default_coherent_grid
-from .errors import ConfigError, MorsebandError, RangeError
+from .errors import ConfigError, CrossCheckError, MorsebandError, RangeError
 from .model import (
+    DegeneracyTable,
     PhysParams,
     QuantumNumbers,
     degeneracy_scan,
@@ -37,7 +40,6 @@ from .model import (
     landau_a0,
     landau_energy,
     landau_limit_error,
-    spectrum_product,
 )
 from .moments import moments_closed, moments_quadrature
 from .quadrature import GridSpec
@@ -249,53 +251,44 @@ def _cmd_spectrum(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.l_max is not None and args.l_max < 0:
         raise ConfigError(f"--l-max must be >= 0, got {args.l_max}")
     l_max = args.n_max - 1 if args.l_max is None else args.l_max
-    multiplicity = {
-        report.product: report.multiplicity for report in degeneracy_scan(args.n_max)
-    }
-    rows = []
-    for n in range(1, args.n_max + 1):
-        for l in range(min(l_max, n - 1) + 1):
-            q = QuantumNumbers(l, n)
-            product = spectrum_product(q)
-            rows.append((l, n, q.N, product, energy(q, cfg.params), multiplicity[product]))
-    _table_output(cfg, "spectrum", ("l", "n", "N", "product", "energy", "multiplicity"), rows)
+    table = degeneracy_scan(args.n_max)
+    # each level's product and multiplicity in class order, then the
+    # levels in (n, l) order up to l_max
+    product = np.repeat(table.products, table.multiplicities)
+    multiplicity = np.repeat(table.multiplicities, table.multiplicities)
+    order = np.lexsort((table.l, table.n))
+    order = order[table.l[order] <= l_max]
+    l, n, product, multiplicity = (a[order] for a in (table.l, table.n, product, multiplicity))
+    columns = (l, n, n - l - 1, product, product * cfg.params.energy_scale, multiplicity)
+    header = ("l", "n", "N", "product", "energy", "multiplicity")
+    if cfg.output_format == "json":
+        _table_output(cfg, "spectrum", header, list(zip(*(c.tolist() for c in columns))))
+    else:
+        _emit(cfg, [",".join(header) + "\n" + _csv_lines(columns)])
     return 0
 
 
 def _cmd_degeneracy(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.n_max < 1:
         raise ConfigError(f"--n-max must be >= 1, got {args.n_max}")
-    reports = degeneracy_scan(args.n_max)
-    histogram: dict[int, int] = {}
-    for report in reports:
-        histogram[report.multiplicity] = histogram.get(report.multiplicity, 0) + 1
-    classes = [
-        (
-            report.product,
-            report.multiplicity,
-            ";".join(f"{q.l}:{q.n}" for q in report.states),
-        )
-        for report in reports
-    ]
+    table = degeneracy_scan(args.n_max)
+    histogram = np.unique(table.multiplicities, return_counts=True)
     if cfg.output_format == "json":
+        levels = list(zip(table.l.tolist(), table.n.tolist()))
+        classes = []
+        end = 0
+        for product, m in zip(table.products.tolist(), table.multiplicities.tolist()):
+            end += m
+            classes.append({"product": product, "multiplicity": m, "states": levels[end - m : end]})
         payload = {
             "command": "degeneracy",
-            "histogram": {str(k): histogram[k] for k in sorted(histogram)},
-            "classes": [
-                {
-                    "product": report.product,
-                    "multiplicity": report.multiplicity,
-                    "states": [[q.l, q.n] for q in report.states],
-                }
-                for report in reports
-            ],
+            "histogram": {str(k): count for k, count in zip(*(a.tolist() for a in histogram))},
+            "classes": classes,
         }
         _emit(cfg, [_json_text(payload) + "\n"])
     else:
-        text = _csv_block(
-            ("multiplicity", "count"), [(k, histogram[k]) for k in sorted(histogram)]
-        )
-        text += "\n" + _csv_block(("product", "multiplicity", "states"), classes)
+        text = "multiplicity,count\n" + _csv_lines(histogram)
+        text += "\nproduct,multiplicity,states\n" + _class_lines(table)
         _emit(cfg, [text])
     return 0
 
@@ -574,6 +567,59 @@ def _e17_fields(v) -> np.ndarray:
     return out.reshape(v.shape + (_FIELD,))
 
 
+def _int_fields(v: np.ndarray) -> np.ndarray:
+    """The decimal text of every non-negative integer of a 1-d array, one
+    uint8 row each, right-aligned in the width of the largest; the leading
+    zero digits are zero bytes."""
+    powers = 10 ** np.arange(len(str(int(v.max()))) - 1, -1, -1, dtype=v.dtype)
+    v = v[:, None]
+    digits = (v // powers % 10 + ord("0")).astype(np.uint8)
+    digits[(v < powers) & (powers > 1)] = 0
+    return digits
+
+
+def _joined(fields: Iterable[np.ndarray], sep: bytes) -> np.ndarray:
+    """Field blocks side by side, each followed by its byte of ``sep``."""
+    fields = list(fields)
+    out = np.zeros((len(fields[0]), sum(f.shape[1] + 1 for f in fields)), np.uint8)
+    at = 0
+    for f, byte in zip(fields, sep):
+        out[:, at : at + f.shape[1]] = f
+        out[:, at + f.shape[1]] = byte
+        at += f.shape[1] + 1
+    return out
+
+
+def _text(slots: np.ndarray) -> str:
+    """The bytes of a zero-padded byte matrix with the pad bytes deleted."""
+    return slots.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _csv_lines(columns: Iterable[np.ndarray]) -> str:
+    """The CSV lines of equal-length columns, byte for byte what
+    ``_csv_block`` writes: a float column as ``format(v, ".16e")`` (see
+    ``_e17_fields``), an integer column (non-negative) as ``str``."""
+    columns = list(columns)
+    fields = (_e17_fields(c) if c.dtype.kind == "f" else _int_fields(c) for c in columns)
+    return _text(_joined(fields, b"," * (len(columns) - 1) + b"\n"))
+
+
+def _class_lines(table: DegeneracyTable) -> str:
+    """The CSV lines ``product,multiplicity,l:n;l:n;...`` of every class.
+
+    One row per level: the class's first level also carries its product
+    and multiplicity, and its last level ends the line.
+    """
+    ends = np.cumsum(table.multiplicities)
+    starts = ends - table.multiplicities
+    slots = _joined((_int_fields(table.l), _int_fields(table.n)), b":;")
+    slots[ends - 1, -1] = ord("\n")
+    heads = _joined((_int_fields(table.products), _int_fields(table.multiplicities)), b",,")
+    lead = np.zeros((len(slots), heads.shape[1]), np.uint8)
+    lead[starts] = heads
+    return _text(np.hstack((lead, slots)))
+
+
 def _export_rows(s: SampledState) -> Iterator[str]:
     """The CSV data lines of a state, one text block per run of x rows.
 
@@ -601,7 +647,7 @@ def _export_rows(s: SampledState) -> Iterator[str]:
         cells = np.stack((cells.real, cells.imag, _density(cells)), axis=-1)
         block[:, :, 2:5, :_FIELD] = _e17_fields(cells)
         block[:, :, 5, :_FIELD] = x_w[i : i + n, None, 1]
-        yield block.tobytes().translate(None, b"\0").decode("ascii")
+        yield _text(block)
 
 
 def _cmd_export(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -715,6 +761,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load_run_config(args)
         return _HANDLERS[args.command](args, cfg)
+    except CrossCheckError as exc:
+        print(f"error: verification failed: {exc}", file=sys.stderr)
+        return 1
     except MorsebandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,7 @@ __all__ = [
     "TailDominanceError",
     "GridMismatchError",
     "ConfigError",
+    "CrossCheckError",
 ]
 
 
@@ -46,3 +47,7 @@ class GridMismatchError(MorsebandError, ValueError):
 
 class ConfigError(MorsebandError, ValueError):
     """A run configuration is malformed or references unknown names."""
+
+
+class CrossCheckError(MorsebandError):
+    """Two independent routes to the same exact result disagree."""

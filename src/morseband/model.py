@@ -12,14 +12,18 @@ point tolerance enters.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
 
-from .errors import ConfigError, DomainError
+import numpy as np
+
+from .errors import ConfigError, CrossCheckError, DomainError
 
 __all__ = [
     "PhysParams",
     "QuantumNumbers",
     "DegeneracyReport",
+    "DegeneracyTable",
     "energy",
     "spectrum_product",
     "degeneracy_scan",
@@ -71,6 +75,11 @@ class PhysParams:
     def kappa(self) -> float:
         """Inverse length 2 pi / a0 that sets every exponential in the model."""
         return 2.0 * math.pi / self.a0
+
+    @property
+    def energy_scale(self) -> float:
+        """Energy per unit of spectrum product, pi^2 hbar^2 / (2 mu a0^2)."""
+        return math.pi**2 * self.hbar**2 / (2.0 * self.mu * self.a0**2)
 
     @property
     def x_weight_mode(self) -> float:
@@ -146,11 +155,10 @@ def energy(q: QuantumNumbers, p: PhysParams) -> float:
     """Bound-level energy, strictly positive and independent of B0.
 
     Computed as the exact integer spectrum product times the single scale
-    pi^2 hbar^2 / (2 mu a0^2); degenerate levels therefore come out
-    bit-identical, and B0 never enters.
+    ``p.energy_scale``; degenerate levels therefore come out bit-identical,
+    and B0 never enters.
     """
-    scale = math.pi**2 * p.hbar**2 / (2.0 * p.mu * p.a0**2)
-    return spectrum_product(q) * scale
+    return spectrum_product(q) * p.energy_scale
 
 
 def is_prime(m: int) -> bool:
@@ -167,54 +175,106 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def _factor_pair_count(product: int, n_max: int) -> int:
-    """Count factorizations product = a*b (odd, b > a or b = a, a + b divisible
-    by 4) whose level (l, n) = ((b-a-2)/4, (a+b)/4) fits the scan window."""
-    count = 0
-    a = 1
-    while a * a <= product:
-        if product % a == 0:
-            b = product // a
-            if (a + b) % 4 == 0:
-                n = (a + b) // 4
-                l = (b - a - 2) // 4
-                if 1 <= n <= n_max and 0 <= l <= n - 1:
-                    count += 1
-        a += 2
-    return count
-
-
 # Largest n_max whose largest product 4 n_max^2 - 1 is below 1e7.
 _SCAN_N_MAX = 1581
 
 
-def degeneracy_scan(n_max: int) -> list[DegeneracyReport]:
+@dataclass(frozen=True, eq=False)
+class DegeneracyTable:
+    """Every level with n <= n_max, grouped by its spectrum product.
+
+    ``products`` and ``multiplicities`` hold one entry per class, by
+    increasing product. ``l`` and ``n`` hold every level, class after
+    class, each class by increasing l. All four are read-only int32
+    arrays. Iterating yields one validated DegeneracyReport per class.
+    """
+
+    products: np.ndarray
+    multiplicities: np.ndarray
+    l: np.ndarray
+    n: np.ndarray
+
+    def __len__(self) -> int:
+        return self.products.size
+
+    def __iter__(self) -> Iterator[DegeneracyReport]:
+        levels = list(map(QuantumNumbers, self.l.tolist(), self.n.tolist()))
+        end = 0
+        for product, count in zip(self.products.tolist(), self.multiplicities.tolist()):
+            end += count
+            yield DegeneracyReport(product=product, states=tuple(levels[end - count : end]))
+
+
+def _level_arrays(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """l, n and the spectrum product of every level with n <= n_max, in
+    (n, l) order, as int32: the largest product 4 n_max^2 - 1 is below 1e7."""
+    n = np.repeat(np.arange(1, n_max + 1, dtype=np.int32), np.arange(1, n_max + 1))
+    l = np.arange(n.size, dtype=np.int32) - n * (n - 1) // 2
+    return l, n, (2 * n - 2 * l - 1) * (2 * n + 2 * l + 1)
+
+
+def _divisor_census(n_max: int) -> np.ndarray:
+    """Entry i counts the factor pairs a * b = 4i + 3 with odd a < b and
+    a + b = 4n for some n <= n_max, up to m = 4 n_max^2 - 1.
+
+    Every such pair is one level, (l, n) = ((b - a - 2)/4, (a + b)/4), and
+    every product of two odd numbers whose sum is divisible by 4 is
+    3 (mod 4), so only those m get an entry. For each odd a the partners
+    are b = a + 2, a + 6, ... up to 4 n_max - a, whose products step by 4a:
+    one strided slice of the census each. The level formula never enters.
+    """
+    top = 4 * n_max * n_max - 1
+    census = np.zeros((top - 3) // 4 + 1, np.int32)
+    for a in range(1, math.isqrt(top) + 1, 2):
+        start = (a * (a + 2) - 3) // 4
+        census[start : start + a * (n_max - (a - 1) // 2) : a] += 1
+    return census
+
+
+def degeneracy_scan(n_max: int) -> DegeneracyTable:
     """Group every level with n <= n_max by its exact spectrum product.
 
-    Returns reports sorted by product. Each grouping is cross-checked
-    against an independent divisor-pair count of the product, so a bug in
-    either route cannot pass silently. n_max is capped at 1581, the largest
-    n whose largest product 4n^2 - 1 stays below 1e7; the scan's cost grows
-    about as n^2.7, so a larger request is refused before any work is done.
+    The levels are sorted by (product, l) in one array pass, and the
+    multiplicities are cross-checked against an independent census of
+    divisor pairs (``_divisor_census``) over every odd m up to
+    4 n_max^2 - 1, not only at the products found, so a level missing
+    from the scan or counted twice, or a bug in either route, raises
+    CrossCheckError. n_max is capped at 1581, the largest n whose largest
+    product 4n^2 - 1 stays below 1e7: that keeps every product an int32
+    and bounds the census to 2.5e6 entries (about 10 MB).
     """
     if not 1 <= n_max <= _SCAN_N_MAX:
         raise DomainError(f"degeneracy_scan requires 1 <= n_max <= {_SCAN_N_MAX}, got {n_max!r}")
-    groups: dict[int, list[QuantumNumbers]] = {}
-    for n in range(1, n_max + 1):
-        for l in range(n):
-            q = QuantumNumbers(l, n)
-            groups.setdefault(spectrum_product(q), []).append(q)
-    reports = []
-    for product in sorted(groups):
-        states = tuple(sorted(groups[product]))
-        expected = _factor_pair_count(product, n_max)
-        if expected != len(states):
-            raise AssertionError(
-                f"degeneracy cross-check failed at product {product}: scan found "
-                f"{len(states)} states, divisor pairs predict {expected}"
-            )
-        reports.append(DegeneracyReport(product=product, states=states))
-    return reports
+    # each temporary is freed before the next is allocated, which keeps
+    # the peak at the cap near 44 MiB
+    l, n, product = _level_arrays(n_max)
+    order = np.lexsort((l, product))
+    l, n, product = l[order], n[order], product[order]
+    del order
+    products, counts = np.unique(product, return_counts=True)
+    del product
+    census = _divisor_census(n_max)
+    # the census has no entry for m = 1 (mod 4) or outside [3, top]: a
+    # scanned product there disagrees with the census's zero
+    outside = (products % 4 != 3) | (products < 3) | (products > 4 * census.size - 1)
+    if outside.any():
+        raise CrossCheckError(
+            f"degeneracy cross-check failed at product {products[outside][0]}: scan found "
+            f"{counts[outside][0]} states, divisor pairs predict 0"
+        )
+    scanned = np.zeros_like(census)
+    scanned[(products - 3) // 4] = counts
+    wrong = np.flatnonzero(scanned != census)
+    if wrong.size:
+        i = wrong[0]
+        raise CrossCheckError(
+            f"degeneracy cross-check failed at product {4 * i + 3}: scan found "
+            f"{scanned[i]} states, divisor pairs predict {census[i]}"
+        )
+    arrays = (products, counts.astype(np.int32), l, n)
+    for a in arrays:
+        a.flags.writeable = False
+    return DegeneracyTable(*arrays)
 
 
 def landau_energy(N: int, p: PhysParams) -> float:

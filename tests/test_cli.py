@@ -8,6 +8,10 @@ contract (0 ok, 1 failed verification, 2 bad input, 3 I/O) is pinned
 with one concrete trigger per code.
 """
 
+import argparse
+import contextlib
+import hashlib
+import io
 import json
 import math
 import os
@@ -34,6 +38,10 @@ from morseband import (
     cli,
     default_coherent_grid,
     default_grid,
+    degeneracy_scan,
+    energy,
+    model,
+    spectrum_product,
     wavefunction,
 )
 from morseband.cli import _json_text, main
@@ -117,6 +125,21 @@ class TestExitCodes:
         for command in ("degeneracy", "spectrum"):
             code, blob = run(tmp_path, command, "--n-max", "1582")
             assert code == 2 and blob == b""
+
+    @pytest.mark.parametrize("command", ["degeneracy", "spectrum"])
+    def test_failed_cross_check_is_one(self, tmp_path, capsys, monkeypatch, command):
+        level_arrays = model._level_arrays
+        monkeypatch.setattr(
+            model, "_level_arrays", lambda n_max: tuple(a[1:] for a in level_arrays(n_max))
+        )
+        assert main([command, "--n-max", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: verification failed: degeneracy cross-check")
+        assert "Traceback" not in captured.err
+        code, blob = run(tmp_path, command, "--n-max", "10")
+        assert code == 1 and blob == b""
+        assert not (tmp_path / "out.txt").exists()
 
     def test_bad_config_is_two(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -260,6 +283,112 @@ class TestDegeneracy:
         text = blob.decode()
         assert "multiplicity,count" in text
         assert "product,multiplicity,states" in text
+
+
+def _loop_spectrum(n_max: int, l_max: int | None, p: PhysParams) -> list[tuple]:
+    """The spectrum rows as the per-level loop writes them: the reference
+    the table-driven command must match byte for byte."""
+    counts: dict[int, int] = {}
+    for n in range(1, n_max + 1):
+        for l in range(n):
+            product = spectrum_product(QuantumNumbers(l, n))
+            counts[product] = counts.get(product, 0) + 1
+    l_max = n_max - 1 if l_max is None else l_max
+    rows = []
+    for n in range(1, n_max + 1):
+        for l in range(min(l_max, n - 1) + 1):
+            q = QuantumNumbers(l, n)
+            product = spectrum_product(q)
+            rows.append((l, n, q.N, product, energy(q, p), counts[product]))
+    return rows
+
+
+def _loop_degeneracy(n_max: int, fmt: str) -> str:
+    """The degeneracy text as the per-report loop writes it."""
+    reports = list(degeneracy_scan(n_max))
+    histogram: dict[int, int] = {}
+    for report in reports:
+        histogram[report.multiplicity] = histogram.get(report.multiplicity, 0) + 1
+    if fmt == "json":
+        payload = {
+            "command": "degeneracy",
+            "histogram": {str(k): histogram[k] for k in sorted(histogram)},
+            "classes": [
+                {
+                    "product": r.product,
+                    "multiplicity": r.multiplicity,
+                    "states": [[q.l, q.n] for q in r.states],
+                }
+                for r in reports
+            ],
+        }
+        return _json_text(payload) + "\n"
+    classes = [
+        (r.product, r.multiplicity, ";".join(f"{q.l}:{q.n}" for q in r.states)) for r in reports
+    ]
+    text = cli._csv_block(("multiplicity", "count"), [(k, histogram[k]) for k in sorted(histogram)])
+    return text + "\n" + cli._csv_block(("product", "multiplicity", "states"), classes)
+
+
+def _command_text(handler, fmt: str, p: PhysParams, **argv) -> str:
+    cfg = cli.RunConfig(params=p, grid=None, tolerances={}, output_format=fmt, output_path=None)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert handler(argparse.Namespace(**argv), cfg) == 0
+    return out.getvalue()
+
+
+class TestScanTables:
+    """``spectrum`` and ``degeneracy`` write their tables from the scan's
+    arrays; the per-level loops are the reference for every byte."""
+
+    # sha256 of stdout as the per-level loops wrote it
+    PINNED = {
+        ("degeneracy", "--n-max", "250"):
+            "e94ca43c4a442f8f1a7fe02ebdf671fad898680aa47645856060b56a964730ad",
+        ("--format", "json", "degeneracy", "--n-max", "122"):
+            "894968192847c32f1552b16e2bb2731e43be7401eef4b0ccbbcedacf52ae13c3",
+        ("spectrum", "--n-max", "145"):
+            "e195eb90e2295c5ea97607eef25fee266703fad57a0287846892405e5b4748cd",
+        ("--format", "json", "spectrum", "--n-max", "145"):
+            "0fd7b1baa29f288478060a9039abd65f6640385e5f934fd983c8d0d0751c10a2",
+        ("spectrum", "--n-max", "51", "--l-max", "26"):
+            "f986549ece4a1d5111de130b4d8583e10b5532af824ccb5cb8059a8d57ccedab",
+    }
+
+    @pytest.mark.parametrize("argv", sorted(PINNED))
+    def test_pinned_bytes(self, capsys, argv):
+        assert main(list(argv)) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == self.PINNED[argv]
+
+    @given(
+        n_max=st.integers(1, 40),
+        l_max=st.none() | st.integers(0, 45),
+        fmt=st.sampled_from(("csv", "json")),
+        B0=st.floats(0.01, 100.0),
+        a0=st.floats(0.01, 100.0),
+        mu=st.floats(0.01, 100.0),
+        hbar=st.floats(0.01, 100.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_spectrum_is_the_loop(self, n_max, l_max, fmt, B0, a0, mu, hbar):
+        p = PhysParams(B0=B0, a0=a0, mu=mu, hbar=hbar, c=1.0, e=-1.0)
+        rows = _loop_spectrum(n_max, l_max, p)
+        header = ("l", "n", "N", "product", "energy", "multiplicity")
+        if fmt == "json":
+            want = _json_text({"command": "spectrum", "rows": [dict(zip(header, r)) for r in rows]}) + "\n"
+        else:
+            want = cli._csv_block(header, rows)
+        got = _command_text(cli._cmd_spectrum, fmt, p, n_max=n_max, l_max=l_max)
+        assert got == want
+
+    @given(n_max=st.integers(1, 60), fmt=st.sampled_from(("csv", "json")))
+    @settings(max_examples=30, deadline=None)
+    def test_degeneracy_is_the_loop(self, n_max, fmt):
+        p = PhysParams.natural()
+        got = _command_text(cli._cmd_degeneracy, fmt, p, n_max=n_max)
+        assert got == _loop_degeneracy(n_max, fmt)
 
 
 class TestLandauLimit:

@@ -8,13 +8,16 @@ the scan's own grouping.
 """
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morseband import (
     ConfigError,
+    CrossCheckError,
     DomainError,
     PhysParams,
     QuantumNumbers,
@@ -26,6 +29,7 @@ from morseband import (
     landau_limit_error,
     spectrum_product,
 )
+from morseband import model
 
 labels = st.tuples(st.integers(0, 60), st.integers(1, 80)).filter(
     lambda t: t[1] > t[0]
@@ -137,6 +141,96 @@ class TestDegeneracy:
     def test_guard(self):
         with pytest.raises(DomainError):
             degeneracy_scan(0)
+        with pytest.raises(DomainError):
+            degeneracy_scan(1582)
+
+    def test_table_arrays(self):
+        table = degeneracy_scan(4)
+        assert table.products.tolist() == [3, 7, 11, 15, 27, 35, 39, 55, 63]
+        assert table.multiplicities.tolist() == [1, 1, 1, 2, 1, 1, 1, 1, 1]
+        assert list(zip(table.l.tolist(), table.n.tolist()))[3:5] == [(0, 2), (3, 4)]
+        assert len(table) == 9
+        for a in (table.products, table.multiplicities, table.l, table.n):
+            assert a.dtype == np.int32 and not a.flags.writeable
+
+
+def _trial_division_pairs(product: int, n_max: int) -> int:
+    """The referee: count factorizations product = a*b (odd, b > a or b = a,
+    a + b divisible by 4) whose level (l, n) = ((b-a-2)/4, (a+b)/4) fits
+    the scan window, by trial division."""
+    count = 0
+    a = 1
+    while a * a <= product:
+        if product % a == 0:
+            b = product // a
+            if (a + b) % 4 == 0:
+                n = (a + b) // 4
+                l = (b - a - 2) // 4
+                if 1 <= n <= n_max and 0 <= l <= n - 1:
+                    count += 1
+        a += 2
+    return count
+
+
+class TestDegeneracyCrossCheck:
+    @given(n_max=st.integers(1, 90))
+    @settings(max_examples=25, deadline=None)
+    def test_scan_and_census_match_their_referees(self, n_max):
+        groups: dict[int, list[QuantumNumbers]] = {}
+        for n in range(1, n_max + 1):
+            for l in range(n):
+                q = QuantumNumbers(l, n)
+                groups.setdefault(spectrum_product(q), []).append(q)
+        got = [(r.product, r.states) for r in degeneracy_scan(n_max)]
+        assert got == [(product, tuple(sorted(groups[product]))) for product in sorted(groups)]
+        census = model._divisor_census(n_max)
+        for product in groups:
+            assert census[(product - 3) // 4] == _trial_division_pairs(product, n_max)
+        # and nothing besides the products: every level is one census pair
+        assert census.sum() == n_max * (n_max + 1) // 2
+
+    def test_a_dropped_level_fails_the_cross_check(self, monkeypatch):
+        level_arrays = model._level_arrays
+        monkeypatch.setattr(
+            model, "_level_arrays", lambda n_max: tuple(np.delete(a, 17) for a in level_arrays(n_max))
+        )
+        with pytest.raises(CrossCheckError, match="cross-check failed"):
+            degeneracy_scan(30)
+
+    def test_a_product_off_the_census_fails_the_cross_check(self, monkeypatch):
+        level_arrays = model._level_arrays
+
+        def moved(n_max):
+            l, n, product = level_arrays(n_max)
+            product[17] += 2  # 1 (mod 4): no odd pair summing to 4n makes it
+            return l, n, product
+
+        monkeypatch.setattr(model, "_level_arrays", moved)
+        with pytest.raises(CrossCheckError, match="divisor pairs predict 0"):
+            degeneracy_scan(30)
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_a_census_window_off_by_one_fails_the_cross_check(self, monkeypatch, shift):
+        census = model._divisor_census
+
+        def shifted(n_max):
+            out = np.zeros_like(census(n_max))
+            moved = census(n_max + shift)[: out.size]
+            out[: moved.size] = moved
+            return out
+
+        monkeypatch.setattr(model, "_divisor_census", shifted)
+        with pytest.raises(CrossCheckError):
+            degeneracy_scan(30)
+
+    def test_peak_memory_at_the_cap(self):
+        tracemalloc.start()
+        try:
+            degeneracy_scan(1581)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
 
 
 class TestPrimality:

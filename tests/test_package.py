@@ -8,8 +8,8 @@ MODULES = (errors, specfun, quadrature, model, states, algebra, coherent, moment
 # The public API; removing a name from it is a deliberate, visible change.
 PUBLIC_NAMES = {
     "AccuracyLossError", "AgreementReport", "CheckResult",
-    "CoherentSpec", "ConfigError", "ConvergenceError", "DEFAULT_TOLERANCES",
-    "DegeneracyReport", "DomainError", "FD_MARGIN", "GridMismatchError", "GridSpec",
+    "CoherentSpec", "ConfigError", "ConvergenceError", "CrossCheckError", "DEFAULT_TOLERANCES",
+    "DegeneracyReport", "DegeneracyTable", "DomainError", "FD_MARGIN", "GridMismatchError", "GridSpec",
     "IntegrationResult", "LandauParams", "MomentSet", "MorsebandError",
     "PhysParams", "QuantumNumbers", "RangeError", "SUITE_NAMES",
     "SampledState", "TailDominanceError", "__version__", "algebra_grid", "apply_L3",
