@@ -12,18 +12,42 @@ these checks want a fine open-axis resolution concentrated where the
 states live; :func:`algebra_grid` provides a window that meets every
 stated tolerance. Residual norms always exclude the boundary rows
 contaminated by one-sided stencil closures.
+
+Streaming: the generators act on one cache-sized block of rows at a
+time, from the block's x-derivative (the stencil kernel of
+``quadrature``), its y-derivative (an FFT of those rows alone) and its
+value rows, so an image built block by block is bit-identical to one
+built on the whole array. ``ladder-check`` streams each state v twice
+(:func:`_state_densities`): pass 1 over v writes L- v and L+ v and
+reduces the norm, raise and lower defects; pass 2 over L- v forms
+L+ L- v, L3 v and L3 L3 v per block and reduces the Casimir and
+Hamiltonian defects. It holds at most v, the state below, L- v, L+ v and
+one block: four state-sized arrays, a 35.8 MiB traced peak for
+``--n-max 2`` on the 8192x64 :func:`algebra_grid` (56.2 MiB when every
+image was a whole array).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
 from .model import PhysParams, QuantumNumbers, energy
-from .quadrature import FD_MARGIN, GridSpec, fd_derivative, weighted_norm
+from .quadrature import (
+    FD_MARGIN,
+    GridSpec,
+    _check_margin,
+    _density_norm,
+    _row_density,
+    _x_step,
+    _x_stencil_blocks,
+    _y_derivative,
+    weighted_norm,
+)
 from .states import SampledState, wavefunction
 
 __all__ = [
@@ -46,48 +70,91 @@ def algebra_grid(p: PhysParams) -> GridSpec:
     return GridSpec(x_c - p.a0, x_c + 4.0 * p.a0, 8192, 64)
 
 
-# The generators and their quadratic combinations act on value arrays
-# sampled on the grid of s, which supplies the axes, the weight and the
-# period; composing them builds no intermediate state.
+class _Frame(NamedTuple):
+    """What the generators take from the grid and the parameters: the x
+    step and y period of the derivatives, the multiplicative term of L+ as
+    a column, the two phase rows times a0/2pi, and the scales of L3 and H."""
+
+    h: float
+    period: float
+    field: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    three: complex
+    energy: float
 
 
-def _plus(v: np.ndarray, s: SampledState, p: PhysParams) -> np.ndarray:
-    dx = fd_derivative(v, s, "x")
-    dy = fd_derivative(v, s, "y")
-    field_term = (p.e * p.B0 * p.a0 / (math.pi * p.hbar * p.c)) * np.exp(-p.kappa * s.x)
-    phase = np.exp(-1j * p.kappa * s.y)[None, :]
-    return (p.a0 / (2.0 * math.pi)) * phase * (-dx + 1j * dy + field_term[:, None] * v)
+def _frame(s: SampledState, p: PhysParams) -> _Frame:
+    scale = p.a0 / (2.0 * math.pi)
+    return _Frame(
+        h=_x_step(s.grid),
+        period=s.y_period,
+        field=((p.e * p.B0 * p.a0 / (math.pi * p.hbar * p.c)) * np.exp(-p.kappa * s.x))[:, None],
+        lower=scale * np.exp(1j * p.kappa * s.y)[None, :],
+        upper=scale * np.exp(-1j * p.kappa * s.y)[None, :],
+        three=1j * scale,
+        energy=2.0 * math.pi**2 * p.hbar**2 / (p.mu * p.a0**2),
+    )
 
 
-def _minus(v: np.ndarray, s: SampledState, p: PhysParams) -> np.ndarray:
-    dx = fd_derivative(v, s, "x")
-    dy = fd_derivative(v, s, "y")
-    phase = np.exp(1j * p.kappa * s.y)[None, :]
-    return (p.a0 / (2.0 * math.pi)) * phase * (dx + 1j * dy)
+# The generator kernels act on one block of rows: the block's x- and
+# y-derivatives, and for L+ its value rows and the rows of the field term.
+# _images runs the same kernels over every block of a whole array.
 
 
-def _three(v: np.ndarray, s: SampledState, p: PhysParams) -> np.ndarray:
-    dy = fd_derivative(v, s, "y")
-    return 1j * (p.a0 / (2.0 * math.pi)) * dy
+def _dy(v: np.ndarray, fr: _Frame) -> np.ndarray:
+    return _y_derivative(v, fr.period, 1)
 
 
-def _quadratic_images(v: np.ndarray, s: SampledState, p: PhysParams) -> tuple[np.ndarray, np.ndarray]:
+def _minus(dx: np.ndarray, dy: np.ndarray, fr: _Frame) -> np.ndarray:
+    return fr.lower * (dx + 1j * dy)
+
+
+def _plus(dx: np.ndarray, dy: np.ndarray, v: np.ndarray, field: np.ndarray, fr: _Frame) -> np.ndarray:
+    return fr.upper * (-dx + 1j * dy + field * v)
+
+
+def _three(dy: np.ndarray, fr: _Frame) -> np.ndarray:
+    return fr.three * dy
+
+
+def _images(v: np.ndarray, fr: _Frame, names: str) -> list[np.ndarray]:
+    """Whole-grid images of v under the generators named by the characters
+    of names ("-" for L-, "+" for L+, "3" for L3), in that order. One
+    streamed pass over the row blocks takes dx v and dy v once per block
+    and shares them among the images."""
+    outs = [np.empty(v.shape, dtype=complex) for _ in names]
+    for a, b, (dx,) in _x_stencil_blocks(v, fr.h, (1,)):
+        dy = _dy(v[a:b], fr)
+        for name, out in zip(names, outs):
+            if name == "-":
+                out[a:b] = _minus(dx, dy, fr)
+            elif name == "+":
+                out[a:b] = _plus(dx, dy, v[a:b], fr.field[a:b], fr)
+            else:
+                out[a:b] = _three(dy, fr)
+    return outs
+
+
+def _quadratic_images(v: np.ndarray, fr: _Frame) -> tuple[np.ndarray, np.ndarray]:
     """(L+ L- v, L3 v): the two images both quadratic operators are built from."""
-    return _plus(_minus(v, s, p), s, p), _three(v, s, p)
+    lowered, l3 = _images(v, fr, "-3")
+    return _images(lowered, fr, "+")[0], l3
 
 
-def _hamiltonian(v: np.ndarray, s: SampledState, p: PhysParams, images=None) -> np.ndarray:
+def _hamiltonian(v: np.ndarray, fr: _Frame, images=None) -> np.ndarray:
     """H v from the images of :func:`_quadratic_images`, computed here
-    unless the caller already holds them."""
-    lpm, l3 = _quadratic_images(v, s, p) if images is None else images
-    scale = 2.0 * math.pi**2 * p.hbar**2 / (p.mu * p.a0**2)
-    return scale * (lpm + l3 - 0.25 * v)
+    unless the caller already holds them. Elementwise in the images, so
+    it acts on any range of rows whose images are given."""
+    lpm, l3 = _quadratic_images(v, fr) if images is None else images
+    return fr.energy * (lpm + l3 - 0.25 * v)
 
 
-def _casimir(v: np.ndarray, s: SampledState, p: PhysParams, images=None) -> np.ndarray:
-    """C v = (L+ L- - L3^2 + L3) v, from the images as in :func:`_hamiltonian`."""
-    lpm, l3 = _quadratic_images(v, s, p) if images is None else images
-    return lpm - _three(l3, s, p) + l3
+def _casimir(v: np.ndarray, fr: _Frame, images=None) -> np.ndarray:
+    """C v = (L+ L- - L3^2 + L3) v, from the images as in :func:`_hamiltonian`;
+    L3 acts row by row, so this too acts on any range of rows."""
+    lpm, l3 = _quadratic_images(v, fr) if images is None else images
+    return lpm - _three(_dy(l3, fr), fr) + l3
 
 
 def apply_Lplus(s: SampledState, p: PhysParams) -> SampledState:
@@ -99,7 +166,7 @@ def apply_Lplus(s: SampledState, p: PhysParams) -> SampledState:
     sqrt((n+l)(n-l-1)) times the level (l, n). Returns the image as an
     unlabeled state on the grid of s.
     """
-    return dataclasses.replace(s, values=_plus(s.values, s, p), labels=None)
+    return dataclasses.replace(s, values=_images(s.values, _frame(s, p), "+")[0], labels=None)
 
 
 def apply_Lminus(s: SampledState, p: PhysParams) -> SampledState:
@@ -108,7 +175,7 @@ def apply_Lminus(s: SampledState, p: PhysParams) -> SampledState:
     Annihilates the bottom level (l, l+1) of each vertical family.
     Returns the image as an unlabeled state on the grid of s.
     """
-    return dataclasses.replace(s, values=_minus(s.values, s, p), labels=None)
+    return dataclasses.replace(s, values=_images(s.values, _frame(s, p), "-")[0], labels=None)
 
 
 def apply_L3(s: SampledState, p: PhysParams) -> SampledState:
@@ -118,7 +185,8 @@ def apply_L3(s: SampledState, p: PhysParams) -> SampledState:
     boundary contamination. Returns the image as an unlabeled state on
     the grid of s.
     """
-    return dataclasses.replace(s, values=_three(s.values, s, p), labels=None)
+    fr = _frame(s, p)
+    return dataclasses.replace(s, values=_three(_dy(s.values, fr), fr), labels=None)
 
 
 def _relative_defect(
@@ -165,7 +233,7 @@ def apply_casimir(
             raise DomainError("apply_casimir needs a labeled eigenstate or an explicit eigenvalue")
         l = s.labels.l
         reference_eigenvalue = -float(l * (l + 1))
-    return _eigen_defect(_casimir(s.values, s, p), s, reference_eigenvalue)
+    return _eigen_defect(_casimir(s.values, _frame(s, p)), s, reference_eigenvalue)
 
 
 def apply_hamiltonian(
@@ -182,43 +250,100 @@ def apply_hamiltonian(
         if s.labels is None:
             raise DomainError("apply_hamiltonian needs a labeled eigenstate or an explicit energy")
         reference_energy = energy(s.labels, p)
-    return _eigen_defect(_hamiltonian(s.values, s, p), s, reference_energy)
+    return _eigen_defect(_hamiltonian(s.values, _frame(s, p)), s, reference_energy)
+
+
+def _state_densities(
+    s: SampledState, fr: _Frame, coeff: float, raised, below, eigenvalues
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Row densities (``_row_density``) of one state v of a ``ladder-check``
+    family and its L+ v, in two streamed passes over row blocks.
+
+    - Pass 1 runs over the x-stencil blocks of v. It takes dx v and dy v
+      once and from them writes L- v and L+ v. It reduces v itself, the
+      raise defect L+ (below) - coeff v (raised holds L+ of the state
+      below; each block of it is read just before L+ v overwrites it) and
+      the lower defect L- v - coeff below (against 0 v at the bottom of
+      the family, where below is None).
+    - Pass 2 runs over the x-stencil blocks of L- v, which is kept whole
+      for the halo rows the stencil reads. It forms L+ L- v, L3 v and
+      L3 (L3 v) block by block and reduces the Casimir and Hamiltonian
+      defects against eigenvalues (C's, H's) times v.
+
+    Returns the five densities in that order and L+ v. With eigenvalues
+    None (the state above n_max, built for its raise defect alone) only
+    the first two are reduced and no derivative is taken.
+    """
+    v, root_w = s.values, np.sqrt(s.weight)
+    density = np.empty((5, s.grid.nx))
+    top = eigenvalues is None
+    lowered = upper = None
+    if not top:
+        lowered = np.empty(v.shape, dtype=complex)
+        upper = np.empty(v.shape, dtype=complex) if raised is None else raised
+    reference = v if below is None else below
+    for a, b, derivs in _x_stencil_blocks(v, fr.h, () if top else (1,)):
+        rows = v[a:b]
+        density[0, a:b] = _row_density(rows, root_w[a:b])
+        if raised is not None:
+            density[1, a:b] = _row_density(raised[a:b] - coeff * rows, root_w[a:b])
+        if not top:
+            dy = _dy(rows, fr)
+            lowered[a:b] = _minus(derivs[0], dy, fr)
+            upper[a:b] = _plus(derivs[0], dy, rows, fr.field[a:b], fr)
+            density[2, a:b] = _row_density(lowered[a:b] - coeff * reference[a:b], root_w[a:b])
+    if not top:
+        for a, b, (dx,) in _x_stencil_blocks(lowered, fr.h, (1,)):
+            rows = v[a:b]
+            images = (
+                _plus(dx, _dy(lowered[a:b], fr), lowered[a:b], fr.field[a:b], fr),
+                _three(_dy(rows, fr), fr),
+            )
+            for k, image in enumerate((_casimir(rows, fr, images), _hamiltonian(rows, fr, images))):
+                density[3 + k, a:b] = _row_density(image - eigenvalues[k] * rows, root_w[a:b])
+    return density, upper
 
 
 def _ladder_table(p: PhysParams, grid: GridSpec, n_max: int) -> list[tuple]:
     """Rows (l, n, raise defect, lower defect, Casimir residual, Hamiltonian
     residual) of ``ladder-check`` for every n <= n_max, in (n, l) order.
 
-    Each family l is walked upwards, so each state is built and normed
-    once and L-, L+ L-, L3 and L+ act on it once; C and H share the images.
-    A raise defect is measured once the state above is built; only the
-    current state, the one below and L+ of the one below are held."""
+    Each family l is walked upwards, and each state is streamed in cache-
+    sized row blocks in the two passes of :func:`_state_densities`: every
+    derivative of the state and of L- v is taken there, and every residual
+    is reduced there, block by block. A raise defect is measured once the
+    state above is built. Only four state-sized arrays are ever held: the
+    state v, the one below, L- v and L+ v (which takes the place of L+ of
+    the one below), besides one block of images; 8192x64 states are 8 MiB.
+    Every value is bit-identical to the operators applied on their own.
+    """
     m = _COMPOSED_MARGIN
     rows = {}
     for l in range(n_max):
         below = raised = None
         for n in range(l + 1, n_max + 2):
             s = wavefunction(QuantumNumbers(l, n), p, grid)
-            v, norm = s.values, weighted_norm(s.values, s, exclude_margin=m)
+            _check_margin(m, grid.nx)
             coeff = math.sqrt((n + l) * (n - l - 1))
+            eigenvalues = None if n > n_max else (-float(l * (l + 1)), energy(s.labels, p))
+            density, upper = _state_densities(
+                s, _frame(s, p), coeff, raised, None if below is None else below[0], eigenvalues
+            )
+            norm = _density_norm(density[0], s, m)
             if raised is not None:
-                rows[n - 1, l][2] = _relative_defect(raised, v, s, coeff, coeff, m, norm)
-                raised = None
-            if n > n_max:
+                rows[n - 1, l][2] = _density_norm(density[1], s, m) / (coeff * norm)
+            raised = upper
+            if eigenvalues is None:
                 break
-            lowered = _minus(v, s, p)
-            if below is None:
-                lower = _relative_defect(lowered, v, s, 0.0, 1.0, m, norm)
-            else:
-                lower = _relative_defect(lowered, below[0], s, coeff, coeff, m, below[1])
-            below = None
-            images = _plus(lowered, s, p), _three(v, s, p)
-            del lowered
-            casimir = _eigen_defect(_casimir(v, s, p, images), s, -float(l * (l + 1)), norm)
-            hamiltonian = _eigen_defect(_hamiltonian(v, s, p, images), s, energy(s.labels, p), norm)
-            del images
+            # the bottom state's L- v is measured against 0 v over ||v||
+            scale, reference_norm = (1.0, norm) if below is None else (coeff, below[1])
+            lower = _density_norm(density[2], s, m) / (scale * reference_norm)
+            casimir, hamiltonian = (
+                _density_norm(d, s, m) / (max(abs(e), 1.0) * norm)
+                for d, e in zip(density[3:], eigenvalues)
+            )
             rows[n, l] = [l, n, None, lower, casimir, hamiltonian]
-            raised, below = _plus(v, s, p), (v, norm)
+            below = s.values, norm
     return [tuple(rows[key]) for key in sorted(rows)]
 
 
@@ -237,29 +362,33 @@ def commutator_residual(s: SampledState, p: PhysParams, pair: str) -> float:
       symmetry, so this one is genuinely nonzero)
 
     The operators are composed on value arrays; no intermediate state
-    is built.
+    is built, and each array is differentiated once: the images of one
+    array share its derivative blocks.
     """
-    v = s.values
+    v, fr = s.values, _frame(s, p)
     if pair == "ladder":
-        defect = _plus(_minus(v, s, p), s, p) - _minus(_plus(v, s, p), s, p) + 2.0 * _three(v, s, p)
+        lowered, raised, l3 = _images(v, fr, "-+3")
+        defect = _images(lowered, fr, "+")[0] - _images(raised, fr, "-")[0] + 2.0 * l3
         margin = _COMPOSED_MARGIN
         scale = weighted_norm(v, s, exclude_margin=margin)
     elif pair in ("three_plus", "three_minus"):
-        ladder = _plus if pair == "three_plus" else _minus
+        name = "+" if pair == "three_plus" else "-"
         sign = -1.0 if pair == "three_plus" else 1.0
-        stepped = ladder(v, s, p)
-        defect = _three(stepped, s, p) - ladder(_three(v, s, p), s, p) + sign * stepped
+        stepped, l3 = _images(v, fr, name + "3")
+        defect = _three(_dy(stepped, fr), fr) - _images(l3, fr, name)[0] + sign * stepped
         margin = _COMPOSED_MARGIN
         scale = weighted_norm(v, s, exclude_margin=margin)
     elif pair == "h_three":
-        hv = _hamiltonian(v, s, p)
-        defect = _hamiltonian(_three(v, s, p), s, p) - _three(hv, s, p)
+        images = _quadratic_images(v, fr)
+        hv = _hamiltonian(v, fr, images)
+        defect = _hamiltonian(images[1], fr) - _three(_dy(hv, fr), fr)
         margin = _COMPOSED_MARGIN
         scale = weighted_norm(hv, s, exclude_margin=margin)
     elif pair == "h_casimir":
         if s.labels is None:
             raise DomainError("the h_casimir identity check needs a labeled eigenstate")
-        defect = _hamiltonian(_casimir(v, s, p), s, p) - _casimir(_hamiltonian(v, s, p), s, p)
+        images = _quadratic_images(v, fr)
+        defect = _hamiltonian(_casimir(v, fr, images), fr) - _casimir(_hamiltonian(v, fr, images), fr)
         margin = 4 * FD_MARGIN
         l = s.labels.l
         scale = (
@@ -268,8 +397,9 @@ def commutator_residual(s: SampledState, p: PhysParams, pair: str) -> float:
             * weighted_norm(v, s, exclude_margin=margin)
         )
     elif pair == "h_plus":
-        hv = _hamiltonian(v, s, p)
-        defect = _hamiltonian(_plus(v, s, p), s, p) - _plus(hv, s, p)
+        lowered, l3, raised = _images(v, fr, "-3+")
+        hv = _hamiltonian(v, fr, (_images(lowered, fr, "+")[0], l3))
+        defect = _hamiltonian(raised, fr) - _images(hv, fr, "+")[0]
         margin = 3 * FD_MARGIN
         scale = weighted_norm(hv, s, exclude_margin=margin)
     else:

@@ -264,7 +264,12 @@ def _cmd_spectrum(args: argparse.Namespace, cfg: RunConfig) -> int:
     if cfg.output_format == "json":
         _table_output(cfg, "spectrum", header, list(zip(*(c.tolist() for c in columns))))
     else:
-        _emit(cfg, [",".join(header) + "\n" + _csv_lines(columns)])
+        # formatted _BLOCK_LINES rows at a time: no byte matrix of the whole table
+        lines = (
+            _csv_lines(c[i : i + _BLOCK_LINES] for c in columns)
+            for i in range(0, len(l), _BLOCK_LINES)
+        )
+        _emit(cfg, itertools.chain([",".join(header) + "\n"], lines))
     return 0
 
 

@@ -322,18 +322,42 @@ def weighted_norm(values: np.ndarray, s, exclude_margin: int = 0) -> float:
     (an image that overflowed on this grid) raise RangeError. With
     ``exclude_margin = m`` the first and last m rows along the open axis
     are dropped before integrating, which removes the rows where
-    one-sided derivative closures are least accurate.
+    one-sided derivative closures are least accurate. The rows are
+    reduced a cache-sized block at a time (``_row_density``), so no
+    temporary of the array's size is built.
     """
     _check_shape(values, s)
-    if not np.all(np.isfinite(values)):
+    root_w = np.sqrt(s.weight)
+    density = np.empty(s.grid.nx)
+    for a, b in _row_blocks(s.grid.nx, 2 * s.grid.ny):
+        density[a:b] = _row_density(values[a:b], root_w[a:b])
+    return _density_norm(density, s, exclude_margin)
+
+
+def _row_density(block: np.ndarray, root_w: np.ndarray) -> np.ndarray:
+    """The weighted norm's density of each row of a block of rows d:
+    sum(|sqrt(w) d|^2, axis=1), root_w holding sqrt(w) of those rows.
+    Every row is reduced on its own, so a row's value does not depend on
+    the block it sits in. A non-finite cell raises RangeError before
+    anything is multiplied, so an overflowing image raises no warning."""
+    if not np.all(np.isfinite(block)):
         raise RangeError(
             "values overflow on this grid; shrink the window on the growing side"
         )
-    grid = s.grid
-    if exclude_margin < 0 or 2 * exclude_margin >= grid.nx:
-        raise DomainError(f"exclude_margin {exclude_margin!r} incompatible with nx = {grid.nx}")
-    amp = values * np.sqrt(s.weight)[:, None]
-    density = np.sum(amp.real**2 + amp.imag**2, axis=1)
+    amp = block * root_w[:, None]
+    return np.sum(amp.real**2 + amp.imag**2, axis=1)
+
+
+def _check_margin(exclude_margin: int, nx: int) -> None:
+    if exclude_margin < 0 or 2 * exclude_margin >= nx:
+        raise DomainError(f"exclude_margin {exclude_margin!r} incompatible with nx = {nx}")
+
+
+def _density_norm(density: np.ndarray, s, exclude_margin: int) -> float:
+    """The weighted norm from the row densities of ``_row_density`` over
+    the whole grid of s: the first and last exclude_margin rows are zeroed
+    (in place), and the rest are summed with the rule of ``_row_weights``."""
+    _check_margin(exclude_margin, s.grid.nx)
     if exclude_margin:
         density[:exclude_margin] = 0.0
         density[-exclude_margin:] = 0.0
@@ -358,6 +382,18 @@ _CENTRED_TAPS = {
 _BLOCK_FLOATS = 32768
 
 
+def _row_blocks(nx: int, width: int) -> list[tuple[int, int]]:
+    """Row ranges [a, b) covering nx rows of width float64 values each,
+    about ``_BLOCK_FLOATS`` values per range. No range is a lone row:
+    einsum, which the moments reduce blocks with, sums a lone row of more
+    than 8192 values in another order than a 2-D block."""
+    block = max(2, _BLOCK_FLOATS // width)
+    starts = list(range(0, nx, block))
+    if nx - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [nx]))
+
+
 def _x_stencil_blocks(values: np.ndarray, h: float, orders: tuple[int, ...]):
     """Grid derivatives along axis 0, streamed in blocks of rows: yield
     (a, b, derivs), derivs[k] holding rows a..b-1 of the derivative of
@@ -373,20 +409,16 @@ def _x_stencil_blocks(values: np.ndarray, h: float, orders: tuple[int, ...]):
     values = np.ascontiguousarray(values, dtype=complex)
     v = values.view(np.float64)
     nx, width = v.shape
-    # no lone-row block: einsum, which the moments reduce blocks with, sums
-    # a lone row of more than 8192 values in another order than a 2-D block
-    block = max(2, _BLOCK_FLOATS // width)
-    starts = list(range(0, nx, block))
-    if nx - starts[-1] == 1:
-        starts.pop()
-    term = np.empty((block + 1, width))
+    blocks = _row_blocks(nx, width)
+    rows = max(b - a for a, b in blocks)
+    term = np.empty((rows, width))
     stencils = [
         (12.0 * h, (_EDGE1_ROW0, _EDGE1_ROW1), -1.0, h) if order == 1
         else (12.0 * h * h, (_EDGE2_ROW0, _EDGE2_ROW1), 1.0, h * h)
         for order in orders
     ]
-    outs = [np.empty((block + 1, width // 2), dtype=complex) for _ in orders]
-    for a, b in zip(starts, starts[1:] + [nx]):
+    outs = [np.empty((rows, width // 2), dtype=complex) for _ in orders]
+    for a, b in blocks:
         lo = max(a, 2)
         hi = max(lo, min(b, nx - 2))
         for order, (divisor, head, flip, scale), out in zip(orders, stencils, outs):

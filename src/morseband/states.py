@@ -331,7 +331,7 @@ def landau_box(lp: LandauParams, p: PhysParams, nx: int, ny: int) -> tuple[PhysP
     return replace(p, a0=24.0 * r_c), grid
 
 
-_LANDAU_BLOCK = 1 << 16  # cells per block of the symmetric-gauge state's real factors
+_LANDAU_BLOCK = 1 << 16  # cells per block of rows of the symmetric-gauge state
 
 
 def landau_state_sym(n: int, l: int, p: PhysParams, grid: GridSpec) -> SampledState:
@@ -346,17 +346,19 @@ def landau_state_sym(n: int, l: int, p: PhysParams, grid: GridSpec) -> SampledSt
     yy = y[None, :]
     norm = math.exp(0.5 * (math.lgamma(n + 1.0) - math.lgamma(n + l + 1.0)) - 0.5 * math.log(math.pi))
     # norm/s * ((x + iy)/s)^l * exp(-rho2/4r_c^2) * L(rho2/2r_c^2), multiplied left to
-    # right in place, the real factors a block of rows at a time: the same roundings
-    # as the expression, and no full-grid temporary besides the values
-    values = xx + 1j * yy
-    values /= s
-    values **= l
-    np.multiply(norm / s, values, out=values)
+    # right in place a block of rows at a time: the same roundings as the
+    # expression, and no full-grid temporary besides the values
+    values = np.empty((grid.nx, grid.ny), dtype=complex)
+    iy = 1j * yy
     step = max(1, _LANDAU_BLOCK // grid.ny)
     for i in range(0, grid.nx, step):
         rows = xx[i : i + step]
-        rho2 = rows * rows + yy * yy
         block = values[i : i + step]
+        np.add(rows, iy, out=block)
+        block /= s
+        block **= l
+        np.multiply(norm / s, block, out=block)
+        rho2 = rows * rows + yy * yy
         block *= np.exp(-rho2 / (4.0 * r_c * r_c))
         block *= laguerre(n, float(l), rho2 / (2.0 * r_c * r_c))
     return SampledState(

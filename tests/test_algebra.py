@@ -8,6 +8,7 @@ eigen-residuals actually detect non-eigenstates.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import tracemalloc
@@ -176,47 +177,88 @@ class TestCommutators:
             commutator_residual(_state(0, 1, p), p, "h_minus")
 
 
+def _single_operator_rows(p, grid, n_max):
+    """The ladder-check rows as the operators applied on their own measure
+    them, each state built afresh and every image a whole array."""
+    want = []
+    for n in range(1, n_max + 1):
+        for l in range(n):
+            s = wavefunction(QuantumNumbers(l, n), p, grid)
+            c = math.sqrt((n + l + 1) * (n - l))
+            up = wavefunction(QuantumNumbers(l, n + 1), p, grid).values
+            raised = _relative_defect(apply_Lplus(s, p).values, up, s, c, c, _COMPOSED_MARGIN)
+            lowered = apply_Lminus(s, p).values
+            if n == l + 1:
+                lower = _relative_defect(lowered, s.values, s, 0.0, 1.0, _COMPOSED_MARGIN)
+            else:
+                c = math.sqrt((n + l) * (n - l - 1))
+                down = wavefunction(QuantumNumbers(l, n - 1), p, grid).values
+                lower = _relative_defect(lowered, down, s, c, c, _COMPOSED_MARGIN)
+            want.append(
+                {
+                    "l": l,
+                    "n": n,
+                    "raise_defect": raised,
+                    "lower_defect": lower,
+                    "casimir_residual": apply_casimir(s, p),
+                    "hamiltonian_residual": apply_hamiltonian(s, p),
+                }
+            )
+    return want
+
+
+# --config grids whose row blocks end raggedly: 256 rows a block at ny = 64
+# (1001 = 3*256 + 233, 4099 = 16*256 + 3), 1365 at ny = 12 and 2048 at
+# ny = 8; nx = 8 and 9 are too short for the residual margin and refused
+_CONFIG_GRIDS = [(nx, ny) for nx in (8, 9, 1001, 4099) for ny in (8, 12, 64)]
+
+
 class TestLadderCheck:
+    # sha256 of ladder-check output as the whole-array operators wrote it
+    PINNED = {
+        ("ladder-check", "--n-max", "4"):
+            "ff3bee822b0f89940207e05efabf26a6adfdab86463cd8b207873e74216b9f05",
+        ("--format", "json", "ladder-check", "--n-max", "2"):
+            "bb17acb92247ec7feac8b4b5c042f68426a88ee27e8303181d5f209bf29b41f0",
+    }
+
     def test_rows_are_the_single_operators_bits(self, p, tmp_path):
         # ladder-check shares each state's images and norm among its four
         # residuals; every printed value must still be the one measured by
         # the operators applied on their own
         out = tmp_path / "ladder.json"
         assert main(["--format", "json", "--out", str(out), "ladder-check", "--n-max", "3"]) == 0
-        want = []
-        for n in range(1, 4):
-            for l in range(n):
-                s = _state(l, n, p)
-                c = math.sqrt((n + l + 1) * (n - l))
-                up = _state(l, n + 1, p).values
-                raised = _relative_defect(apply_Lplus(s, p).values, up, s, c, c, _COMPOSED_MARGIN)
-                lowered = apply_Lminus(s, p).values
-                if n == l + 1:
-                    lower = _relative_defect(lowered, s.values, s, 0.0, 1.0, _COMPOSED_MARGIN)
-                else:
-                    c = math.sqrt((n + l) * (n - l - 1))
-                    down = _state(l, n - 1, p).values
-                    lower = _relative_defect(lowered, down, s, c, c, _COMPOSED_MARGIN)
-                want.append(
-                    {
-                        "l": l,
-                        "n": n,
-                        "raise_defect": raised,
-                        "lower_defect": lower,
-                        "casimir_residual": apply_casimir(s, p),
-                        "hamiltonian_residual": apply_hamiltonian(s, p),
-                    }
-                )
-        assert json.loads(out.read_text())["rows"] == want
+        assert json.loads(out.read_text())["rows"] == _single_operator_rows(p, algebra_grid(p), 3)
+
+    @pytest.mark.parametrize("nx, ny", _CONFIG_GRIDS, ids=[f"{nx}x{ny}" for nx, ny in _CONFIG_GRIDS])
+    def test_config_grid_rows_are_the_single_operators_bits(self, p, tmp_path, nx, ny):
+        grid = GridSpec(-2.0, 12.0, nx, ny)
+        config = tmp_path / "grid.cfg"
+        config.write_text(f"x_min=-2.0\nx_max=12.0\nnx={nx}\nny={ny}\n")
+        out = tmp_path / "ladder.json"
+        argv = ["--format", "json", "--config", str(config), "--out", str(out), "ladder-check", "--n-max", "2"]
+        if 2 * _COMPOSED_MARGIN >= nx:
+            with pytest.raises(DomainError):
+                _single_operator_rows(p, grid, 2)
+            assert main(argv) == 2
+            return
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["rows"] == _single_operator_rows(p, grid, 2)
+
+    @pytest.mark.parametrize("argv", sorted(PINNED))
+    def test_pinned_bytes(self, capsys, argv):
+        assert main(list(argv)) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == self.PINNED[argv]
 
     def test_peak_memory(self, tmp_path):
-        # 8192x64 complex cells are 8 MiB; --n-max 2 peaks at 56.2 MiB traced
-        # holding the current state, the one below, L+ of the one below and
-        # the images in use; keeping all five states of the request fails
+        # 8192x64 complex cells are 8 MiB; --n-max 2 peaks at 35.8 MiB traced
+        # streaming each state in two passes while holding the state, the
+        # one below, L- and L+ of the state; one more state-sized image fails
         tracemalloc.start()
         try:
             assert main(["--out", str(tmp_path / "ladder.csv"), "ladder-check", "--n-max", "2"]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 62 * 2**20
+        assert peak <= 42 * 2**20

@@ -7,6 +7,7 @@ strip-grid inner product and the finite-difference stencils directly.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -30,7 +31,7 @@ from morseband import (
     integrate_semi_infinite_u,
     weighted_norm,
 )
-from morseband.quadrature import _grid_gram
+from morseband.quadrature import _grid_gram, _row_blocks, _row_density, _row_weights
 
 mpmath.mp.dps = 30
 
@@ -202,12 +203,50 @@ class TestGridInnerProduct:
                 weighted_norm(np.ones(shape, dtype=complex), s)
 
     def test_weighted_norm_refuses_non_finite_values(self):
-        s = _flat_state(16, 8, lambda x: x)
-        for bad in (np.inf, -np.inf, np.nan):
-            values = np.ones((16, 8), dtype=complex)
-            values[0, 3] = bad
-            with pytest.raises(RangeError):
-                weighted_norm(values, s, exclude_margin=2)
+        # 1001 rows of 64 cells are reduced 256 rows at a time; a non-finite
+        # cell in the first, a middle or the last block is refused before it
+        # is multiplied, so no numpy warning is raised on the way
+        s = _flat_state(1001, 64, lambda x: x)
+        for row in (0, 300, 1000):
+            for bad in (np.inf, -np.inf, np.nan, complex(0.0, np.inf)):
+                values = np.ones((1001, 64), dtype=complex)
+                values[row, 3] = bad
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(RangeError):
+                        weighted_norm(values, s, exclude_margin=2)
+
+    @pytest.mark.parametrize("nx, ny", [(16, 8), (1001, 64), (4099, 12), (17, 16400)])
+    def test_weighted_norm_is_the_whole_array_formula(self, nx, ny):
+        # the norm is reduced a block of rows at a time (ragged last blocks
+        # here, and two-row blocks at ny = 16400); it must give the bits of
+        # the formula on the whole array, the weight underflowing to 0 on
+        # the first rows
+        rng = np.random.default_rng(nx + ny)
+        x = np.linspace(-1.0, 1.0, nx)
+        weight = np.exp(-4.0 * x**2)
+        weight[:3] = 0.0
+        s = SampledState(
+            grid=GridSpec(-1.0, 1.0, nx, ny),
+            x=x,
+            y=np.arange(ny) / ny,
+            values=rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny)),
+            weight=weight,
+            y_period=1.0,
+        )
+        root_w = np.sqrt(s.weight)
+        for values in (s.values, s.values.real.copy()):
+            amp = values * root_w[:, None]
+            whole = np.sum(amp.real**2 + amp.imag**2, axis=1)
+            for a, b in _row_blocks(nx, 2 * ny):
+                assert np.array_equal(_row_density(values[a:b], root_w[a:b]), whole[a:b])
+            for margin in (0, 1, 4, (nx - 1) // 2):
+                density = whole.copy()
+                if margin:
+                    density[:margin] = 0.0
+                    density[-margin:] = 0.0
+                want = math.sqrt(max(float(np.sum(_row_weights(s) * density)), 0.0))
+                assert weighted_norm(values, s, exclude_margin=margin) == want
 
     def test_grid_mismatch_raises(self):
         a = _flat_state(16, 8, lambda x: x)
