@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, RangeError
 from .model import PhysParams, QuantumNumbers, energy
 from .quadrature import (
     FD_MARGIN,
@@ -270,12 +270,13 @@ def _state_densities(
       L3 (L3 v) block by block and reduces the Casimir and Hamiltonian
       defects against eigenvalues (C's, H's) times v.
 
-    Returns the five densities in that order and L+ v. With eigenvalues
-    None (the state above n_max, built for its raise defect alone) only
-    the first two are reduced and no derivative is taken.
+    Returns the five densities in that order and L+ v; a density not
+    reduced is zero. With eigenvalues None (the state above n_max, built
+    for its raise defect alone) only the first two are reduced and no
+    derivative is taken.
     """
     v, root_w = s.values, np.sqrt(s.weight)
-    density = np.empty((5, s.grid.nx))
+    density = np.zeros((5, s.grid.nx))
     top = eigenvalues is None
     lowered = upper = None
     if not top:
@@ -326,9 +327,15 @@ def _ladder_table(p: PhysParams, grid: GridSpec, n_max: int) -> list[tuple]:
             _check_margin(m, grid.nx)
             coeff = math.sqrt((n + l) * (n - l - 1))
             eigenvalues = None if n > n_max else (-float(l * (l + 1)), energy(s.labels, p))
-            density, upper = _state_densities(
-                s, _frame(s, p), coeff, raised, None if below is None else below[0], eigenvalues
-            )
+            # an overflowing image is refused by the finiteness tests, not warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                density, upper = _state_densities(
+                    s, _frame(s, p), coeff, raised, None if below is None else below[0], eigenvalues
+                )
+            if not np.all(np.isfinite(density)):
+                raise RangeError(
+                    "ladder residuals overflow on this grid; shrink the window on the growing side"
+                )
             norm = _density_norm(density[0], s, m)
             if raised is not None:
                 rows[n - 1, l][2] = _density_norm(density[1], s, m) / (coeff * norm)

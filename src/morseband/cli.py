@@ -8,7 +8,10 @@ degeneracy scan that disagrees with its divisor-pair census), 2
 configuration error, 3 I/O error.
 
 Tables honor --format csv|json; ``verify`` always emits JSON and
-``export`` always emits CSV, since those are their defined shapes.
+``export`` always emits CSV, since those are their defined shapes. Every
+table is written from named column arrays, in either format, by one
+vectorised field writer: each block of rows is laid out as a byte matrix
+from a fixed line template and the columns' fields (``_table_output``).
 """
 
 from __future__ import annotations
@@ -77,22 +80,6 @@ class RunConfig:
 
 def _fmt_float(v: float) -> str:
     return format(float(v), ".16e")
-
-
-def _fmt_cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, float):
-        return _fmt_float(v)
-    return str(v)
-
-
-def _csv_block(header: tuple[str, ...], rows: list[tuple]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt_cell(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
 
 
 def _json_text(obj, indent: int = 0) -> str:
@@ -164,15 +151,17 @@ def _printed_density(values: np.ndarray) -> np.ndarray:
     return density
 
 
-def _table_output(cfg: RunConfig, command: str, header: tuple[str, ...], rows: list[tuple]) -> None:
+def _table_output(cfg: RunConfig, command: str, **tables: dict[str, np.ndarray]) -> None:
+    """Write named tables of equal-length columns (an integer column is
+    non-negative). CSV writes each table's header line and rows, a blank
+    line between tables. JSON writes one object of the command name and
+    each table as a list of row objects, keys sorted (see ``_json_rows``)."""
     if cfg.output_format == "json":
-        payload = {
-            "command": command,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        _emit(cfg, [_json_text(payload) + "\n"])
+        members = {name: _json_rows(columns) for name, columns in tables.items()}
+        _emit(cfg, _json_document({"command": [json.dumps(command)], **members}))
     else:
-        _emit(cfg, [_csv_block(header, rows)])
+        texts = [_csv_table(columns) for columns in tables.values()]
+        _emit(cfg, itertools.chain(texts[0], *(itertools.chain(["\n"], t) for t in texts[1:])))
 
 
 # ---------------------------------------------------------------- config
@@ -259,17 +248,18 @@ def _cmd_spectrum(args: argparse.Namespace, cfg: RunConfig) -> int:
     order = np.lexsort((table.l, table.n))
     order = order[table.l[order] <= l_max]
     l, n, product, multiplicity = (a[order] for a in (table.l, table.n, product, multiplicity))
-    columns = (l, n, n - l - 1, product, product * cfg.params.energy_scale, multiplicity)
-    header = ("l", "n", "N", "product", "energy", "multiplicity")
-    if cfg.output_format == "json":
-        _table_output(cfg, "spectrum", header, list(zip(*(c.tolist() for c in columns))))
-    else:
-        # formatted _BLOCK_LINES rows at a time: no byte matrix of the whole table
-        lines = (
-            _csv_lines(c[i : i + _BLOCK_LINES] for c in columns)
-            for i in range(0, len(l), _BLOCK_LINES)
-        )
-        _emit(cfg, itertools.chain([",".join(header) + "\n"], lines))
+    _table_output(
+        cfg,
+        "spectrum",
+        rows={
+            "l": l,
+            "n": n,
+            "N": n - l - 1,
+            "product": product,
+            "energy": product * cfg.params.energy_scale,
+            "multiplicity": multiplicity,
+        },
+    )
     return 0
 
 
@@ -277,24 +267,19 @@ def _cmd_degeneracy(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.n_max < 1:
         raise ConfigError(f"--n-max must be >= 1, got {args.n_max}")
     table = degeneracy_scan(args.n_max)
-    histogram = np.unique(table.multiplicities, return_counts=True)
+    multiplicity, count = np.unique(table.multiplicities, return_counts=True)
     if cfg.output_format == "json":
-        levels = list(zip(table.l.tolist(), table.n.tolist()))
-        classes = []
-        end = 0
-        for product, m in zip(table.products.tolist(), table.multiplicities.tolist()):
-            end += m
-            classes.append({"product": product, "multiplicity": m, "states": levels[end - m : end]})
-        payload = {
-            "command": "degeneracy",
-            "histogram": {str(k): count for k, count in zip(*(a.tolist() for a in histogram))},
-            "classes": classes,
+        histogram = dict(zip(map(str, multiplicity.tolist()), count.tolist()))
+        members = {
+            "classes": _json_list(_class_blocks(table, "json")),
+            "command": [json.dumps("degeneracy")],
+            "histogram": [_json_text(histogram, 1)],
         }
-        _emit(cfg, [_json_text(payload) + "\n"])
+        _emit(cfg, _json_document(members))
     else:
-        text = "multiplicity,count\n" + _csv_lines(histogram)
-        text += "\nproduct,multiplicity,states\n" + _class_lines(table)
-        _emit(cfg, [text])
+        histogram = _csv_table({"multiplicity": multiplicity, "count": count})
+        head = ["\nproduct,multiplicity,states\n"]
+        _emit(cfg, itertools.chain(histogram, head, _class_blocks(table, "csv")))
     return 0
 
 
@@ -305,12 +290,10 @@ def _cmd_wavefunction(args: argparse.Namespace, cfg: RunConfig) -> int:
     s = wavefunction(q, cfg.params, dataclasses.replace(grid, ny=8))
     phase = cmath.exp(1j * args.n * cfg.params.kappa * s.y[0])
     density = _printed_density(s.values[:, 0])
-    radial = s.values[:, 0] * phase
-    rows = [
-        (float(s.x[i]), float(radial[i].real), float(density[i]), float(s.weight[i]))
-        for i in range(grid.nx)
-    ]
-    _table_output(cfg, "wavefunction", ("x", "radial", "density", "weight"), rows)
+    radial = (s.values[:, 0] * phase).real
+    _table_output(
+        cfg, "wavefunction", rows={"x": s.x, "radial": radial, "density": density, "weight": s.weight}
+    )
     return 0
 
 
@@ -319,12 +302,8 @@ def _cmd_ladder_check(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise ConfigError(f"--n-max must be >= 1, got {args.n_max}")
     p = cfg.params
     rows = _ladder_table(p, cfg.grid or algebra_grid(p), args.n_max)
-    _table_output(
-        cfg,
-        "ladder-check",
-        ("l", "n", "raise_defect", "lower_defect", "casimir_residual", "hamiltonian_residual"),
-        rows,
-    )
+    names = ("l", "n", "raise_defect", "lower_defect", "casimir_residual", "hamiltonian_residual")
+    _table_output(cfg, "ladder-check", rows=dict(zip(names, map(np.array, zip(*rows)))))
     return 0
 
 
@@ -335,23 +314,14 @@ def _cmd_coherent(args: argparse.Namespace, cfg: RunConfig) -> int:
     # only column 0 (y = -a0/2 on every grid) is printed: build the fewest columns
     s = bg_state_closed(spec, cfg.params, dataclasses.replace(grid, ny=8))
     density = _printed_density(s.values[:, 0])
-    state_rows = [
-        (float(s.x[i]), float(density[i]), float(s.weight[i])) for i in range(grid.nx)
-    ]
-    measure_rows = [
-        (r, bg_measure_density(args.l, r)) for r in (i / 10.0 for i in range(1, 101))
-    ]
-    if cfg.output_format == "json":
-        payload = {
-            "command": "coherent",
-            "state": [dict(zip(("x", "density", "weight"), row)) for row in state_rows],
-            "measure": [dict(zip(("r", "measure_density"), row)) for row in measure_rows],
-        }
-        _emit(cfg, [_json_text(payload) + "\n"])
-    else:
-        text = _csv_block(("x", "density", "weight"), state_rows)
-        text += "\n" + _csv_block(("r", "measure_density"), measure_rows)
-        _emit(cfg, [text])
+    r = np.arange(1, 101) / 10.0
+    measure = np.array([bg_measure_density(args.l, v) for v in r.tolist()])
+    _table_output(
+        cfg,
+        "coherent",
+        state={"x": s.x, "density": density, "weight": s.weight},
+        measure={"r": r, "measure_density": measure},
+    )
     return 0
 
 
@@ -359,19 +329,21 @@ def _cmd_uncertainty(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.l_max < 0:
         raise ConfigError(f"--l-max must be >= 0, got {args.l_max}")
     p = cfg.params
-    hbar2 = p.hbar**2
-    rows = []
-    for l in range(args.l_max + 1):
-        for N in range(3):
-            q = QuantumNumbers(l, l + 1 + N)
-            closed = moments_closed(q, p).delta / hbar2
-            quad = moments_quadrature(q, p, cfg.grid).delta / hbar2
-            rows.append((l, N, closed, quad, _LIMIT_TARGETS[N]))
+    levels = [QuantumNumbers(l, l + 1 + N) for l in range(args.l_max + 1) for N in range(3)]
+    closed, quadrature = np.array(
+        [(moments_closed(q, p).delta, moments_quadrature(q, p, cfg.grid).delta) for q in levels]
+    ).T / p.hbar**2
+    N = np.array([q.N for q in levels])
     _table_output(
         cfg,
         "uncertainty",
-        ("l", "N", "delta_closed", "delta_quadrature", "delta_limit_target"),
-        rows,
+        rows={
+            "l": np.array([q.l for q in levels]),
+            "N": N,
+            "delta_closed": closed,
+            "delta_quadrature": quadrature,
+            "delta_limit_target": np.array(_LIMIT_TARGETS)[N],
+        },
     )
     return 0
 
@@ -386,27 +358,22 @@ def _cmd_landau_limit(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.N < 0:
         raise ConfigError(f"--N must be >= 0, got {args.N}")
     p = cfg.params
-    rows = []
-    for l in schedule:
-        a0 = landau_a0(l, p)
-        p_l = dataclasses.replace(p, a0=a0)
-        e_model = energy(QuantumNumbers(l, l + 1 + args.N), p_l)
-        e_landau = landau_energy(args.N, p)
-        rows.append(
-            (
-                l,
-                a0,
-                e_model,
-                e_landau,
-                landau_limit_error(args.N, l, p),
-                (2.0 * args.N + 3.0) / (4.0 * l),
-            )
-        )
+    a0 = [landau_a0(l, p) for l in schedule]
+    e_model = [
+        energy(QuantumNumbers(l, l + 1 + args.N), dataclasses.replace(p, a0=a))
+        for l, a in zip(schedule, a0)
+    ]
     _table_output(
         cfg,
         "landau-limit",
-        ("l", "a0", "energy_model", "energy_landau", "rel_error", "predicted"),
-        rows,
+        rows={
+            "l": np.array(schedule),
+            "a0": np.array(a0),
+            "energy_model": np.array(e_model),
+            "energy_landau": np.full(len(schedule), landau_energy(args.N, p)),
+            "rel_error": np.array([landau_limit_error(args.N, l, p) for l in schedule]),
+            "predicted": (2.0 * args.N + 3.0) / (4.0 * np.array(schedule, dtype=float)),
+        },
     )
     return 0
 
@@ -507,8 +474,9 @@ def _scaled_digits(m: np.ndarray, e: np.ndarray, E: np.ndarray) -> tuple[np.ndar
     return whole.astype(np.int64) + step.astype(np.int64), tail - step
 
 
-def _e17_fields(v) -> np.ndarray:
-    """The bytes of ``format(v, ".16e")`` for every cell of a float block.
+def _e17_fields(v, quote: bool = False) -> np.ndarray:
+    """The bytes of ``format(v, ".16e")`` for every cell of a float block;
+    with quote, a non-finite cell's text is written as a JSON string.
 
     Returns an array of shape ``v.shape + (_FIELD,)`` of uint8, each text
     left-aligned on its sign slot: a positive number leaves byte 0 zero
@@ -567,6 +535,8 @@ def _e17_fields(v) -> np.ndarray:
     out[:, 19:] = tails[np.clip(E, _E_MIN, _E_MAX) - _E_MIN]
     for i in np.flatnonzero(~finite | (nonzero & unproven)):
         text = format(float(flat[i]), ".16e").encode()
+        if quote and not finite[i]:
+            text = b'"' + text + b'"'
         out[i] = 0
         out[i, : len(text)] = np.frombuffer(text, np.uint8)
     return out.reshape(v.shape + (_FIELD,))
@@ -576,23 +546,11 @@ def _int_fields(v: np.ndarray) -> np.ndarray:
     """The decimal text of every non-negative integer of a 1-d array, one
     uint8 row each, right-aligned in the width of the largest; the leading
     zero digits are zero bytes."""
-    powers = 10 ** np.arange(len(str(int(v.max()))) - 1, -1, -1, dtype=v.dtype)
+    powers = 10 ** np.arange(len(str(int(v.max(initial=0)))) - 1, -1, -1, dtype=v.dtype)
     v = v[:, None]
     digits = (v // powers % 10 + ord("0")).astype(np.uint8)
     digits[(v < powers) & (powers > 1)] = 0
     return digits
-
-
-def _joined(fields: Iterable[np.ndarray], sep: bytes) -> np.ndarray:
-    """Field blocks side by side, each followed by its byte of ``sep``."""
-    fields = list(fields)
-    out = np.zeros((len(fields[0]), sum(f.shape[1] + 1 for f in fields)), np.uint8)
-    at = 0
-    for f, byte in zip(fields, sep):
-        out[:, at : at + f.shape[1]] = f
-        out[:, at + f.shape[1]] = byte
-        at += f.shape[1] + 1
-    return out
 
 
 def _text(slots: np.ndarray) -> str:
@@ -600,29 +558,119 @@ def _text(slots: np.ndarray) -> str:
     return slots.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _csv_lines(columns: Iterable[np.ndarray]) -> str:
-    """The CSV lines of equal-length columns, byte for byte what
-    ``_csv_block`` writes: a float column as ``format(v, ".16e")`` (see
-    ``_e17_fields``), an integer column (non-negative) as ``str``."""
-    columns = list(columns)
-    fields = (_e17_fields(c) if c.dtype.kind == "f" else _int_fields(c) for c in columns)
-    return _text(_joined(fields, b"," * (len(columns) - 1) + b"\n"))
+def _fields(column: np.ndarray, quote: bool) -> np.ndarray:
+    """A float column as ``format(v, ".16e")`` writes it (see ``_e17_fields``;
+    with quote, a non-finite value as a JSON string), an integer column
+    (non-negative) as ``str`` does."""
+    return _e17_fields(column, quote) if column.dtype.kind == "f" else _int_fields(column)
 
 
-def _class_lines(table: DegeneracyTable) -> str:
-    """The CSV lines ``product,multiplicity,l:n;l:n;...`` of every class.
+def _filled(template: list, columns: dict[str, np.ndarray], quote: bool = False) -> np.ndarray:
+    """One zero-padded line of bytes per row: the template's literals
+    (bytes, the same on every line) and the ``_fields`` of its named
+    columns (str) side by side."""
+    n = len(next(iter(columns.values())))
+    return np.hstack([
+        np.broadcast_to(np.frombuffer(part, np.uint8), (n, len(part))) if isinstance(part, bytes)
+        else _fields(columns[part], quote)
+        for part in template
+    ])
 
-    One row per level: the class's first level also carries its product
-    and multiplicity, and its last level ends the line.
-    """
+
+def _table_blocks(template: list, columns: dict[str, np.ndarray], quote: bool = False) -> Iterator[str]:
+    """The text of every row of equal-length columns laid out by a
+    template (see ``_filled``), ``_BLOCK_LINES`` rows to a block, so the
+    byte matrices stay small beside the text already written."""
+    n = len(next(iter(columns.values())))
+    for i in range(0, n, _BLOCK_LINES):
+        block = {name: c[i : i + _BLOCK_LINES] for name, c in columns.items()}
+        yield _text(_filled(template, block, quote))
+
+
+def _csv_table(columns: dict[str, np.ndarray]) -> Iterator[str]:
+    """A CSV table: the header line of the column names, then one line per row."""
+    template = []
+    for name in columns:
+        template += [name, b","]
+    template[-1] = b"\n"
+    yield ",".join(columns) + "\n"
+    yield from _table_blocks(template, columns)
+
+
+def _json_list(items: Iterator[str]) -> Iterator[str]:
+    """A list at depth 1 of a JSON document, from the text blocks of its
+    items, each item followed by a comma; the last item's is dropped."""
+    held = next(items, None)
+    if held is None:
+        yield "[]"
+        return
+    yield "["
+    for block in items:
+        yield held
+        held = block
+    yield held[:-1] + "\n  ]"
+
+
+def _json_rows(columns: dict[str, np.ndarray]) -> Iterator[str]:
+    """The rows of equal-length columns as a list of JSON objects at depth 1,
+    laid out as ``_json_text`` lays it out: keys sorted, two-space indent,
+    and a non-finite float as the string "inf", "-inf" or "nan"."""
+    template = [b"\n    {"]
+    for key in sorted(columns):
+        template += [f"\n      {json.dumps(key)}: ".encode(), key, b","]
+    template[-1] = b"\n    },"
+    return _json_list(_table_blocks(template, columns, quote=True))
+
+
+def _json_document(members: dict[str, Iterable[str]]) -> Iterator[str]:
+    """A JSON object laid out as ``_json_text`` lays it out, keys sorted,
+    each member's value given as its text blocks, and a final newline."""
+    lead = "{"
+    for key in sorted(members):
+        yield f"{lead}\n  {json.dumps(key)}: "
+        yield from members[key]
+        lead = ","
+    yield "\n}\n"
+
+
+# A degeneracy class is written one level per line of bytes: the class's
+# head on its first level, the level, and one of two endings, the second
+# on its last level. Templates as in ``_filled``.
+_CLASS_LAYOUTS = {
+    "csv": (["product", b",", "multiplicity", b","], ["l", b":", "n"], (b";", b"\n")),
+    "json": (
+        [
+            b'\n    {\n      "multiplicity": ', "multiplicity",
+            b',\n      "product": ', "product", b',\n      "states": [',
+        ],
+        [b"\n        [\n          ", "l", b",\n          ", "n", b"\n        ]"],
+        (b",", b"\n      ]\n    },"),
+    ),
+}
+
+
+def _class_blocks(table: DegeneracyTable, form: str) -> Iterator[str]:
+    """Every degeneracy class, ``_BLOCK_LINES`` levels to a text block: in
+    CSV one line ``product,multiplicity,l:n;l:n;...`` per class, in JSON
+    the items of the ``classes`` list (for ``_json_list``), each an object
+    of product, multiplicity and the [l, n] pairs of its states."""
+    head, level, endings = _CLASS_LAYOUTS[form]
+    width = max(map(len, endings))
+    endings = np.frombuffer(b"".join(e.ljust(width, b"\0") for e in endings), np.uint8)
+    endings = endings.reshape(2, width)
     ends = np.cumsum(table.multiplicities)
     starts = ends - table.multiplicities
-    slots = _joined((_int_fields(table.l), _int_fields(table.n)), b":;")
-    slots[ends - 1, -1] = ord("\n")
-    heads = _joined((_int_fields(table.products), _int_fields(table.multiplicities)), b",,")
-    lead = np.zeros((len(slots), heads.shape[1]), np.uint8)
-    lead[starts] = heads
-    return _text(np.hstack((lead, slots)))
+    is_last = np.zeros(len(table.l), np.intp)
+    is_last[ends - 1] = 1
+    for a in range(0, len(table.l), _BLOCK_LINES):
+        b = min(a + _BLOCK_LINES, len(table.l))
+        opened = slice(*np.searchsorted(starts, (a, b)))
+        classes = {"product": table.products[opened], "multiplicity": table.multiplicities[opened]}
+        heads = _filled(head, classes)
+        leads = np.zeros((b - a, heads.shape[1]), np.uint8)
+        leads[starts[opened] - a] = heads
+        levels = _filled(level, {"l": table.l[a:b], "n": table.n[a:b]})
+        yield _text(np.hstack((leads, levels, endings[is_last[a:b]])))
 
 
 def _export_rows(s: SampledState) -> Iterator[str]:

@@ -9,7 +9,9 @@ with one concrete trigger per code.
 """
 
 import argparse
+import cmath
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -20,6 +22,7 @@ import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,17 +38,82 @@ from morseband import (
     QuantumNumbers,
     SampledState,
     __version__,
+    algebra,
+    bg_measure_density,
     bg_state_closed,
     cli,
     default_coherent_grid,
     default_grid,
     degeneracy_scan,
     energy,
+    landau_a0,
+    landau_energy,
+    landau_limit_error,
     model,
+    moments_closed,
+    moments_quadrature,
     spectrum_product,
     wavefunction,
 )
-from morseband.cli import _json_text, main
+from morseband.cli import main
+
+
+# The referee: the per-cell text writers the table commands used before they
+# were written from column arrays, kept here verbatim. Every table byte the
+# commands write is checked against them.
+
+
+def _fmt_float(v: float) -> str:
+    return format(float(v), ".16e")
+
+
+def _fmt_cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, float):
+        return _fmt_float(v)
+    return str(v)
+
+
+def _csv_block(header: tuple[str, ...], rows: list[tuple]) -> str:
+    lines = [",".join(header)]
+    lines.extend(",".join(_fmt_cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _json_text(obj, indent: int = 0) -> str:
+    """Deterministic JSON: sorted keys, floats at 17 significant digits.
+
+    JSON has no literal for a non-finite number, so inf, -inf and nan are
+    written as the strings "inf", "-inf" and "nan".
+    """
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f"{inner}{json.dumps(str(k))}: {_json_text(v, indent + 1)}"
+            for k, v in sorted(obj.items())
+        ]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{inner}{_json_text(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, float):
+        text = _fmt_float(obj)
+        return text if math.isfinite(obj) else json.dumps(text)
+    if obj is None:
+        return "null"
+    return json.dumps(str(obj))
 
 
 def run(tmp_path, *argv, name="out.txt"):
@@ -190,6 +258,17 @@ class TestExitCodes:
             assert main(["--config", str(config), "uncertainty", "--l-max", "0"]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_overflowing_ladder_grid_is_two_without_a_warning(self, tmp_path, capsys):
+        # on the same window the x-stencils and y-FFTs of ladder-check's
+        # images overflow at the left edge; the streamed images must be
+        # refused without a numpy warning
+        config = tmp_path / "grid.cfg"
+        config.write_text("x_min=-708.5\nx_max=10.0\nnx=4096\nny=8\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", str(config), "ladder-check", "--n-max", "1"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_unwritable_out_is_three(self):
         code = main(["--out", "/nonexistent-dir/x.csv", "spectrum"])
         assert code == 3
@@ -239,7 +318,7 @@ class TestJsonText:
         assert not (tmp_path / "out.txt").exists()
 
     def test_every_non_finite_float_has_its_own_string(self):
-        text = _json_text({"values": [math.inf, -math.inf, math.nan, 0.5]})
+        text = cli._json_text({"values": [math.inf, -math.inf, math.nan, 0.5]})
         assert json.loads(text)["values"] == ["inf", "-inf", "nan", 0.5]
 
 
@@ -327,8 +406,8 @@ def _loop_degeneracy(n_max: int, fmt: str) -> str:
     classes = [
         (r.product, r.multiplicity, ";".join(f"{q.l}:{q.n}" for q in r.states)) for r in reports
     ]
-    text = cli._csv_block(("multiplicity", "count"), [(k, histogram[k]) for k in sorted(histogram)])
-    return text + "\n" + cli._csv_block(("product", "multiplicity", "states"), classes)
+    text = _csv_block(("multiplicity", "count"), [(k, histogram[k]) for k in sorted(histogram)])
+    return text + "\n" + _csv_block(("product", "multiplicity", "states"), classes)
 
 
 def _command_text(handler, fmt: str, p: PhysParams, **argv) -> str:
@@ -380,7 +459,7 @@ class TestScanTables:
         if fmt == "json":
             want = _json_text({"command": "spectrum", "rows": [dict(zip(header, r)) for r in rows]}) + "\n"
         else:
-            want = cli._csv_block(header, rows)
+            want = _csv_block(header, rows)
         got = _command_text(cli._cmd_spectrum, fmt, p, n_max=n_max, l_max=l_max)
         assert got == want
 
@@ -402,6 +481,144 @@ class TestScanTables:
         finally:
             tracemalloc.stop()
         assert peak <= 65 * 2**20
+
+
+# a window whose nx = 2501 rows fill one block of the table writer and part of a second
+RAGGED_GRID = GridSpec(-2.0, 12.0, 2501, 12)
+TABLE_COMMANDS = (
+    "spectrum", "degeneracy", "wavefunction", "ladder-check", "coherent", "uncertainty", "landau-limit"
+)
+
+
+def _referee_tables(command: str, p: PhysParams, grid: GridSpec | None) -> list[tuple]:
+    """The tables of a command at its defaults as (name, header, rows), each
+    row computed by the library one level or one grid row at a time, as the
+    commands computed them before they were written from column arrays."""
+    if command == "spectrum":
+        return [("rows", ("l", "n", "N", "product", "energy", "multiplicity"), _loop_spectrum(6, None, p))]
+    if command == "wavefunction":
+        s = wavefunction(QuantumNumbers(0, 1), p, grid or default_grid(p))
+        radial = s.values[:, 0] * cmath.exp(1j * p.kappa * s.y[0])
+        rows = [
+            (float(s.x[i]), float(radial[i].real), float(abs(s.values[i, 0]) ** 2), float(s.weight[i]))
+            for i in range(s.grid.nx)
+        ]
+        return [("rows", ("x", "radial", "density", "weight"), rows)]
+    if command == "ladder-check":
+        rows = algebra._ladder_table(p, grid or algebra.algebra_grid(p), 4)
+        header = ("l", "n", "raise_defect", "lower_defect", "casimir_residual", "hamiltonian_residual")
+        return [("rows", header, rows)]
+    if command == "coherent":
+        s = bg_state_closed(CoherentSpec(0, complex(1.0, 0.0)), p, grid or default_coherent_grid(p))
+        state = [
+            (float(s.x[i]), float(abs(s.values[i, 0]) ** 2), float(s.weight[i])) for i in range(s.grid.nx)
+        ]
+        measure = [(r, bg_measure_density(0, r)) for r in (i / 10.0 for i in range(1, 101))]
+        return [("state", ("x", "density", "weight"), state), ("measure", ("r", "measure_density"), measure)]
+    if command == "uncertainty":
+        rows = []
+        for l in range(5):
+            for N in range(3):
+                q = QuantumNumbers(l, l + 1 + N)
+                closed = moments_closed(q, p).delta / p.hbar**2
+                quadrature = moments_quadrature(q, p, grid).delta / p.hbar**2
+                rows.append((l, N, closed, quadrature, (0.25, 2.25, 6.25)[N]))
+        return [("rows", ("l", "N", "delta_closed", "delta_quadrature", "delta_limit_target"), rows)]
+    assert command == "landau-limit"
+    rows = []
+    for l in (10, 100, 1000, 10000):
+        a0 = landau_a0(l, p)
+        e_model = energy(QuantumNumbers(l, l + 1), dataclasses.replace(p, a0=a0))
+        rows.append((l, a0, e_model, landau_energy(0, p), landau_limit_error(0, l, p), 3.0 / (4.0 * l)))
+    return [("rows", ("l", "a0", "energy_model", "energy_landau", "rel_error", "predicted"), rows)]
+
+
+def _referee_text(command: str, fmt: str, tables: list[tuple]) -> str:
+    if command == "degeneracy":
+        return _loop_degeneracy(100, fmt)
+    if fmt == "json":
+        payload = {name: [dict(zip(header, r)) for r in rows] for name, header, rows in tables}
+        return _json_text({"command": command, **payload}) + "\n"
+    return "\n".join(_csv_block(header, rows) for _, header, rows in tables)
+
+
+_SPECIAL_FLOATS = (
+    0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1.7976931348623157e308, -1e-300,
+    1e300, 1e-14, 1e100, math.inf, -math.inf, math.nan, 1 + 2**-17, -1 - 3 * 2**-17,
+)
+
+
+class TestTableWriter:
+    """Every table command writes CSV and JSON from column arrays through
+    one field writer; the referee above defines every byte."""
+
+    @pytest.mark.parametrize("ragged", [False, True], ids=["defaults", "ragged"])
+    @pytest.mark.parametrize("command", TABLE_COMMANDS)
+    def test_every_table_is_the_referee(self, tmp_path, command, ragged):
+        config, grid = [], None
+        if ragged:
+            grid = RAGGED_GRID
+            assert grid.nx > cli._BLOCK_LINES and grid.nx % cli._BLOCK_LINES
+            (tmp_path / "grid.cfg").write_text(
+                f"x_min={grid.x_min!r}\nx_max={grid.x_max!r}\nnx={grid.nx}\nny={grid.ny}\n"
+            )
+            config = ["--config", str(tmp_path / "grid.cfg")]
+        tables = None if command == "degeneracy" else _referee_tables(command, PhysParams.natural(), grid)
+        for fmt in ("csv", "json"):
+            code, blob = run(tmp_path, *config, "--format", fmt, command)
+            assert code == 0
+            assert blob.decode() == _referee_text(command, fmt, tables)
+            if fmt == "json":
+                json.loads(blob)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_rows_are_the_referee(self, data):
+        # float and non-negative int columns under unsorted names, in blocks
+        # of 1 to 8 rows so that tables end in ragged blocks
+        keys = st.sampled_from(("N", "a0", "energy", "l", "n", "weight", "x"))
+        names = data.draw(st.lists(keys, min_size=1, max_size=5, unique=True))
+        n = data.draw(st.integers(0, 20))
+        floats = st.floats(allow_subnormal=True) | st.sampled_from(_SPECIAL_FLOATS)
+        kinds = st.sampled_from(((floats, float), (st.integers(0, 2**63 - 1), np.int64)))
+        columns = {}
+        for name in names:
+            values, dtype = data.draw(kinds)
+            columns[name] = np.array(data.draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
+        rows = list(zip(*(columns[name].tolist() for name in names)))
+        with mock.patch.object(cli, "_BLOCK_LINES", data.draw(st.integers(1, 8))):
+            members = {"command": [json.dumps("t")], "rows": cli._json_rows(columns)}
+            text = "".join(cli._json_document(members))
+            csv = "".join(cli._csv_table(columns))
+        assert text == _json_text({"command": "t", "rows": [dict(zip(names, r)) for r in rows]}) + "\n"
+        assert csv == _csv_block(tuple(names), rows)
+        back = json.loads(text)["rows"]
+        assert len(back) == n
+        for row, parsed in zip(rows, back):
+            for name, v in zip(names, row):
+                want = v if not isinstance(v, float) or math.isfinite(v) else format(v, ".16e")
+                assert repr(parsed[name]) == repr(want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_max=st.integers(1, 30), block=st.integers(1, 8), fmt=st.sampled_from(("csv", "json")))
+    def test_classes_across_blocks_are_the_referee(self, n_max, block, fmt):
+        # blocks of a few levels split classes, open and close them mid-block
+        with mock.patch.object(cli, "_BLOCK_LINES", block):
+            got = _command_text(cli._cmd_degeneracy, fmt, PhysParams.natural(), n_max=n_max)
+        assert got == _loop_degeneracy(n_max, fmt)
+
+    def test_json_table_peak_memory(self, tmp_path):
+        # the 320k rows at --n-max 800 make a 46 MiB file; written in row
+        # blocks the command peaks at 16.3 MiB traced (15.8 in csv), against
+        # 318.9 MiB as one list of row dicts and one string
+        tracemalloc.start()
+        try:
+            argv = ["--format", "json", "--out", str(tmp_path / "spectrum.json"), "spectrum", "--n-max", "800"]
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2**20
 
 
 class TestLandauLimit:
@@ -482,7 +699,7 @@ class TestReportCommands:
         phase = complex(np.exp(1j * q.n * p.kappa * s.y[0]))
         radial = s.values[:, 0] * phase
         density = cli._density(s.values[:, 0])
-        want = cli._csv_block(
+        want = _csv_block(
             ("x", "radial", "density", "weight"),
             [(float(s.x[i]), float(radial[i].real), float(density[i]), float(s.weight[i])) for i in range(s.grid.nx)],
         )
@@ -492,7 +709,7 @@ class TestReportCommands:
         s = bg_state_closed(CoherentSpec(2, complex(0.9, 0.5)), p, grid or default_coherent_grid(p))
         assert s.grid.ny > 8
         density = cli._density(s.values[:, 0])
-        want = cli._csv_block(
+        want = _csv_block(
             ("x", "density", "weight"),
             [(float(s.x[i]), float(density[i]), float(s.weight[i])) for i in range(s.grid.nx)],
         )
