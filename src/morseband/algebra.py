@@ -11,20 +11,19 @@ Grid requirements: composed operators stack finite-difference error, so
 these checks want a fine open-axis resolution concentrated where the
 states live; :func:`algebra_grid` provides a window that meets every
 stated tolerance. Residual norms always exclude the boundary rows
-contaminated by one-sided stencil closures.
+contaminated by one-sided stencil closures, and a reference whose norm
+underflows to 0 on the window is refused with RangeError.
 
 Streaming: the generators act on one cache-sized block of rows at a
 time, from the block's x-derivative (the stencil kernel of
 ``quadrature``), its y-derivative (an FFT of those rows alone) and its
 value rows, so an image built block by block is bit-identical to one
-built on the whole array. ``ladder-check`` streams each state v twice
-(:func:`_state_densities`): pass 1 over v writes L- v and L+ v and
-reduces the norm, raise and lower defects; pass 2 over L- v forms
-L+ L- v, L3 v and L3 L3 v per block and reduces the Casimir and
-Hamiltonian defects. It holds at most v, the state below, L- v, L+ v and
-one block: four state-sized arrays, a 35.8 MiB traced peak for
-``--n-max 2`` on the 8192x64 :func:`algebra_grid` (56.2 MiB when every
-image was a whole array).
+built on the whole array. Every residual is ``_relative_defect``, which
+forms image - coeff reference a block of rows at a time; ``ladder-check``
+takes its raise and lower defects from it and its Casimir and Hamiltonian
+residuals from :func:`_quadratic_defects`, one streamed pass over the
+blocks of L- v, and holds at most four state-sized arrays (a 34.8 MiB
+traced peak for ``--n-max 2`` on the 8192x64 :func:`algebra_grid`).
 """
 
 from __future__ import annotations
@@ -40,9 +39,9 @@ from .model import PhysParams, QuantumNumbers, energy
 from .quadrature import (
     FD_MARGIN,
     GridSpec,
-    _check_margin,
     _density_norm,
     _row_density,
+    _streamed_norm,
     _x_step,
     _x_stencil_blocks,
     _y_derivative,
@@ -98,16 +97,13 @@ def _frame(s: SampledState, p: PhysParams) -> _Frame:
 
 
 # The generator kernels act on one block of rows: the block's x- and
-# y-derivatives, and for L+ its value rows and the rows of the field term.
+# y-derivatives, and for L+ its value rows and the rows of the field term
+# (L- is fr.lower (dx + i dy), written out in _images).
 # _images runs the same kernels over every block of a whole array.
 
 
 def _dy(v: np.ndarray, fr: _Frame) -> np.ndarray:
     return _y_derivative(v, fr.period, 1)
-
-
-def _minus(dx: np.ndarray, dy: np.ndarray, fr: _Frame) -> np.ndarray:
-    return fr.lower * (dx + 1j * dy)
 
 
 def _plus(dx: np.ndarray, dy: np.ndarray, v: np.ndarray, field: np.ndarray, fr: _Frame) -> np.ndarray:
@@ -128,7 +124,7 @@ def _images(v: np.ndarray, fr: _Frame, names: str) -> list[np.ndarray]:
         dy = _dy(v[a:b], fr)
         for name, out in zip(names, outs):
             if name == "-":
-                out[a:b] = _minus(dx, dy, fr)
+                out[a:b] = fr.lower * (dx + 1j * dy)
             elif name == "+":
                 out[a:b] = _plus(dx, dy, v[a:b], fr.field[a:b], fr)
             else:
@@ -196,25 +192,34 @@ def _relative_defect(
     """||image - coeff reference||_w / (scale ||reference||_w), both weighted
     norms on the grid of s over the rows margin cells in from the open-axis
     edges: how far an operator image is from coeff times the reference.
-    A caller already holding ||reference||_w passes it as reference_norm."""
+    The difference is formed one block of rows at a time. A caller already
+    holding ||reference||_w passes it as reference_norm; a reference norm
+    of 0 (a state dead on the window) raises RangeError."""
     if reference_norm is None:
         reference_norm = weighted_norm(reference, s, exclude_margin=margin)
-    return weighted_norm(image - coeff * reference, s, exclude_margin=margin) / (
-        scale * reference_norm
-    )
+    defect = _streamed_norm(s, margin, lambda a, b: image[a:b] - coeff * reference[a:b])
+    return _relative(defect, scale, reference_norm)
+
+
+def _relative(defect: float, scale: float, norm: float) -> float:
+    """defect / (scale norm), refused with RangeError unless finite: a state
+    whose weighted norm underflows on the window has no relative residual."""
+    ratio = defect / (scale * norm) if scale * norm > 0.0 else math.inf
+    if not math.isfinite(ratio):
+        raise RangeError(
+            "the state's weighted norm underflows on this grid; move the window toward the weight mode"
+        )
+    return ratio
 
 
 # stacked x-derivative applications widen the contaminated boundary band
 _COMPOSED_MARGIN = 2 * FD_MARGIN
 
 
-def _eigen_defect(
-    applied: np.ndarray, s: SampledState, eigenvalue: float, norm: float | None = None
-) -> float:
+def _eigen_defect(applied: np.ndarray, s: SampledState, eigenvalue: float) -> float:
     """Relative eigen-residual of an operator image of s: the defect against
     eigenvalue times s over max(|eigenvalue|, 1) ||s||_w, on interior rows."""
-    scale = max(abs(eigenvalue), 1.0)
-    return _relative_defect(applied, s.values, s, eigenvalue, scale, _COMPOSED_MARGIN, norm)
+    return _relative_defect(applied, s.values, s, eigenvalue, max(abs(eigenvalue), 1.0), _COMPOSED_MARGIN)
 
 
 def apply_casimir(
@@ -253,104 +258,62 @@ def apply_hamiltonian(
     return _eigen_defect(_hamiltonian(s.values, _frame(s, p)), s, reference_energy)
 
 
-def _state_densities(
-    s: SampledState, fr: _Frame, coeff: float, raised, below, eigenvalues
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Row densities (``_row_density``) of one state v of a ``ladder-check``
-    family and its L+ v, in two streamed passes over row blocks.
-
-    - Pass 1 runs over the x-stencil blocks of v. It takes dx v and dy v
-      once and from them writes L- v and L+ v. It reduces v itself, the
-      raise defect L+ (below) - coeff v (raised holds L+ of the state
-      below; each block of it is read just before L+ v overwrites it) and
-      the lower defect L- v - coeff below (against 0 v at the bottom of
-      the family, where below is None).
-    - Pass 2 runs over the x-stencil blocks of L- v, which is kept whole
-      for the halo rows the stencil reads. It forms L+ L- v, L3 v and
-      L3 (L3 v) block by block and reduces the Casimir and Hamiltonian
-      defects against eigenvalues (C's, H's) times v.
-
-    Returns the five densities in that order and L+ v; a density not
-    reduced is zero. With eigenvalues None (the state above n_max, built
-    for its raise defect alone) only the first two are reduced and no
-    derivative is taken.
-    """
+def _quadratic_defects(
+    s: SampledState, fr: _Frame, lowered: np.ndarray, eigenvalues, norm: float
+) -> list[float]:
+    """The Casimir and Hamiltonian residuals of s against eigenvalues, bit
+    for bit as :func:`apply_casimir` and :func:`apply_hamiltonian` measure
+    them, from lowered = L- v and norm = ||v||_w. One streamed pass over
+    the x-stencil blocks of L- v forms L+ L- v, L3 v and L3 L3 v block by
+    block and reduces both defects' row densities."""
     v, root_w = s.values, np.sqrt(s.weight)
-    density = np.zeros((5, s.grid.nx))
-    top = eigenvalues is None
-    lowered = upper = None
-    if not top:
-        lowered = np.empty(v.shape, dtype=complex)
-        upper = np.empty(v.shape, dtype=complex) if raised is None else raised
-    reference = v if below is None else below
-    for a, b, derivs in _x_stencil_blocks(v, fr.h, () if top else (1,)):
+    density = np.empty((2, s.grid.nx))
+    for a, b, (dx,) in _x_stencil_blocks(lowered, fr.h, (1,)):
         rows = v[a:b]
-        density[0, a:b] = _row_density(rows, root_w[a:b])
-        if raised is not None:
-            density[1, a:b] = _row_density(raised[a:b] - coeff * rows, root_w[a:b])
-        if not top:
-            dy = _dy(rows, fr)
-            lowered[a:b] = _minus(derivs[0], dy, fr)
-            upper[a:b] = _plus(derivs[0], dy, rows, fr.field[a:b], fr)
-            density[2, a:b] = _row_density(lowered[a:b] - coeff * reference[a:b], root_w[a:b])
-    if not top:
-        for a, b, (dx,) in _x_stencil_blocks(lowered, fr.h, (1,)):
-            rows = v[a:b]
-            images = (
-                _plus(dx, _dy(lowered[a:b], fr), lowered[a:b], fr.field[a:b], fr),
-                _three(_dy(rows, fr), fr),
-            )
-            for k, image in enumerate((_casimir(rows, fr, images), _hamiltonian(rows, fr, images))):
-                density[3 + k, a:b] = _row_density(image - eigenvalues[k] * rows, root_w[a:b])
-    return density, upper
+        images = (
+            _plus(dx, _dy(lowered[a:b], fr), lowered[a:b], fr.field[a:b], fr),
+            _three(_dy(rows, fr), fr),
+        )
+        for k, image in enumerate((_casimir(rows, fr, images), _hamiltonian(rows, fr, images))):
+            density[k, a:b] = _row_density(image - eigenvalues[k] * rows, root_w[a:b])
+    scales = [max(abs(e), 1.0) for e in eigenvalues]
+    return [_relative(_density_norm(d, s, _COMPOSED_MARGIN), c, norm) for d, c in zip(density, scales)]
 
 
 def _ladder_table(p: PhysParams, grid: GridSpec, n_max: int) -> list[tuple]:
     """Rows (l, n, raise defect, lower defect, Casimir residual, Hamiltonian
     residual) of ``ladder-check`` for every n <= n_max, in (n, l) order.
 
-    Each family l is walked upwards, and each state is streamed in cache-
-    sized row blocks in the two passes of :func:`_state_densities`: every
-    derivative of the state and of L- v is taken there, and every residual
-    is reduced there, block by block. A raise defect is measured once the
-    state above is built. Only four state-sized arrays are ever held: the
-    state v, the one below, L- v and L+ v (which takes the place of L+ of
-    the one below), besides one block of images; 8192x64 states are 8 MiB.
+    Each family l is walked upwards. A state's raise defect is measured
+    once the state above is built, and L+ of the state is released before
+    the images of the one above are built, so only four state-sized arrays
+    are held: v, the state below, L- v and L+ v (8 MiB each at 8192x64).
     Every value is bit-identical to the operators applied on their own.
     """
     m = _COMPOSED_MARGIN
     rows = {}
-    for l in range(n_max):
-        below = raised = None
-        for n in range(l + 1, n_max + 2):
-            s = wavefunction(QuantumNumbers(l, n), p, grid)
-            _check_margin(m, grid.nx)
-            coeff = math.sqrt((n + l) * (n - l - 1))
-            eigenvalues = None if n > n_max else (-float(l * (l + 1)), energy(s.labels, p))
-            # an overflowing image is refused by the finiteness tests, not warned about
-            with np.errstate(over="ignore", invalid="ignore"):
-                density, upper = _state_densities(
-                    s, _frame(s, p), coeff, raised, None if below is None else below[0], eigenvalues
-                )
-            if not np.all(np.isfinite(density)):
-                raise RangeError(
-                    "ladder residuals overflow on this grid; shrink the window on the growing side"
-                )
-            norm = _density_norm(density[0], s, m)
-            if raised is not None:
-                rows[n - 1, l][2] = _density_norm(density[1], s, m) / (coeff * norm)
-            raised = upper
-            if eigenvalues is None:
-                break
-            # the bottom state's L- v is measured against 0 v over ||v||
-            scale, reference_norm = (1.0, norm) if below is None else (coeff, below[1])
-            lower = _density_norm(density[2], s, m) / (scale * reference_norm)
-            casimir, hamiltonian = (
-                _density_norm(d, s, m) / (max(abs(e), 1.0) * norm)
-                for d, e in zip(density[3:], eigenvalues)
-            )
-            rows[n, l] = [l, n, None, lower, casimir, hamiltonian]
-            below = s.values, norm
+    # an overflowing image is refused by the norms' finiteness tests, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in range(n_max):
+            below = raised = None
+            for n in range(l + 1, n_max + 2):
+                s = wavefunction(QuantumNumbers(l, n), p, grid)
+                v, fr = s.values, _frame(s, p)
+                coeff = math.sqrt((n + l) * (n - l - 1))
+                norm = weighted_norm(v, s, exclude_margin=m)
+                if raised is not None:
+                    rows[n - 1, l][2] = _relative_defect(raised, v, s, coeff, coeff, m, norm)
+                raised = None
+                if n > n_max:
+                    break
+                lowered, raised = _images(v, fr, "-+")
+                # the bottom state's L- v (coeff 0) is measured against 0 v over ||v||
+                reference, reference_norm = below or (v, norm)
+                lower = _relative_defect(lowered, reference, s, coeff, max(coeff, 1.0), m, reference_norm)
+                eigenvalues = (-float(l * (l + 1)), energy(s.labels, p))
+                rows[n, l] = [l, n, None, lower, *_quadratic_defects(s, fr, lowered, eigenvalues, norm)]
+                below = v, norm
+                del lowered  # only v and L+ v are held while the state above is built
     return [tuple(rows[key]) for key in sorted(rows)]
 
 
@@ -373,24 +336,19 @@ def commutator_residual(s: SampledState, p: PhysParams, pair: str) -> float:
     array share its derivative blocks.
     """
     v, fr = s.values, _frame(s, p)
+    reference, scale, margin = v, 1.0, _COMPOSED_MARGIN
     if pair == "ladder":
         lowered, raised, l3 = _images(v, fr, "-+3")
         defect = _images(lowered, fr, "+")[0] - _images(raised, fr, "-")[0] + 2.0 * l3
-        margin = _COMPOSED_MARGIN
-        scale = weighted_norm(v, s, exclude_margin=margin)
     elif pair in ("three_plus", "three_minus"):
         name = "+" if pair == "three_plus" else "-"
         sign = -1.0 if pair == "three_plus" else 1.0
         stepped, l3 = _images(v, fr, name + "3")
         defect = _three(_dy(stepped, fr), fr) - _images(l3, fr, name)[0] + sign * stepped
-        margin = _COMPOSED_MARGIN
-        scale = weighted_norm(v, s, exclude_margin=margin)
     elif pair == "h_three":
         images = _quadratic_images(v, fr)
-        hv = _hamiltonian(v, fr, images)
-        defect = _hamiltonian(images[1], fr) - _three(_dy(hv, fr), fr)
-        margin = _COMPOSED_MARGIN
-        scale = weighted_norm(hv, s, exclude_margin=margin)
+        reference = _hamiltonian(v, fr, images)
+        defect = _hamiltonian(images[1], fr) - _three(_dy(reference, fr), fr)
     elif pair == "h_casimir":
         if s.labels is None:
             raise DomainError("the h_casimir identity check needs a labeled eigenstate")
@@ -398,17 +356,12 @@ def commutator_residual(s: SampledState, p: PhysParams, pair: str) -> float:
         defect = _hamiltonian(_casimir(v, fr, images), fr) - _casimir(_hamiltonian(v, fr, images), fr)
         margin = 4 * FD_MARGIN
         l = s.labels.l
-        scale = (
-            energy(s.labels, p)
-            * max(float(l * (l + 1)), 1.0)
-            * weighted_norm(v, s, exclude_margin=margin)
-        )
+        scale = energy(s.labels, p) * max(float(l * (l + 1)), 1.0)
     elif pair == "h_plus":
         lowered, l3, raised = _images(v, fr, "-3+")
-        hv = _hamiltonian(v, fr, (_images(lowered, fr, "+")[0], l3))
-        defect = _hamiltonian(raised, fr) - _images(hv, fr, "+")[0]
+        reference = _hamiltonian(v, fr, (_images(lowered, fr, "+")[0], l3))
+        defect = _hamiltonian(raised, fr) - _images(reference, fr, "+")[0]
         margin = 3 * FD_MARGIN
-        scale = weighted_norm(hv, s, exclude_margin=margin)
     else:
         raise DomainError(f"unknown commutator pair {pair!r}")
-    return weighted_norm(defect, s, exclude_margin=margin) / scale
+    return _relative_defect(defect, reference, s, 0.0, scale, margin)

@@ -38,6 +38,7 @@ from .model import (
     DegeneracyTable,
     PhysParams,
     QuantumNumbers,
+    _representable,
     degeneracy_scan,
     energy,
     landau_a0,
@@ -248,6 +249,8 @@ def _cmd_spectrum(args: argparse.Namespace, cfg: RunConfig) -> int:
     order = np.lexsort((table.l, table.n))
     order = order[table.l[order] <= l_max]
     l, n, product, multiplicity = (a[order] for a in (table.l, table.n, product, multiplicity))
+    with np.errstate(over="ignore"):
+        energies = _representable(product * cfg.params.energy_scale)
     _table_output(
         cfg,
         "spectrum",
@@ -256,7 +259,7 @@ def _cmd_spectrum(args: argparse.Namespace, cfg: RunConfig) -> int:
             "n": n,
             "N": n - l - 1,
             "product": product,
-            "energy": product * cfg.params.energy_scale,
+            "energy": energies,
             "multiplicity": multiplicity,
         },
     )

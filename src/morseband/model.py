@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, CrossCheckError, DomainError
+from .errors import ConfigError, CrossCheckError, DomainError, RangeError
 
 __all__ = [
     "PhysParams",
@@ -65,6 +65,22 @@ class PhysParams:
                 raise DomainError(f"PhysParams.{name} must be positive, got {getattr(self, name)!r}")
         if not self.e < 0.0:
             raise DomainError(f"PhysParams.e must be negative (electron), got {self.e!r}")
+        # so must every derived scale (a0 = 1e300 overflows a0**2, mu = 1e-320 makes
+        # every energy inf); a finite beta holds a0 below 1.4e154, so x_weight_mode is finite
+        scales = {
+            "beta": lambda: self.beta,
+            "kappa": lambda: self.kappa,
+            "energy_scale": lambda: self.energy_scale,
+            "hbar |e| B0 / (mu c)": lambda: self.hbar * abs(self.e) * self.B0 / (self.mu * self.c),
+            "cyclotron radius": lambda: math.sqrt(self.hbar * self.c / (abs(self.e) * self.B0)),
+        }
+        for name, scale in scales.items():
+            try:
+                value = scale()
+            except (OverflowError, ZeroDivisionError):
+                value = math.inf
+            if not 0.0 < value < math.inf:
+                raise DomainError(f"PhysParams: {name} must be a finite positive double, got {value!r}")
 
     @property
     def beta(self) -> float:
@@ -158,7 +174,14 @@ def energy(q: QuantumNumbers, p: PhysParams) -> float:
     ``p.energy_scale``; degenerate levels therefore come out bit-identical,
     and B0 never enters.
     """
-    return spectrum_product(q) * p.energy_scale
+    return _representable(spectrum_product(q) * p.energy_scale)
+
+
+def _representable(energies):
+    """The energies (a float or an array), refused with RangeError if one overflowed."""
+    if not np.all(np.isfinite(energies)):
+        raise RangeError("level energies overflow for these parameters")
+    return energies
 
 
 def is_prime(m: int) -> bool:
@@ -281,7 +304,7 @@ def landau_energy(N: int, p: PhysParams) -> float:
     """Landau level energy hbar |e| B0 / (mu c) * (N + 1/2)."""
     if N < 0:
         raise DomainError(f"landau_energy requires N >= 0, got {N!r}")
-    return p.hbar * abs(p.e) * p.B0 / (p.mu * p.c) * (N + 0.5)
+    return _representable(p.hbar * abs(p.e) * p.B0 / (p.mu * p.c) * (N + 0.5))
 
 
 def landau_a0(l: int, p: PhysParams) -> float:

@@ -15,6 +15,7 @@ combination is asserted to be real.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -83,12 +84,15 @@ class MomentSet:
         recovered through the commutator, which puts the symmetrized
         covariance at mean_xp - i hbar/2 - mean_x mean_p. The uncertainty
         combination must come out real to 1e-10 relative, otherwise the
-        inputs are inconsistent.
+        inputs are inconsistent, and a covariance that is not finite raises
+        RangeError.
         """
         sigma_xx = mean_x2 - mean_x * mean_x
         sigma_pp = mean_p2 - mean_p * mean_p
         sigma_xp = mean_xp - 0.5j * hbar - mean_x * mean_p
         combo = sigma_xx * sigma_pp - sigma_xp * sigma_xp
+        if not all(map(cmath.isfinite, (sigma_xx, sigma_pp, sigma_xp, combo))):
+            raise RangeError("moments overflow for these parameters; no uncertainty is defined")
         if abs(combo.imag) > 1e-10 * max(abs(combo.real), _TINY):
             raise AccuracyLossError(
                 f"uncertainty combination is not real: {combo!r}; moment inputs inconsistent"
@@ -182,7 +186,8 @@ def _grid_moments(s: SampledState, hbar: float) -> MomentSet:
     three rows, and no state-sized temporary is built. Each moment is one
     row dotted with ``quadrature._row_weights`` times 1, x or x^2. The
     sqrt(w) scaling keeps every product finite where the weight underflows,
-    as in ``grid_inner_product``; an overflowing derivative raises RangeError.
+    as in ``grid_inner_product``. An overflowing derivative, or a norm that
+    underflows to 0 (a window where the state is dead), raises RangeError.
     """
     root_w = np.sqrt(s.weight)[:, None]
     nx = s.grid.nx
@@ -196,22 +201,24 @@ def _grid_moments(s: SampledState, hbar: float) -> MomentSet:
             for ket, row in zip(kets, (d1, d2)):
                 ket *= root_w[a:b]
                 np.einsum("ij,ij->i", bra, ket, out=row[a:b])
-    if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
-        raise RangeError(
-            "momentum integrands overflow on this grid; shrink the window "
-            "on the growing side"
-        )
     wx = _row_weights(s)
-    xwx = s.x * wx
-    norm = wx @ density
-    return MomentSet.from_means(
-        mean_x=xwx @ density / norm,
-        mean_x2=(s.x * xwx) @ density / norm,
-        mean_p=-1j * hbar * (wx @ d1) / norm,
-        mean_p2=-(hbar**2) * (wx @ d2) / norm,
-        mean_xp=-1j * hbar * (xwx @ d1) / norm,
-        hbar=hbar,
-    )
+    # a moment that overflows is refused by MomentSet, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        xwx = s.x * wx
+        norm = wx @ density
+        if not (0.0 < norm < math.inf and np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
+            raise RangeError(
+                "the state's weighted norm underflows, or its momentum integrands "
+                "overflow, on this grid; move the window toward the weight mode"
+            )
+        return MomentSet.from_means(
+            mean_x=xwx @ density / norm,
+            mean_x2=(s.x * xwx) @ density / norm,
+            mean_p=-1j * hbar * (wx @ d1) / norm,
+            mean_p2=-(hbar**2) * (wx @ d2) / norm,
+            mean_xp=-1j * hbar * (xwx @ d1) / norm,
+            hbar=hbar,
+        )
 
 
 def moments_quadrature(

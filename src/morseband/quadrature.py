@@ -88,6 +88,10 @@ class GridSpec:
             raise DomainError(f"need x_min < x_max, got [{self.x_min!r}, {self.x_max!r}]")
         if self.nx < 8 or self.ny < 8:
             raise DomainError(f"grid needs nx >= 8 and ny >= 8, got {self.nx}x{self.ny}")
+        # the second-derivative stencil divides by 12 h^2, whose reciprocal must be finite
+        h = (self.x_max - self.x_min) / (self.nx - 1)
+        if not 12.0 * h * h > 1.0 / np.finfo(float).max:
+            raise DomainError(f"the x step {h!r} of [{self.x_min!r}, {self.x_max!r}] is too small")
 
 
 @lru_cache(maxsize=128)
@@ -319,18 +323,26 @@ def weighted_norm(values: np.ndarray, s, exclude_margin: int = 0) -> float:
     The grid, the measure weight and the periodic length come from s;
     ``values`` must have the grid's shape (GridMismatchError otherwise).
     Pass ``s.values`` for the norm of the state itself. Non-finite values
-    (an image that overflowed on this grid) raise RangeError. With
-    ``exclude_margin = m`` the first and last m rows along the open axis
-    are dropped before integrating, which removes the rows where
-    one-sided derivative closures are least accurate. The rows are
-    reduced a cache-sized block at a time (``_row_density``), so no
-    temporary of the array's size is built.
+    (an image that overflowed on this grid), or a norm that overflows,
+    raise RangeError. With ``exclude_margin = m`` the first and last m
+    rows along the open axis are dropped before integrating, which
+    removes the rows where one-sided derivative closures are least
+    accurate. The rows are reduced a cache-sized block at a time
+    (``_streamed_norm``), so no temporary of the array's size is built.
     """
     _check_shape(values, s)
+    return _streamed_norm(s, exclude_margin, lambda a, b: values[a:b])
+
+
+def _streamed_norm(s, exclude_margin: int, rows) -> float:
+    """The weighted norm on the grid of s of the array whose rows a..b-1
+    rows(a, b) returns, formed and reduced one cache-sized block of rows
+    at a time. A block that overflows is refused, not warned about."""
     root_w = np.sqrt(s.weight)
     density = np.empty(s.grid.nx)
-    for a, b in _row_blocks(s.grid.nx, 2 * s.grid.ny):
-        density[a:b] = _row_density(values[a:b], root_w[a:b])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in _row_blocks(s.grid.nx, 2 * s.grid.ny):
+            density[a:b] = _row_density(rows(a, b), root_w[a:b])
     return _density_norm(density, s, exclude_margin)
 
 
@@ -348,20 +360,18 @@ def _row_density(block: np.ndarray, root_w: np.ndarray) -> np.ndarray:
     return np.sum(amp.real**2 + amp.imag**2, axis=1)
 
 
-def _check_margin(exclude_margin: int, nx: int) -> None:
-    if exclude_margin < 0 or 2 * exclude_margin >= nx:
-        raise DomainError(f"exclude_margin {exclude_margin!r} incompatible with nx = {nx}")
-
-
 def _density_norm(density: np.ndarray, s, exclude_margin: int) -> float:
     """The weighted norm from the row densities of ``_row_density`` over
     the whole grid of s: the first and last exclude_margin rows are zeroed
-    (in place), and the rest are summed with the rule of ``_row_weights``."""
-    _check_margin(exclude_margin, s.grid.nx)
-    if exclude_margin:
-        density[:exclude_margin] = 0.0
-        density[-exclude_margin:] = 0.0
-    total = float(np.sum(_row_weights(s) * density))
+    (in place), and the rest are summed with the rule of ``_row_weights``.
+    A total that is not finite (a density that overflowed) raises RangeError."""
+    if exclude_margin < 0 or 2 * exclude_margin >= s.grid.nx:
+        raise DomainError(f"exclude_margin {exclude_margin!r} incompatible with nx = {s.grid.nx}")
+    density[:exclude_margin] = density[s.grid.nx - exclude_margin :] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(_row_weights(s) * density))
+    if not math.isfinite(total):
+        raise RangeError("the weighted norm overflows on this grid; shrink the window on the growing side")
     return math.sqrt(max(total, 0.0))
 
 

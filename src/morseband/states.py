@@ -187,11 +187,14 @@ def wavefunction(q: QuantumNumbers, p: PhysParams, grid: GridSpec) -> SampledSta
     and inner products under it are orthonormal.
     """
     x, y = _grid_axes(grid, p)
-    xi = np.exp(p.kappa * x)
+    with np.errstate(over="ignore"):
+        xi = np.exp(p.kappa * x)
     if not np.all(xi > 0.0):
         # xi underflows to 0 one step past where beta/xi overflows: the same
         # growing-side window, not a domain error of the profile
         raise _argument_overflow()
+    if not np.all(np.isfinite(xi)):
+        raise RangeError("xi = e^(kappa x) overflows on this grid; shrink the window on the decaying side")
     profile = assoc_bessel(q.l, q.n, p.beta, xi)
     amp = math.sqrt(-p.e * p.B0 / (math.pi * p.hbar * p.c) * (2 * q.l + 1))
     phase = np.exp(-1j * q.n * p.kappa * y)

@@ -252,9 +252,9 @@ class TestLadderCheck:
         assert hashlib.sha256(out).hexdigest() == self.PINNED[argv]
 
     def test_peak_memory(self, tmp_path):
-        # 8192x64 complex cells are 8 MiB; --n-max 2 peaks at 35.8 MiB traced
-        # streaming each state in two passes while holding the state, the
-        # one below, L- and L+ of the state; one more state-sized image fails
+        # 8192x64 complex cells are 8 MiB; --n-max 2 peaks at 34.8 MiB traced
+        # while holding the state, the one below, L- and L+ of the state; one
+        # more state-sized image fails
         tracemalloc.start()
         try:
             assert main(["--out", str(tmp_path / "ladder.csv"), "ladder-check", "--n-max", "2"]) == 0

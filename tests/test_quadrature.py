@@ -216,6 +216,18 @@ class TestGridInnerProduct:
                     with pytest.raises(RangeError):
                         weighted_norm(values, s, exclude_margin=2)
 
+    def test_weighted_norm_refuses_an_overflowing_density(self):
+        # every value is finite, but |v|^2 of the 1e200 cells is not: the
+        # norm is refused, not returned as inf, and no warning is raised
+        s = _flat_state(1001, 64, lambda x: x)
+        for big in (1e200, 1e200j, -1e155 - 1e155j):
+            values = np.ones((1001, 64), dtype=complex)
+            values[500, 7] = big
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(RangeError):
+                    weighted_norm(values, s)
+
     @pytest.mark.parametrize("nx, ny", [(16, 8), (1001, 64), (4099, 12), (17, 16400)])
     def test_weighted_norm_is_the_whole_array_formula(self, nx, ny):
         # the norm is reduced a block of rows at a time (ragged last blocks
