@@ -14,16 +14,20 @@ stated tolerance. Residual norms always exclude the boundary rows
 contaminated by one-sided stencil closures, and a reference whose norm
 underflows to 0 on the window is refused with RangeError.
 
-Streaming: the generators act on one cache-sized block of rows at a
-time, from the block's x-derivative (the stencil kernel of
-``quadrature``), its y-derivative (an FFT of those rows alone) and its
-value rows, so an image built block by block is bit-identical to one
-built on the whole array. Every residual is ``_relative_defect``, which
-forms image - coeff reference a block of rows at a time; ``ladder-check``
-takes its raise and lower defects from it and its Casimir and Hamiltonian
-residuals from :func:`_quadratic_defects`, one streamed pass over the
-blocks of L- v, and holds at most four state-sized arrays (a 34.8 MiB
-traced peak for ``--n-max 2`` on the 8192x64 :func:`algebra_grid`).
+Mode space: a state is held as its y-Fourier mode columns (see
+``states.SampledState``). The y-derivative multiplies each column by its
+index's frequency, and e^(-+i kappa y) moves every column one DFT index
+down or up, times the constant phase e^(-+i kappa y[0]) = -1 of
+y[0] = -a0/2. So L3 keeps a state's indices, L+ lowers each by one and
+L- raises it by one (an eigenstate's one column stays one column), the
+x-stencils of ``quadrature`` act on the columns, and no FFT is taken.
+The generators act on one cache-sized block of rows at a time, so an
+image built block by block is bit-identical to one built on the whole
+array. Every residual is ``_relative_defect``, which forms
+image - coeff reference a block of rows at a time; ``ladder-check``
+takes its raise and lower defects from it and its Casimir and
+Hamiltonian residuals from :func:`_quadratic_defects`, one streamed
+pass over the blocks of L- v.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .quadrature import (
     _streamed_norm,
     _x_step,
     _x_stencil_blocks,
-    _y_derivative,
+    _y_multiplier,
     weighted_norm,
 )
 from .states import SampledState, wavefunction
@@ -69,88 +73,140 @@ def algebra_grid(p: PhysParams) -> GridSpec:
     return GridSpec(x_c - p.a0, x_c + 4.0 * p.a0, 8192, 64)
 
 
+class _Modes(NamedTuple):
+    """Mode columns and their ascending DFT indices, laid out as a
+    SampledState holds them; a state serves wherever one is taken."""
+
+    modes: np.ndarray
+    k: np.ndarray
+
+
 class _Frame(NamedTuple):
     """What the generators take from the grid and the parameters: the x
-    step and y period of the derivatives, the multiplicative term of L+ as
-    a column, the two phase rows times a0/2pi, and the scales of L3 and H."""
+    step, ny, the first y-derivative multiplier of every DFT index, the
+    multiplicative term of L+ as a column, the factor (a0/2pi) e^(-+i kappa
+    y[0]) of L+ and L-, and the scales of L3 and H."""
 
     h: float
-    period: float
+    ny: int
+    dy: np.ndarray
     field: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
+    step: float
     three: complex
     energy: float
 
 
 def _frame(s: SampledState, p: PhysParams) -> _Frame:
+    if s.y_period != p.a0:
+        raise DomainError(
+            f"the state's period {s.y_period!r} is not a0 = {p.a0!r}: e^(i kappa y) is not one mode step"
+        )
     scale = p.a0 / (2.0 * math.pi)
+    ny = s.grid.ny
     return _Frame(
         h=_x_step(s.grid),
-        period=s.y_period,
+        ny=ny,
+        dy=_y_multiplier(np.arange(ny), ny, s.y_period, 1),
         field=((p.e * p.B0 * p.a0 / (math.pi * p.hbar * p.c)) * np.exp(-p.kappa * s.x))[:, None],
-        lower=scale * np.exp(1j * p.kappa * s.y)[None, :],
-        upper=scale * np.exp(-1j * p.kappa * s.y)[None, :],
+        step=-scale,
         three=1j * scale,
         energy=2.0 * math.pi**2 * p.hbar**2 / (p.mu * p.a0**2),
     )
 
 
-# The generator kernels act on one block of rows: the block's x- and
-# y-derivatives, and for L+ its value rows and the rows of the field term
-# (L- is fr.lower (dx + i dy), written out in _images).
-# _images runs the same kernels over every block of a whole array.
-
-
-def _dy(v: np.ndarray, fr: _Frame) -> np.ndarray:
-    return _y_derivative(v, fr.period, 1)
+# The generator kernels act on one block of rows: the block's x-derivative
+# dx, its y-derivative dy (the columns times their multipliers), and for
+# L+ its value rows and the rows of the field term. _images runs them
+# over every block of a whole array.
 
 
 def _plus(dx: np.ndarray, dy: np.ndarray, v: np.ndarray, field: np.ndarray, fr: _Frame) -> np.ndarray:
-    return fr.upper * (-dx + 1j * dy + field * v)
+    return fr.step * (-dx + 1j * dy + field * v)
 
 
 def _three(dy: np.ndarray, fr: _Frame) -> np.ndarray:
     return fr.three * dy
 
 
-def _images(v: np.ndarray, fr: _Frame, names: str) -> list[np.ndarray]:
-    """Whole-grid images of v under the generators named by the characters
-    of names ("-" for L-, "+" for L+, "3" for L3), in that order. One
-    streamed pass over the row blocks takes dx v and dy v once per block
-    and shares them among the images."""
-    outs = [np.empty(v.shape, dtype=complex) for _ in names]
-    for a, b, (dx,) in _x_stencil_blocks(v, fr.h, (1,)):
-        dy = _dy(v[a:b], fr)
-        for name, out in zip(names, outs):
+def _l3(v, fr: _Frame) -> _Modes:
+    """L3 v of whole mode columns: each column times its frequency."""
+    return _Modes(_three(v.modes * fr.dy[v.k], fr), v.k)
+
+
+# DFT index step of each generator's image: e^(+i kappa y) in L- raises it
+_STEPS = {"-": 1, "+": -1, "3": 0}
+
+
+def _shifted(k: np.ndarray, step: int, ny: int) -> tuple[np.ndarray, np.ndarray | slice]:
+    """The indices k moved by step (mod ny) in ascending order, and the
+    source column of each: a slice when no index wraps around."""
+    moved = (k + step) % ny
+    order = np.argsort(moved)
+    return moved[order], slice(None) if np.array_equal(order, np.arange(k.size)) else order
+
+
+def _images(v, fr: _Frame, names: str) -> list[_Modes]:
+    """Images of the mode columns v under the generators named by the
+    characters of names ("-" for L-, "+" for L+, "3" for L3), in that
+    order. One streamed pass over the row blocks takes dx v and dy v once
+    per block and shares them among the images."""
+    dy_k = fr.dy[v.k]
+    targets = [_shifted(v.k, _STEPS[name], fr.ny) for name in names]
+    outs = [np.empty(v.modes.shape, dtype=complex) for _ in names]
+    for a, b, (dx,) in _x_stencil_blocks(v.modes, fr.h, (1,)):
+        rows = v.modes[a:b]
+        dy = rows * dy_k
+        for name, (_, order), out in zip(names, targets, outs):
             if name == "-":
-                out[a:b] = fr.lower * (dx + 1j * dy)
+                image = fr.step * (dx + 1j * dy)
             elif name == "+":
-                out[a:b] = _plus(dx, dy, v[a:b], fr.field[a:b], fr)
+                image = _plus(dx, dy, rows, fr.field[a:b], fr)
             else:
-                out[a:b] = _three(dy, fr)
-    return outs
+                image = _three(dy, fr)
+            out[a:b] = image[:, order]
+    return [_Modes(out, k) for out, (k, _) in zip(outs, targets)]
 
 
-def _quadratic_images(v: np.ndarray, fr: _Frame) -> tuple[np.ndarray, np.ndarray]:
-    """(L+ L- v, L3 v): the two images both quadratic operators are built from."""
+def _quadratic_images(v, fr: _Frame) -> tuple[_Modes, _Modes]:
+    """(L+ L- v, L3 v): the two images both quadratic operators are
+    built from, each on the indices of v."""
     lowered, l3 = _images(v, fr, "-3")
     return _images(lowered, fr, "+")[0], l3
 
 
-def _hamiltonian(v: np.ndarray, fr: _Frame, images=None) -> np.ndarray:
+# The quadratic operators on rows of v and of its two images, elementwise
+# (L3 acts column by column), so they act on any range of rows; dy_k is
+# the y-derivative multiplier of the columns of v.
+
+
+def _hamiltonian_rows(v: np.ndarray, lpm: np.ndarray, l3: np.ndarray, fr: _Frame) -> np.ndarray:
+    """H v; where only the energy scale's factor overflows a finite image,
+    RangeError names the scale rather than the window."""
+    inner = lpm + l3 - 0.25 * v
+    out = fr.energy * inner
+    if not np.all(np.isfinite(out)) and np.all(np.isfinite(inner)):
+        raise RangeError(
+            f"H v overflows at the energy scale 2 pi^2 hbar^2 / (mu a0^2) = {fr.energy:.3e} of these "
+            "parameters, not for the window; lower hbar, or raise mu or a0"
+        )
+    return out
+
+
+def _casimir_rows(v: np.ndarray, lpm: np.ndarray, l3: np.ndarray, dy_k: np.ndarray, fr: _Frame) -> np.ndarray:
+    return lpm - _three(l3 * dy_k, fr) + l3
+
+
+def _hamiltonian(v, fr: _Frame, images=None) -> _Modes:
     """H v from the images of :func:`_quadratic_images`, computed here
-    unless the caller already holds them. Elementwise in the images, so
-    it acts on any range of rows whose images are given."""
+    unless the caller already holds them."""
     lpm, l3 = _quadratic_images(v, fr) if images is None else images
-    return fr.energy * (lpm + l3 - 0.25 * v)
+    return _Modes(_hamiltonian_rows(v.modes, lpm.modes, l3.modes, fr), v.k)
 
 
-def _casimir(v: np.ndarray, fr: _Frame, images=None) -> np.ndarray:
-    """C v = (L+ L- - L3^2 + L3) v, from the images as in :func:`_hamiltonian`;
-    L3 acts row by row, so this too acts on any range of rows."""
+def _casimir(v, fr: _Frame, images=None) -> _Modes:
+    """C v = (L+ L- - L3^2 + L3) v, from the images as in :func:`_hamiltonian`."""
     lpm, l3 = _quadratic_images(v, fr) if images is None else images
-    return lpm - _three(_dy(l3, fr), fr) + l3
+    return _Modes(_casimir_rows(v.modes, lpm.modes, l3.modes, fr.dy[v.k], fr), v.k)
 
 
 def apply_Lplus(s: SampledState, p: PhysParams) -> SampledState:
@@ -160,44 +216,64 @@ def apply_Lplus(s: SampledState, p: PhysParams) -> SampledState:
     The charge is negative, so the multiplicative term equals
     -kappa beta e^(-kappa x). On the level (l, n-1) this produces
     sqrt((n+l)(n-l-1)) times the level (l, n). Returns the image as an
-    unlabeled state on the grid of s.
+    unlabeled state on the grid of s, each mode index one lower.
     """
-    return dataclasses.replace(s, values=_images(s.values, _frame(s, p), "+")[0], labels=None)
+    image = _images(s, _frame(s, p), "+")[0]
+    return dataclasses.replace(s, modes=image.modes, k=image.k, labels=None)
 
 
 def apply_Lminus(s: SampledState, p: PhysParams) -> SampledState:
     """Lowering operator: (a0/2pi) e^(+i kappa y) (d/dx + i d/dy).
 
     Annihilates the bottom level (l, l+1) of each vertical family.
-    Returns the image as an unlabeled state on the grid of s.
+    Returns the image as an unlabeled state on the grid of s, each mode
+    index one higher.
     """
-    return dataclasses.replace(s, values=_images(s.values, _frame(s, p), "-")[0], labels=None)
+    image = _images(s, _frame(s, p), "-")[0]
+    return dataclasses.replace(s, modes=image.modes, k=image.k, labels=None)
 
 
 def apply_L3(s: SampledState, p: PhysParams) -> SampledState:
     """Number operator i (a0/2pi) d/dy; eigenvalue n on the level (l, n).
 
-    Purely spectral along the periodic axis, so it adds no open-axis
-    boundary contamination. Returns the image as an unlabeled state on
-    the grid of s.
+    Diagonal in the mode columns, so it adds no open-axis boundary
+    contamination. Returns the image as an unlabeled state on the grid
+    of s.
     """
-    fr = _frame(s, p)
-    return dataclasses.replace(s, values=_three(_dy(s.values, fr), fr), labels=None)
+    return dataclasses.replace(s, modes=_l3(s, _frame(s, p)).modes, labels=None)
+
+
+def _aligned(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The mode columns of a and of b on one layout: their own when their
+    indices agree, else each padded with zero columns to the union of
+    their indices."""
+    if np.array_equal(a.k, b.k):
+        return a.modes, b.modes
+    k = np.union1d(a.k, b.k)
+    padded = []
+    for m in (a, b):
+        out = np.zeros((m.modes.shape[0], k.size), dtype=complex)
+        out[:, np.searchsorted(k, m.k)] = m.modes
+        padded.append(out)
+    return tuple(padded)
 
 
 def _relative_defect(
-    image: np.ndarray, reference: np.ndarray, s: SampledState, coeff, scale: float, margin: int,
+    image, reference, s: SampledState, coeff, scale: float, margin: int,
     reference_norm: float | None = None,
 ) -> float:
     """||image - coeff reference||_w / (scale ||reference||_w), both weighted
     norms on the grid of s over the rows margin cells in from the open-axis
     edges: how far an operator image is from coeff times the reference.
-    The difference is formed one block of rows at a time. A caller already
-    holding ||reference||_w passes it as reference_norm; a reference norm
-    of 0 (a state dead on the window) raises RangeError."""
+    image and reference are mode columns with their indices (a state or
+    the images of one); the difference is formed one block of rows at a
+    time, on the union of their indices. A caller already holding
+    ||reference||_w passes it as reference_norm; a reference norm of 0 (a
+    state dead on the window) raises RangeError."""
     if reference_norm is None:
-        reference_norm = weighted_norm(reference, s, exclude_margin=margin)
-    defect = _streamed_norm(s, margin, lambda a, b: image[a:b] - coeff * reference[a:b])
+        reference_norm = _streamed_norm(s, margin, lambda a, b: reference.modes[a:b])
+    img, ref = _aligned(image, reference)
+    defect = _streamed_norm(s, margin, lambda a, b: img[a:b] - coeff * ref[a:b])
     return _relative(defect, scale, reference_norm)
 
 
@@ -216,10 +292,10 @@ def _relative(defect: float, scale: float, norm: float) -> float:
 _COMPOSED_MARGIN = 2 * FD_MARGIN
 
 
-def _eigen_defect(applied: np.ndarray, s: SampledState, eigenvalue: float) -> float:
+def _eigen_defect(applied, s: SampledState, eigenvalue: float) -> float:
     """Relative eigen-residual of an operator image of s: the defect against
     eigenvalue times s over max(|eigenvalue|, 1) ||s||_w, on interior rows."""
-    return _relative_defect(applied, s.values, s, eigenvalue, max(abs(eigenvalue), 1.0), _COMPOSED_MARGIN)
+    return _relative_defect(applied, s, s, eigenvalue, max(abs(eigenvalue), 1.0), _COMPOSED_MARGIN)
 
 
 def apply_casimir(
@@ -238,7 +314,7 @@ def apply_casimir(
             raise DomainError("apply_casimir needs a labeled eigenstate or an explicit eigenvalue")
         l = s.labels.l
         reference_eigenvalue = -float(l * (l + 1))
-    return _eigen_defect(_casimir(s.values, _frame(s, p)), s, reference_eigenvalue)
+    return _eigen_defect(_casimir(s, _frame(s, p)), s, reference_eigenvalue)
 
 
 def apply_hamiltonian(
@@ -255,27 +331,28 @@ def apply_hamiltonian(
         if s.labels is None:
             raise DomainError("apply_hamiltonian needs a labeled eigenstate or an explicit energy")
         reference_energy = energy(s.labels, p)
-    return _eigen_defect(_hamiltonian(s.values, _frame(s, p)), s, reference_energy)
+    return _eigen_defect(_hamiltonian(s, _frame(s, p)), s, reference_energy)
 
 
 def _quadratic_defects(
-    s: SampledState, fr: _Frame, lowered: np.ndarray, eigenvalues, norm: float
+    s: SampledState, fr: _Frame, lowered: _Modes, eigenvalues, norm: float
 ) -> list[float]:
     """The Casimir and Hamiltonian residuals of s against eigenvalues, bit
     for bit as :func:`apply_casimir` and :func:`apply_hamiltonian` measure
     them, from lowered = L- v and norm = ||v||_w. One streamed pass over
     the x-stencil blocks of L- v forms L+ L- v, L3 v and L3 L3 v block by
     block and reduces both defects' row densities."""
-    v, root_w = s.values, np.sqrt(s.weight)
+    v, root_w = s.modes, np.sqrt(s.weight)
+    dy_k, dy_lowered = fr.dy[s.k], fr.dy[lowered.k]
+    order = _shifted(lowered.k, _STEPS["+"], fr.ny)[1]
     density = np.empty((2, s.grid.nx))
-    for a, b, (dx,) in _x_stencil_blocks(lowered, fr.h, (1,)):
-        rows = v[a:b]
-        images = (
-            _plus(dx, _dy(lowered[a:b], fr), lowered[a:b], fr.field[a:b], fr),
-            _three(_dy(rows, fr), fr),
-        )
-        for k, image in enumerate((_casimir(rows, fr, images), _hamiltonian(rows, fr, images))):
-            density[k, a:b] = _row_density(image - eigenvalues[k] * rows, root_w[a:b])
+    for a, b, (dx,) in _x_stencil_blocks(lowered.modes, fr.h, (1,)):
+        rows, low = v[a:b], lowered.modes[a:b]
+        lpm = _plus(dx, low * dy_lowered, low, fr.field[a:b], fr)[:, order]
+        l3 = _three(rows * dy_k, fr)
+        images = (_casimir_rows(rows, lpm, l3, dy_k, fr), _hamiltonian_rows(rows, lpm, l3, fr))
+        for i, image in enumerate(images):
+            density[i, a:b] = _row_density(image - eigenvalues[i] * rows, root_w[a:b])
     scales = [max(abs(e), 1.0) for e in eigenvalues]
     return [_relative(_density_norm(d, s, _COMPOSED_MARGIN), c, norm) for d, c in zip(density, scales)]
 
@@ -285,10 +362,9 @@ def _ladder_table(p: PhysParams, grid: GridSpec, n_max: int) -> list[tuple]:
     residual) of ``ladder-check`` for every n <= n_max, in (n, l) order.
 
     Each family l is walked upwards. A state's raise defect is measured
-    once the state above is built, and L+ of the state is released before
-    the images of the one above are built, so only four state-sized arrays
-    are held: v, the state below, L- v and L+ v (8 MiB each at 8192x64).
-    Every value is bit-identical to the operators applied on their own.
+    once the state above is built, so each state, L- and L+ of it and the
+    state below are held: one mode column each. Every value is
+    bit-identical to the operators applied on their own.
     """
     m = _COMPOSED_MARGIN
     rows = {}
@@ -298,22 +374,20 @@ def _ladder_table(p: PhysParams, grid: GridSpec, n_max: int) -> list[tuple]:
             below = raised = None
             for n in range(l + 1, n_max + 2):
                 s = wavefunction(QuantumNumbers(l, n), p, grid)
-                v, fr = s.values, _frame(s, p)
+                fr = _frame(s, p)
                 coeff = math.sqrt((n + l) * (n - l - 1))
-                norm = weighted_norm(v, s, exclude_margin=m)
+                norm = weighted_norm(s.modes, s, exclude_margin=m)
                 if raised is not None:
-                    rows[n - 1, l][2] = _relative_defect(raised, v, s, coeff, coeff, m, norm)
-                raised = None
+                    rows[n - 1, l][2] = _relative_defect(raised, s, s, coeff, coeff, m, norm)
                 if n > n_max:
                     break
-                lowered, raised = _images(v, fr, "-+")
+                lowered, raised = _images(s, fr, "-+")
                 # the bottom state's L- v (coeff 0) is measured against 0 v over ||v||
-                reference, reference_norm = below or (v, norm)
+                reference, reference_norm = below or (s, norm)
                 lower = _relative_defect(lowered, reference, s, coeff, max(coeff, 1.0), m, reference_norm)
                 eigenvalues = (-float(l * (l + 1)), energy(s.labels, p))
                 rows[n, l] = [l, n, None, lower, *_quadratic_defects(s, fr, lowered, eigenvalues, norm)]
-                below = v, norm
-                del lowered  # only v and L+ v are held while the state above is built
+                below = s, norm
     return [tuple(rows[key]) for key in sorted(rows)]
 
 
@@ -331,37 +405,39 @@ def commutator_residual(s: SampledState, p: PhysParams, pair: str) -> float:
     - "h_plus": [H, L+], over ||H s|| (the model has no dynamical
       symmetry, so this one is genuinely nonzero)
 
-    The operators are composed on value arrays; no intermediate state
+    The operators are composed on mode columns; no intermediate state
     is built, and each array is differentiated once: the images of one
     array share its derivative blocks.
     """
-    v, fr = s.values, _frame(s, p)
-    reference, scale, margin = v, 1.0, _COMPOSED_MARGIN
+    fr = _frame(s, p)
+    # the defect's mode indices are those of s unless it ends one index down
+    reference, scale, margin, k = s, 1.0, _COMPOSED_MARGIN, s.k
     if pair == "ladder":
-        lowered, raised, l3 = _images(v, fr, "-+3")
-        defect = _images(lowered, fr, "+")[0] - _images(raised, fr, "-")[0] + 2.0 * l3
+        lowered, raised, l3 = _images(s, fr, "-+3")
+        defect = _images(lowered, fr, "+")[0].modes - _images(raised, fr, "-")[0].modes + 2.0 * l3.modes
     elif pair in ("three_plus", "three_minus"):
         name = "+" if pair == "three_plus" else "-"
         sign = -1.0 if pair == "three_plus" else 1.0
-        stepped, l3 = _images(v, fr, name + "3")
-        defect = _three(_dy(stepped, fr), fr) - _images(l3, fr, name)[0] + sign * stepped
+        stepped, l3 = _images(s, fr, name + "3")
+        defect = _l3(stepped, fr).modes - _images(l3, fr, name)[0].modes + sign * stepped.modes
+        k = stepped.k
     elif pair == "h_three":
-        images = _quadratic_images(v, fr)
-        reference = _hamiltonian(v, fr, images)
-        defect = _hamiltonian(images[1], fr) - _three(_dy(reference, fr), fr)
+        images = _quadratic_images(s, fr)
+        reference = _hamiltonian(s, fr, images)
+        defect = _hamiltonian(images[1], fr).modes - _l3(reference, fr).modes
     elif pair == "h_casimir":
         if s.labels is None:
             raise DomainError("the h_casimir identity check needs a labeled eigenstate")
-        images = _quadratic_images(v, fr)
-        defect = _hamiltonian(_casimir(v, fr, images), fr) - _casimir(_hamiltonian(v, fr, images), fr)
+        images = _quadratic_images(s, fr)
+        defect = _hamiltonian(_casimir(s, fr, images), fr).modes - _casimir(_hamiltonian(s, fr, images), fr).modes
         margin = 4 * FD_MARGIN
         l = s.labels.l
         scale = energy(s.labels, p) * max(float(l * (l + 1)), 1.0)
     elif pair == "h_plus":
-        lowered, l3, raised = _images(v, fr, "-3+")
-        reference = _hamiltonian(v, fr, (_images(lowered, fr, "+")[0], l3))
-        defect = _hamiltonian(raised, fr) - _images(reference, fr, "+")[0]
-        margin = 3 * FD_MARGIN
+        lowered, l3, raised = _images(s, fr, "-3+")
+        reference = _hamiltonian(s, fr, (_images(lowered, fr, "+")[0], l3))
+        defect = _hamiltonian(raised, fr).modes - _images(reference, fr, "+")[0].modes
+        k = raised.k
     else:
         raise DomainError(f"unknown commutator pair {pair!r}")
-    return _relative_defect(defect, reference, s, 0.0, scale, margin)
+    return _relative_defect(_Modes(defect, k), reference, s, 0.0, scale, margin)

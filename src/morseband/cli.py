@@ -23,6 +23,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import _ladder_table, algebra_grid
-from .coherent import CoherentSpec, bg_measure_density, bg_state_closed, default_coherent_grid
+from .coherent import CoherentSpec, _closed_samples, bg_measure_density, default_coherent_grid
 from .errors import ConfigError, CrossCheckError, MorsebandError, RangeError
 from .model import (
     DegeneracyTable,
@@ -49,11 +50,13 @@ from .moments import moments_closed, moments_quadrature
 from .quadrature import GridSpec
 from .states import (
     LandauParams,
-    SampledState,
+    _evaluated,
+    _grid_axes,
+    _landau_asym_rows,
+    _landau_sym_rows,
     default_grid,
     landau_box,
-    landau_state_asym,
-    landau_state_sym,
+    measure_weight,
     wavefunction,
 )
 from .verify import SUITE_NAMES, resolve_tolerances, run_suite
@@ -314,15 +317,16 @@ def _cmd_coherent(args: argparse.Namespace, cfg: RunConfig) -> int:
     z = complex(args.z_re, args.z_im)
     spec = CoherentSpec(args.l, z)
     grid = cfg.grid or default_coherent_grid(cfg.params)
-    # only column 0 (y = -a0/2 on every grid) is printed: build the fewest columns
-    s = bg_state_closed(spec, cfg.params, dataclasses.replace(grid, ny=8))
-    density = _printed_density(s.values[:, 0])
+    # only column 0 (y = -a0/2 on every grid) is printed: evaluate the fewest columns
+    grid = dataclasses.replace(grid, ny=8)
+    density = _printed_density(_closed_samples(spec, cfg.params, grid)[:, 0])
+    x = _grid_axes(grid, cfg.params.a0)[0]
     r = np.arange(1, 101) / 10.0
     measure = np.array([bg_measure_density(args.l, v) for v in r.tolist()])
     _table_output(
         cfg,
         "coherent",
-        state={"x": s.x, "density": density, "weight": s.weight},
+        state={"x": x, "density": density, "weight": measure_weight(x, cfg.params)},
         measure={"r": r, "measure_density": measure},
     )
     return 0
@@ -387,28 +391,36 @@ def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0 if report["passed"] else 1
 
 
-def _export_state(args: argparse.Namespace, cfg: RunConfig):
+def _export_samples(args: argparse.Namespace, cfg: RunConfig):
+    """The dense samples ``export`` prints, with their x and y axes, weight,
+    grid and label line: an eigenstate's synthesised from its one mode
+    column, every other kind's evaluated on the grid as its state builder
+    evaluates it before the transform (see ``coherent._closed_samples``)."""
     p = cfg.params
     if args.kind == "eigen":
         grid = cfg.grid or default_grid(p)
         s = wavefunction(QuantumNumbers(args.l, args.n), p, grid)
         label = f"kind=eigen l={args.l} n={args.n}"
-    elif args.kind == "coherent":
+        return s.values, s.x, s.y, s.weight, grid, label
+    if args.kind == "coherent":
         grid = cfg.grid or default_coherent_grid(p)
-        s = bg_state_closed(CoherentSpec(args.l, complex(args.z_re, args.z_im)), p, grid)
+        values = _closed_samples(CoherentSpec(args.l, complex(args.z_re, args.z_im)), p, grid)
+        x, y = _grid_axes(grid, p.a0)
         label = f"kind=coherent l={args.l} z_re={args.z_re!r} z_im={args.z_im!r}"
-    elif args.kind == "landau-sym":
+        return values, x, y, measure_weight(x, p), grid, label
+    if args.kind == "landau-sym":
         p_box, box = landau_box(LandauParams(gauge="symmetric", n=args.n, l=args.l), p, 1024, 256)
         grid = cfg.grid or box
-        s = landau_state_sym(args.n, args.l, p_box, grid)
+        rows = _landau_sym_rows(args.n, args.l, p_box, grid)
         label = f"kind=landau-sym n={args.n} l={args.l}"
     else:
         lp = LandauParams(gauge="asymmetric", N=args.n, k_y=args.ky)
         p_box, box = landau_box(lp, p, 1024, 8)
         grid = cfg.grid or box
-        s = landau_state_asym(lp, p_box, grid)
+        rows = _landau_asym_rows(lp, p_box, grid)
         label = f"kind=landau-asym N={args.n} ky={args.ky!r}"
-    return s, grid, label
+    x, y = _grid_axes(grid, p_box.a0)
+    return _evaluated(grid, rows), x, y, np.ones(grid.nx), grid, label
 
 
 # Decimal exponents E of the finite nonzero doubles run from -324 to 308, so
@@ -676,8 +688,8 @@ def _class_blocks(table: DegeneracyTable, form: str) -> Iterator[str]:
         yield _text(np.hstack((leads, levels, endings[is_last[a:b]])))
 
 
-def _export_rows(s: SampledState) -> Iterator[str]:
-    """The CSV data lines of a state, one text block per run of x rows.
+def _export_rows(values: np.ndarray, x: np.ndarray, y: np.ndarray, weight: np.ndarray) -> Iterator[str]:
+    """The CSV data lines of a sampled field, one text block per run of x rows.
 
     Every number reads as ``format(v, ".16e")`` would write it, byte for
     byte (see ``_e17_fields``), and the density is ``_density`` of the
@@ -688,10 +700,10 @@ def _export_rows(s: SampledState) -> Iterator[str]:
     ``_BLOCK_LINES`` lines, so its temporaries stay small beside the text
     already written, and no state-sized array is held while it grows.
     """
-    nx, ny = s.values.shape
+    nx, ny = values.shape
     rows = max(1, _BLOCK_LINES // ny)
-    y = _e17_fields(s.y)
-    x_w = _e17_fields(np.stack((s.x, s.weight), axis=-1))
+    y = _e17_fields(y)
+    x_w = _e17_fields(np.stack((x, weight), axis=-1))
     for i in range(0, nx, rows):
         n = min(rows, nx - i)
         block = np.zeros((n, ny, 6, _FIELD + 1), np.uint8)
@@ -699,7 +711,7 @@ def _export_rows(s: SampledState) -> Iterator[str]:
         block[:, :, 5, _FIELD] = ord("\n")
         block[:, :, 0, :_FIELD] = x_w[i : i + n, None, 0]
         block[:, :, 1, :_FIELD] = y
-        cells = s.values[i : i + n]
+        cells = values[i : i + n]
         cells = np.stack((cells.real, cells.imag, _density(cells)), axis=-1)
         block[:, :, 2:5, :_FIELD] = _e17_fields(cells)
         block[:, :, 5, :_FIELD] = x_w[i : i + n, None, 1]
@@ -707,8 +719,8 @@ def _export_rows(s: SampledState) -> Iterator[str]:
 
 
 def _cmd_export(args: argparse.Namespace, cfg: RunConfig) -> int:
-    s, grid, label = _export_state(args, cfg)
-    _printed_density(s.values)  # refuses an overflowing state before anything is written
+    values, x, y, weight, grid, label = _export_samples(args, cfg)
+    _printed_density(values)  # refuses an overflowing state before anything is written
     p = cfg.params
     header = [
         f"# morseband-{__version__}",
@@ -718,15 +730,29 @@ def _cmd_export(args: argparse.Namespace, cfg: RunConfig) -> int:
         f" nx={grid.nx} ny={grid.ny}",
         "x,y,re_psi,im_psi,density,weight",
     ]
-    _emit(cfg, itertools.chain(["\n".join(header) + "\n"], _export_rows(s)))
+    _emit(cfg, itertools.chain(["\n".join(header) + "\n"], _export_rows(values, x, y, weight)))
     return 0
 
 
 # ----------------------------------------------------------------- parser
 
 
+# a negative number, exponent notation included: argparse's own pattern
+# (-d and -d.d only) takes "--z-im -1e-3" for an option with no value
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, taking every negative number as a value; its
+    subcommand parsers are of this class too."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="morseband",
         description="Closed-form and numerical checks for an electron band "
         "in an exponentially decaying magnetic field.",

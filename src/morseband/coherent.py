@@ -26,7 +26,7 @@ from .errors import DomainError
 from .model import PhysParams, QuantumNumbers
 from .quadrature import GridSpec, IntegrationResult, integrate_radial
 from .specfun import bessel_i, bessel_k
-from .states import SampledState, _grid_axes, measure_weight, wavefunction
+from .states import SampledState, _evaluated, _grid_axes, _transformed, measure_weight, wavefunction
 
 __all__ = [
     "CoherentSpec",
@@ -143,12 +143,17 @@ def bg_coefficients(spec: CoherentSpec) -> list[complex]:
 
 
 def bg_state_series(spec: CoherentSpec, p: PhysParams, grid: GridSpec) -> SampledState:
-    """The coherent state as its defining sum over eigenstates."""
-    values = 0.0
-    for N, c in enumerate(bg_coefficients(spec)):
+    """The coherent state as its defining sum over eigenstates. The level
+    (l, l+N+1) is the one mode column -(l+N+1) mod ny, so the sum is its
+    coefficient-times-profile columns; levels whose indices alias onto one
+    column add up there, in the order of N."""
+    coeffs = bg_coefficients(spec)
+    k = np.unique([-(spec.l + N + 1) % grid.ny for N in range(len(coeffs))])
+    modes = np.zeros((grid.nx, k.size), dtype=complex)
+    for N, c in enumerate(coeffs):
         level = wavefunction(QuantumNumbers(spec.l, spec.l + N + 1), p, grid)
-        values = values + c * level.values
-    return replace(level, values=values, labels=None)
+        modes[:, np.searchsorted(k, level.k[0])] += c * level.modes[:, 0]
+    return replace(level, modes=modes, k=k, labels=None)
 
 
 def bg_state_closed(spec: CoherentSpec, p: PhysParams, grid: GridSpec) -> SampledState:
@@ -156,19 +161,41 @@ def bg_state_closed(spec: CoherentSpec, p: PhysParams, grid: GridSpec) -> Sample
 
     With a = 2l+1 and s = sqrt(beta Z) e^(-kappa(x+iy)/2), the state is
     C e^(Z e^(-i kappa y) - (l+1) kappa (x+iy)) (beta |Z|)^(a/2) J_a(2s) / s^a,
-    C = sqrt(2 pi a / I_a(2|Z|)) / a0. J_a(2s)/s^a is even in s, so either
+    C = sqrt(2 pi a / I_a(2|Z|)) / a0. The samples of :func:`_closed_rows`
+    are transformed a block of rows at a time to the state's ny mode
+    columns. At Z = 0 the state reduces to the bottom level (l, l+1)
+    exactly. A window reaching so far to the growing side that the state
+    overflows raises RangeError.
+    """
+    if spec.Z == 0:
+        return replace(wavefunction(QuantumNumbers(spec.l, spec.l + 1), p, grid), labels=None)
+    x = _grid_axes(grid, p.a0)[0]
+    return _transformed(grid, _closed_rows(spec, p, grid), measure_weight(x, p), p.a0)
+
+
+def _closed_samples(spec: CoherentSpec, p: PhysParams, grid: GridSpec) -> np.ndarray:
+    """The closed form's dense samples on the grid: the bottom level's at
+    Z = 0, else every row of :func:`_closed_rows`, refused with RangeError
+    where not finite. Printed and compared samples come from here, not
+    from the state's mode columns: synthesis keeps each row to rounding of
+    its largest sample, and a row of the closed form spans e^(2|Z|), so at
+    |Z| = 10 its smaller trusted samples would carry 5e-6 relative error."""
+    if spec.Z == 0:
+        return wavefunction(QuantumNumbers(spec.l, spec.l + 1), p, grid).values
+    return _evaluated(grid, _closed_rows(spec, p, grid))
+
+
+def _closed_rows(spec: CoherentSpec, p: PhysParams, grid: GridSpec):
+    """The closed form's samples on the grid, as a function of (a, b)
+    giving rows a..b-1, for Z != 0. J_a(2s)/s^a is even in s, so either
     square root gives the exact value as long as s^a is the a-th power of
     the s that enters J: no branch decision survives into the numerics.
     Every factor but the exponentially scaled Bessel value
     jve(a, 2s) = J_a(2s) e^(-|Im 2s|) is summed as one exponent before a
-    single exp. At Z = 0 the state reduces to the bottom level (l, l+1)
-    exactly. A window reaching so far to the growing side that the state
-    overflows raises RangeError.
-    """
+    single exp. A sample that overflows comes out non-finite; call under
+    ``np.errstate(over="ignore", invalid="ignore")`` to hear no warning."""
     l, z = spec.l, spec.Z
-    if z == 0:
-        return replace(wavefunction(QuantumNumbers(l, l + 1), p, grid), labels=None)
-    x, y = _grid_axes(grid, p)
+    x, y = _grid_axes(grid, p.a0)
     kappa = p.kappa
     root = cmath.sqrt(p.beta * z)  # s at x = y = 0
     # ln C + (l + 1/2) ln(beta |Z|) - a ln(root): the moduli cancel
@@ -178,22 +205,19 @@ def bg_state_closed(spec: CoherentSpec, p: PhysParams, grid: GridSpec) -> Sample
         - 0.5 * _ln_bessel_norm(l, abs(z))
         - 1j * (2 * l + 1) * cmath.phase(root)
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        two_s = np.multiply.outer(2.0 * root * np.exp(-0.5 * kappa * x), np.exp(-0.5j * kappa * y))
-        values = np.add.outer(
-            ln_front - 0.5 * kappa * x, z * np.exp(-1j * kappa * y) - 0.5j * kappa * y
-        )
+    y_phase = np.exp(-0.5j * kappa * y)
+    y_exponent = z * np.exp(-1j * kappa * y) - 0.5j * kappa * y
+
+    def rows(a: int, b: int) -> np.ndarray:
+        xs = x[a:b]
+        two_s = np.multiply.outer(2.0 * root * np.exp(-0.5 * kappa * xs), y_phase)
+        values = np.add.outer(ln_front - 0.5 * kappa * xs, y_exponent)
         values += np.abs(two_s.imag)
         np.exp(values, out=values)
         values *= special.jve(2 * l + 1, two_s, out=two_s)
-        return SampledState(
-            grid=grid,
-            x=x,
-            y=y,
-            values=values,
-            weight=measure_weight(x, p),
-            y_period=p.a0,
-        )
+        return values
+
+    return rows
 
 
 def bg_measure_density(l: int, r: float) -> float:
@@ -264,13 +288,14 @@ class AgreementReport:
 
 
 def series_closed_agreement(spec: CoherentSpec, p: PhysParams, grid: GridSpec) -> AgreementReport:
-    """Compare the series and closed evaluations of one coherent state."""
+    """Compare the series and closed evaluations of one coherent state, on
+    the series' synthesised samples and the closed form's own samples."""
     series = bg_state_series(spec, p, grid)
-    closed = bg_state_closed(spec, p, grid)
-    dens = series.weight[:, None] * np.abs(series.values) ** 2
-    diff = closed.values - series.values
+    values = series.values
+    dens = series.weight[:, None] * np.abs(values) ** 2
+    diff = _closed_samples(spec, p, grid) - values
     num = math.sqrt(float(np.sum(series.weight[:, None] * np.abs(diff) ** 2)))
     den = math.sqrt(float(np.sum(dens)))
     trusted = dens >= 1e-12 * np.max(dens)
-    pointwise = float(np.max(np.abs(diff[trusted]) / np.abs(series.values[trusted])))
+    pointwise = float(np.max(np.abs(diff[trusted]) / np.abs(values[trusted])))
     return AgreementReport(weighted_l2=num / den, pointwise_max=pointwise)

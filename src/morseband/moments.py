@@ -180,21 +180,23 @@ def _grid_moments(s: SampledState, hbar: float) -> MomentSet:
     normalized by its own computed norm, so small grid-norm drift does
     not leak into the moments.
 
-    One weighted pass, block by block of rows: the y sums of
-    bra = conj(sqrt(w) psi) against sqrt(w) psi and against the sqrt(w)
-    scaled x-stencils of order 1 and 2 (``fd_derivative``'s kernel) fill
-    three rows, and no state-sized temporary is built. Each moment is one
-    row dotted with ``quadrature._row_weights`` times 1, x or x^2. The
-    sqrt(w) scaling keeps every product finite where the weight underflows,
-    as in ``grid_inner_product``. An overflowing derivative, or a norm that
+    One weighted pass over the mode columns, block by block of rows: the
+    column sums of bra = conj(sqrt(w) psi) against sqrt(w) psi and against
+    the sqrt(w) scaled x-stencils of order 1 and 2 (``fd_derivative``'s
+    kernel) fill three rows, and no state-sized temporary is built. By
+    Parseval these column sums are the y sums of the samples, an
+    eigenstate's being one column. Each moment is one row dotted with
+    ``quadrature._row_weights`` times 1, x or x^2. The sqrt(w) scaling
+    keeps every product finite where the weight underflows, as in
+    ``grid_inner_product``. An overflowing derivative, or a norm that
     underflows to 0 (a window where the state is dead), raises RangeError.
     """
     root_w = np.sqrt(s.weight)[:, None]
     nx = s.grid.nx
     density, d1, d2 = np.empty(nx), np.empty(nx, complex), np.empty(nx, complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, b, kets in _x_stencil_blocks(s.values, _x_step(s.grid), (1, 2)):
-            amp = np.multiply(s.values[a:b], root_w[a:b], order="C")
+        for a, b, kets in _x_stencil_blocks(s.modes, _x_step(s.grid), (1, 2)):
+            amp = np.multiply(s.modes[a:b], root_w[a:b], order="C")
             parts = amp.view(np.float64)
             np.einsum("ij,ij->i", parts, parts, out=density[a:b])
             bra = np.conjugate(amp, out=amp)

@@ -10,15 +10,19 @@ Three integral families appear in the model, each with its own engine:
   integrand, which converges spectrally.
 * radial integrals over ``[0, r_max]`` with exponentially decaying tails,
   by composite Gauss-Legendre panels plus an explicit tail bound.
-* inner products of states sampled on the model's strip grid: composite
+* inner products of states on the model's strip grid: composite
   Simpson along the unbounded direction, plain summation along the
   periodic one (the trapezoid rule is spectrally accurate for periodic
   smooth integrands, and every integrand here dies out in x well inside
-  the window).
+  the window). States are held as y-Fourier mode columns (see
+  ``states.SampledState``), so the y sum is taken by Parseval: dy times
+  the sum over a row's ny samples is y_period times the sum over its
+  mode columns, and columns of different DFT indices are orthogonal.
 
-Grid derivatives live here too: spectral differentiation along the
-periodic axis, fourth-order centred stencils with one-sided closures
-along the open axis.
+Grid derivatives live here too, acting on mode columns: spectral
+differentiation along the periodic axis is a multiplication of each
+column by its index's frequency, and fourth-order centred stencils with
+one-sided closures act along the open axis.
 """
 
 from __future__ import annotations
@@ -263,16 +267,27 @@ def _x_step(grid: GridSpec) -> float:
 
 def _row_weights(state) -> np.ndarray:
     """Weight of each grid row in an integral over the strip: the Simpson
-    weights along x times the y spacing. Every grid quadrature takes its
-    rule from here."""
+    weights along x times the y period, by which (Parseval) a sum over the
+    row's mode columns stands for dy times the sum over its samples. Every
+    grid quadrature takes its rule from here."""
     grid = state.grid
-    return _simpson_weights(grid.nx, _x_step(grid)) * (state.y_period / grid.ny)
+    return _simpson_weights(grid.nx, _x_step(grid)) * state.y_period
 
 
 def _braket(bra: np.ndarray, ket: np.ndarray, state) -> complex:
     """The one inner-product reduction: row sums of bra * ket weighted by
     ``_row_weights``, in a fixed order, so repeated calls are bit-identical."""
     return complex(np.sum(_row_weights(state) * np.sum(bra * ket, axis=1)))
+
+
+def _shared_columns(a, b) -> tuple:
+    """Where the mode columns of a and of b with the DFT indices both hold
+    sit in each: whole rows when their indices agree. Columns of distinct
+    indices are orthogonal over the period, so only these meet in a product."""
+    if np.array_equal(a.k, b.k):
+        return slice(None), slice(None)
+    _, ia, ib = np.intersect1d(a.k, b.k, assume_unique=True, return_indices=True)
+    return ia, ib
 
 
 def grid_inner_product(a, b) -> complex:
@@ -282,12 +297,13 @@ def grid_inner_product(a, b) -> complex:
     Each factor is scaled by sqrt(weight) before the product is formed:
     states may grow large exactly where the weight underflows to zero,
     and this ordering keeps the integrand finite instead of forming
-    0 * inf. The y sum of each row is then weighted by the Simpson
-    weights times dy from ``_row_weights``.
+    0 * inf. The sum over the mode columns both states hold of each row
+    is then weighted by ``_row_weights``.
     """
     _check_same_grid(a, b)
+    ia, ib = _shared_columns(a, b)
     root_w = np.sqrt(a.weight)[:, None]
-    return _braket(np.conj(a.values * root_w), b.values * root_w, a)
+    return _braket(np.conj(a.modes[:, ia] * root_w), b.modes[:, ib] * root_w, a)
 
 
 def _grid_gram(states) -> np.ndarray:
@@ -300,29 +316,31 @@ def _grid_gram(states) -> np.ndarray:
     for s in states[1:]:
         _check_same_grid(first, s)
     root_w = np.sqrt(first.weight)[:, None]
-    kets = [s.values * root_w for s in states]
+    kets = [s.modes * root_w for s in states]
     gram = np.full((len(kets), len(kets)), np.nan, dtype=complex)
     for i, ket in enumerate(kets):
         bra = np.conj(ket)
         for j in range(i, len(kets)):
-            gram[i, j] = _braket(bra, kets[j], first)
+            ia, ib = _shared_columns(states[i], states[j])
+            gram[i, j] = _braket(bra[:, ia], kets[j][:, ib], first)
     return gram
 
 
 def _check_shape(values: np.ndarray, s) -> None:
-    if values.shape != (s.grid.nx, s.grid.ny):
+    if values.shape != s.modes.shape:
         raise GridMismatchError(
-            f"values shape {values.shape} does not match grid {(s.grid.nx, s.grid.ny)}"
+            f"values shape {values.shape} does not match the mode columns {s.modes.shape} of the state"
         )
 
 
 def weighted_norm(values: np.ndarray, s, exclude_margin: int = 0) -> float:
-    """Weighted L2 norm of an array sampled on the grid of the state s,
-    optionally ignoring boundary rows.
+    """Weighted L2 norm of mode columns laid out as those of the state s
+    (``s.modes.shape``, a column per index of ``s.k``), optionally
+    ignoring boundary rows.
 
     The grid, the measure weight and the periodic length come from s;
-    ``values`` must have the grid's shape (GridMismatchError otherwise).
-    Pass ``s.values`` for the norm of the state itself. Non-finite values
+    ``values`` of another shape raise GridMismatchError. Pass
+    ``s.modes`` for the norm of the state itself. Non-finite values
     (an image that overflowed on this grid), or a norm that overflows,
     raise RangeError. With ``exclude_margin = m`` the first and last m
     rows along the open axis are dropped before integrating, which
@@ -341,7 +359,7 @@ def _streamed_norm(s, exclude_margin: int, rows) -> float:
     root_w = np.sqrt(s.weight)
     density = np.empty(s.grid.nx)
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, b in _row_blocks(s.grid.nx, 2 * s.grid.ny):
+        for a, b in _row_blocks(s.grid.nx, 2 * s.modes.shape[1]):
             density[a:b] = _row_density(rows(a, b), root_w[a:b])
     return _density_norm(density, s, exclude_margin)
 
@@ -447,31 +465,28 @@ def _x_stencil_blocks(values: np.ndarray, h: float, orders: tuple[int, ...]):
         yield a, b, [out[: b - a] for out in outs]
 
 
-def _y_derivative(values: np.ndarray, y_period: float, order: int) -> np.ndarray:
-    ny = values.shape[1]
-    k = 2.0 * np.pi * np.fft.fftfreq(ny, d=y_period / ny)
-    spectrum = np.fft.fft(values, axis=1)
+def _y_multiplier(k: np.ndarray, ny: int, y_period: float, order: int) -> np.ndarray:
+    """Spectral y-derivative of mode columns of DFT indices k: each column
+    is multiplied by (i q)^order, q = 2 pi fftfreq(ny, y_period/ny) at its
+    index, the signed frequency the index aliases to. An even ny's Nyquist
+    index has no first-derivative sign, and its first derivative is 0."""
+    q = 2.0 * np.pi * np.fft.fftfreq(ny, d=y_period / ny)[k]
     if order == 1:
-        mult = 1j * k
-        if ny % 2 == 0:
-            # the Nyquist mode has no well-defined first derivative sign
-            mult[ny // 2] = 0.0
-    else:
-        mult = -(k**2)
-    return np.fft.ifft(spectrum * mult, axis=1)
+        return np.where(2 * k == ny, 0.0, 1j * q)
+    return -(q**2)
 
 
 def fd_derivative(values: np.ndarray, s, axis: str, order: int = 1) -> np.ndarray:
-    """Differentiate an array sampled on the grid of the state s along
+    """Differentiate mode columns laid out as those of the state s along
     one grid axis.
 
-    axis "y" (periodic) uses spectral differentiation over the period
-    of s, exact for every mode the grid resolves. axis "x" (open) uses
-    fourth-order centred stencils with one-sided five-point closures at
-    the boundary rows; compare derivatives with
-    ``exclude_margin = FD_MARGIN`` since the closure rows carry larger
-    error. ``order`` is 1 or 2, and ``values`` must have the grid's
-    shape (GridMismatchError otherwise).
+    axis "y" (periodic) multiplies each column by the spectral derivative
+    of its DFT index over the period of s, exact for every mode the grid
+    resolves. axis "x" (open) uses fourth-order centred stencils with
+    one-sided five-point closures at the boundary rows; compare
+    derivatives with ``exclude_margin = FD_MARGIN`` since the closure rows
+    carry larger error. ``order`` is 1 or 2, and ``values`` must have the
+    shape of ``s.modes`` (GridMismatchError otherwise).
 
     Returns a new complex array; the input is not modified.
     """
@@ -484,5 +499,5 @@ def fd_derivative(values: np.ndarray, s, axis: str, order: int = 1) -> np.ndarra
             out[a:b] = block
         return out
     if axis == "y":
-        return _y_derivative(np.asarray(values, dtype=complex), s.y_period, order)
+        return values * _y_multiplier(s.k, s.grid.ny, s.y_period, order)
     raise DomainError(f'axis must be "x" or "y", got {axis!r}')

@@ -6,19 +6,29 @@ built from a Laguerre polynomial in u = beta/xi. The profile grows
 toward x -> -inf while the measure weight dies double-exponentially
 there, so only weighted combinations are physical; the quadrature layer
 is written to form those combinations without overflowing.
+
+A sampled state is stored as its y-Fourier modes: one x-column per DFT
+index along y. The plane wave e^(-i n kappa y) of the level (l, n) is the
+single index -n mod ny, so an eigenstate is one column, and a coherent
+state's series is its coefficient-times-profile columns. A field known
+only on the grid (the closed coherent form, both Landau gauges) is
+evaluated a block of rows at a time and transformed into one
+preallocated array of all ny columns. Dense samples are synthesised by
+one inverse FFT where they are read; the fields known only on the grid
+are printed from their own evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, RangeError
 from .model import PhysParams, QuantumNumbers, energy
-from .quadrature import GridSpec
+from .quadrature import GridSpec, _row_blocks
 from .specfun import hermite, laguerre, laguerre_deriv
 
 __all__ = [
@@ -37,44 +47,114 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SampledState:
-    """A complex field sampled on a strip grid, with its measure weight.
+    """A complex field on a strip grid, stored as its y-Fourier modes,
+    with its measure weight.
 
-    ``values[i, j]`` is the amplitude at ``(x[i], y[j])``; ``weight[i]``
-    samples the measure along x (mathematically positive everywhere, but
-    allowed to underflow to zero in the dead tail). ``labels`` is set
-    only by :func:`wavefunction`. Arrays are frozen after construction;
-    derive modified states through ``dataclasses.replace``.
+    The samples are psi(x[i], y[j]) = sum_c modes[i, c] e^(2 pi i k[c] j / ny):
+    column c of ``modes`` holds the coefficient of the DFT index k[c] along
+    y, and ``k`` lists distinct indices in [0, ny) in ascending order. A
+    plane wave e^(-i n kappa y) is the index -n mod ny, whatever n is, so
+    aliasing follows the DFT index. Only the columns a state needs are
+    kept: one for an eigenstate, all ny for a field transformed from
+    samples (:meth:`from_samples`). ``values`` synthesises the dense
+    samples by one inverse FFT.
+
+    ``x`` and ``y`` are the grid's axes, with y[0] = -y_period/2.
+    ``weight[i]`` samples the measure along x (mathematically positive
+    everywhere, but allowed to underflow to zero in the dead tail).
+    ``labels`` is set only by :func:`wavefunction`. Arrays are frozen
+    after construction; derive modified states through
+    ``dataclasses.replace``.
     """
 
     grid: GridSpec
-    x: np.ndarray
-    y: np.ndarray
-    values: np.ndarray
+    modes: np.ndarray
+    k: np.ndarray
     weight: np.ndarray
     y_period: float
     labels: QuantumNumbers | None = None
+    x: np.ndarray = field(init=False, repr=False)
+    y: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.x.shape != (self.grid.nx,) or self.y.shape != (self.grid.ny,):
-            raise DomainError("axis arrays do not match the grid")
-        if self.values.shape != (self.grid.nx, self.grid.ny):
+        if not self.y_period > 0.0:
+            raise DomainError(f"y_period must be positive, got {self.y_period!r}")
+        x, y = _grid_axes(self.grid, self.y_period)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "modes", np.asarray(self.modes, dtype=complex))
+        object.__setattr__(self, "k", np.asarray(self.k))
+        k, ny = self.k, self.grid.ny
+        if not (
+            k.ndim == 1
+            and 1 <= k.size <= ny
+            and k.dtype.kind in "iu"
+            and 0 <= k[0]
+            and k[-1] < ny
+            and np.all(np.diff(k) > 0)
+        ):
+            raise DomainError(f"mode indices must ascend strictly within [0, {ny}), got {k!r}")
+        if self.modes.shape != (self.grid.nx, k.size):
             raise DomainError(
-                f"values shape {self.values.shape} does not match grid "
-                f"{(self.grid.nx, self.grid.ny)}"
+                f"modes shape {self.modes.shape} does not match {self.grid.nx} rows "
+                f"of {k.size} mode columns"
             )
         if self.weight.shape != (self.grid.nx,):
             raise DomainError("weight must be sampled along x only")
-        if not self.y_period > 0.0:
-            raise DomainError(f"y_period must be positive, got {self.y_period!r}")
         if np.any(self.weight < 0.0) or not np.all(np.isfinite(self.weight)):
             raise DomainError("weight samples must be finite and non-negative")
-        if not np.all(np.isfinite(self.values)):
-            raise RangeError(
-                "state amplitudes overflow on this grid; shrink the window "
-                "on the growing side"
-            )
-        for arr in (self.x, self.y, self.values, self.weight):
+        if not np.all(np.isfinite(self.modes)):
+            raise _amplitude_overflow()
+        for arr in (self.x, self.y, self.modes, self.k, self.weight):
             arr.setflags(write=False)
+
+    @classmethod
+    def from_samples(cls, grid: GridSpec, values, weight: np.ndarray, y_period: float) -> "SampledState":
+        """The state whose dense samples on the grid are ``values`` (nx by
+        ny), transformed to all ny mode columns. Non-finite samples raise
+        RangeError."""
+        values = np.asarray(values)
+        if values.shape != (grid.nx, grid.ny):
+            raise DomainError(f"values shape {values.shape} does not match grid {(grid.nx, grid.ny)}")
+        return _transformed(grid, lambda a, b: values[a:b], weight, y_period)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The dense samples ``values[i, j]`` at ``(x[i], y[j])``, synthesised
+        by one inverse FFT along y and read-only. Each is exact to rounding
+        of the largest sample of its row; one that overflows is not finite."""
+        full = np.zeros((self.grid.nx, self.grid.ny), dtype=complex)
+        full[:, self.k] = self.modes
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.fft.ifft(full, axis=1, norm="forward")
+        out.setflags(write=False)
+        return out
+
+
+def _amplitude_overflow() -> RangeError:
+    return RangeError("state amplitudes overflow on this grid; shrink the window on the growing side")
+
+
+def _evaluated(grid: GridSpec, rows) -> np.ndarray:
+    """Every row of the samples rows(a, b) gives, as one array; a sample
+    that is not finite raises RangeError, and no warning is raised."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = rows(0, grid.nx)
+    if not np.all(np.isfinite(values)):
+        raise _amplitude_overflow()
+    return values
+
+
+def _transformed(grid: GridSpec, rows, weight: np.ndarray, y_period: float) -> SampledState:
+    """The state whose samples rows(a, b) gives a block of rows at a time.
+    Each block's y-FFT fills its rows of one preallocated array of all ny
+    mode columns, so no second state-sized array exists. A sample that is
+    not finite, or a mode that overflows, raises RangeError."""
+    modes = np.empty((grid.nx, grid.ny), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in _row_blocks(grid.nx, 2 * grid.ny):
+            np.fft.fft(rows(a, b), axis=1, norm="forward", out=modes[a:b])
+    return SampledState(grid=grid, modes=modes, k=np.arange(grid.ny), weight=weight, y_period=y_period)
 
 
 def default_grid(p: PhysParams) -> GridSpec:
@@ -84,9 +164,10 @@ def default_grid(p: PhysParams) -> GridSpec:
     return GridSpec(x_c - 8.0 * p.a0, x_c + 8.0 * p.a0, 1024, 64)
 
 
-def _grid_axes(grid: GridSpec, p: PhysParams) -> tuple[np.ndarray, np.ndarray]:
+def _grid_axes(grid: GridSpec, y_period: float) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y axes of a grid whose periodic length is y_period."""
     x = np.linspace(grid.x_min, grid.x_max, grid.nx)
-    y = -0.5 * p.a0 + np.arange(grid.ny) * (p.a0 / grid.ny)
+    y = -0.5 * y_period + np.arange(grid.ny) * (y_period / grid.ny)
     return x, y
 
 
@@ -184,9 +265,11 @@ def wavefunction(q: QuantumNumbers, p: PhysParams, grid: GridSpec) -> SampledSta
 
     The amplitude is sqrt((-e B0 / pi hbar c)(2l+1)) e^(-i n kappa y)
     times the xi profile; the state's weight array carries the measure,
-    and inner products under it are orthonormal.
+    and inner products under it are orthonormal. The plane wave is the
+    one mode column -n mod ny, whose coefficient carries the phase
+    e^(-i n kappa y[0]) = (-1)^n of y[0] = -a0/2.
     """
-    x, y = _grid_axes(grid, p)
+    x = _grid_axes(grid, p.a0)[0]
     with np.errstate(over="ignore"):
         xi = np.exp(p.kappa * x)
     if not np.all(xi > 0.0):
@@ -197,16 +280,14 @@ def wavefunction(q: QuantumNumbers, p: PhysParams, grid: GridSpec) -> SampledSta
         raise RangeError("xi = e^(kappa x) overflows on this grid; shrink the window on the decaying side")
     profile = assoc_bessel(q.l, q.n, p.beta, xi)
     amp = math.sqrt(-p.e * p.B0 / (math.pi * p.hbar * p.c) * (2 * q.l + 1))
-    phase = np.exp(-1j * q.n * p.kappa * y)
     # an overflowing profile gives inf (or inf * 0 = nan) cells, which
     # SampledState refuses with RangeError
     with np.errstate(over="ignore", invalid="ignore"):
-        values = amp * profile[:, None] * phase[None, :]
+        column = (amp * profile) * (-1.0 if q.n % 2 else 1.0)
     return SampledState(
         grid=grid,
-        x=x,
-        y=y,
-        values=values,
+        modes=column[:, None],
+        k=np.array([-q.n % grid.ny]),
         weight=measure_weight(x, p),
         y_period=p.a0,
         labels=q,
@@ -304,10 +385,17 @@ def landau_state_asym(lp: LandauParams, p: PhysParams, grid: GridSpec) -> Sample
     """Flat-field level in the asymmetric gauge: plane wave along y,
     Hermite-Gaussian along x centred on the guiding centre. The weight
     array is identically 1 (flat measure); the x integral of the density
-    is 1/(4 pi^2) by the stated prefactor."""
+    is 1/(4 pi^2) by the stated prefactor. k_y need not be a multiple of
+    2 pi / a0, so the samples are transformed to all ny mode columns."""
+    return _transformed(grid, _landau_asym_rows(lp, p, grid), np.ones(grid.nx), p.a0)
+
+
+def _landau_asym_rows(lp: LandauParams, p: PhysParams, grid: GridSpec):
+    """The samples of :func:`landau_state_asym`, as a function of (a, b)
+    giving rows a..b-1."""
     if lp.gauge != "asymmetric":
         raise DomainError("landau_state_asym needs asymmetric-gauge labels")
-    x, y = _grid_axes(grid, p)
+    x, y = _grid_axes(grid, p.a0)
     r_c = lp.cyclotron_radius(p)
     x0 = lp.guiding_centre(p)
     t = (x - x0) / r_c
@@ -316,10 +404,7 @@ def landau_state_asym(lp: LandauParams, p: PhysParams, grid: GridSpec) -> Sample
     )
     profile = norm * np.exp(-0.5 * t * t) * hermite(lp.N, t)
     phase = np.exp(-1j * lp.k_y * y)
-    values = profile[:, None] * phase[None, :]
-    return SampledState(
-        grid=grid, x=x, y=y, values=values, weight=np.ones(grid.nx), y_period=p.a0
-    )
+    return lambda a, b: profile[a:b, None] * phase[None, :]
 
 
 def landau_box(lp: LandauParams, p: PhysParams, nx: int, ny: int) -> tuple[PhysParams, GridSpec]:
@@ -334,36 +419,36 @@ def landau_box(lp: LandauParams, p: PhysParams, nx: int, ny: int) -> tuple[PhysP
     return replace(p, a0=24.0 * r_c), grid
 
 
-_LANDAU_BLOCK = 1 << 16  # cells per block of rows of the symmetric-gauge state
-
-
 def landau_state_sym(n: int, l: int, p: PhysParams, grid: GridSpec) -> SampledState:
     """Flat-field level in the symmetric gauge: (x + i y)^l vortex factor,
     Gaussian envelope, Laguerre radial polynomial; unit norm under the
-    flat plane measure. The weight array is identically 1."""
+    flat plane measure. The weight array is identically 1. The samples
+    are evaluated and transformed a block of rows at a time."""
+    return _transformed(grid, _landau_sym_rows(n, l, p, grid), np.ones(grid.nx), p.a0)
+
+
+def _landau_sym_rows(n: int, l: int, p: PhysParams, grid: GridSpec):
+    """The samples of :func:`landau_state_sym`, as a function of (a, b)
+    giving rows a..b-1."""
     lp = LandauParams(gauge="symmetric", n=n, l=l)
-    x, y = _grid_axes(grid, p)
+    x, y = _grid_axes(grid, p.a0)
     r_c = lp.cyclotron_radius(p)
     s = math.sqrt(2.0) * r_c
-    xx = x[:, None]
     yy = y[None, :]
-    norm = math.exp(0.5 * (math.lgamma(n + 1.0) - math.lgamma(n + l + 1.0)) - 0.5 * math.log(math.pi))
-    # norm/s * ((x + iy)/s)^l * exp(-rho2/4r_c^2) * L(rho2/2r_c^2), multiplied left to
-    # right in place a block of rows at a time: the same roundings as the
-    # expression, and no full-grid temporary besides the values
-    values = np.empty((grid.nx, grid.ny), dtype=complex)
     iy = 1j * yy
-    step = max(1, _LANDAU_BLOCK // grid.ny)
-    for i in range(0, grid.nx, step):
-        rows = xx[i : i + step]
-        block = values[i : i + step]
-        np.add(rows, iy, out=block)
+    norm = math.exp(0.5 * (math.lgamma(n + 1.0) - math.lgamma(n + l + 1.0)) - 0.5 * math.log(math.pi))
+
+    def rows(a: int, b: int) -> np.ndarray:
+        # norm/s * ((x + iy)/s)^l * exp(-rho2/4r_c^2) * L(rho2/2r_c^2), multiplied
+        # left to right in place: the same roundings as the expression
+        xx = x[a:b, None]
+        block = np.add(xx, iy)
         block /= s
         block **= l
         np.multiply(norm / s, block, out=block)
-        rho2 = rows * rows + yy * yy
+        rho2 = xx * xx + yy * yy
         block *= np.exp(-rho2 / (4.0 * r_c * r_c))
         block *= laguerre(n, float(l), rho2 / (2.0 * r_c * r_c))
-    return SampledState(
-        grid=grid, x=x, y=y, values=values, weight=np.ones(grid.nx), y_period=p.a0
-    )
+        return block
+
+    return rows

@@ -47,10 +47,11 @@ import cmath
 MARGIN = 8
 
 
-def _residual_norm(image, values, s) -> float:
-    """Margin-excluded weighted norm of an operator image minus an array,
-    both sampled on the grid of s."""
-    return weighted_norm(image.values - values, s, exclude_margin=MARGIN)
+def _residual_norm(image, coeff, s) -> float:
+    """Margin-excluded weighted norm of an operator image minus coeff times
+    the state s, whose mode indices the image holds."""
+    assert np.array_equal(image.k, s.k)
+    return weighted_norm(image.modes - coeff * s.modes, s, exclude_margin=MARGIN)
 
 
 def test_criterion_1_orthonormality(p):
@@ -104,17 +105,17 @@ def test_criterion_3_ladder_structure(p):
             s = wavefunction(QuantumNumbers(l, n), p, grid)
             up_coeff = math.sqrt((n + 1 + l) * (n - l))
             up = wavefunction(QuantumNumbers(l, n + 1), p, grid)
-            defect = _residual_norm(apply_Lplus(s, p), up_coeff * up.values, up)
+            defect = _residual_norm(apply_Lplus(s, p), up_coeff, up)
             worst_raise = max(worst_raise, defect / up_coeff)
             if n == l + 1:
                 killed = apply_Lminus(s, p)
                 worst_kill = max(
-                    worst_kill, weighted_norm(killed.values, killed, exclude_margin=MARGIN)
+                    worst_kill, weighted_norm(killed.modes, killed, exclude_margin=MARGIN)
                 )
             else:
                 down_coeff = math.sqrt((n + l) * (n - l - 1))
                 down = wavefunction(QuantumNumbers(l, n - 1), p, grid)
-                defect = _residual_norm(apply_Lminus(s, p), down_coeff * down.values, down)
+                defect = _residual_norm(apply_Lminus(s, p), down_coeff, down)
                 worst_lower = max(worst_lower, defect / down_coeff)
             worst_casimir = max(worst_casimir, apply_casimir(s, p))
     print(
@@ -218,7 +219,7 @@ def test_criterion_6_coherent_states(p):
         s = bg_state_closed(spec, p, grid)
         worst_lower = max(
             worst_lower,
-            _residual_norm(apply_Lminus(s, p), Z * s.values, s) / max(1.0, abs(Z)),
+            _residual_norm(apply_Lminus(s, p), Z, s) / max(1.0, abs(Z)),
         )
     worst_radial = 0.0
     for l in range(3):

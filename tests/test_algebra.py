@@ -45,10 +45,11 @@ def _state(l: int, n: int, p):
     return wavefunction(QuantumNumbers(l, n), p, algebra_grid(p))
 
 
-def _diff_norm(image, values, s) -> float:
-    """Margin-excluded weighted norm of an operator image minus an array,
-    both sampled on the grid of s."""
-    return weighted_norm(image.values - values, s, exclude_margin=MARGIN)
+def _diff_norm(image, coeff, s) -> float:
+    """Margin-excluded weighted norm of an operator image minus coeff times
+    the state s, whose mode indices the image holds."""
+    assert np.array_equal(image.k, s.k)
+    return weighted_norm(image.modes - coeff * s.modes, s, exclude_margin=MARGIN)
 
 
 class TestLadderAction:
@@ -58,7 +59,7 @@ class TestLadderAction:
             upper = _state(l, n + 1, p)
             coeff = math.sqrt((n + 1 + l) * (n - l))
             raised = apply_Lplus(lower, p)
-            assert _diff_norm(raised, coeff * upper.values, upper) <= 1e-6 * max(coeff, 1.0)
+            assert _diff_norm(raised, coeff, upper) <= 1e-6 * max(coeff, 1.0)
 
     def test_lowering_matrix_elements(self, p):
         for l, n in BASIS:
@@ -68,13 +69,13 @@ class TestLadderAction:
             lower = _state(l, n - 1, p)
             coeff = math.sqrt((n + l) * (n - l - 1))
             dropped = apply_Lminus(upper, p)
-            assert _diff_norm(dropped, coeff * lower.values, lower) <= 1e-6 * max(coeff, 1.0)
+            assert _diff_norm(dropped, coeff, lower) <= 1e-6 * max(coeff, 1.0)
 
     def test_bottom_states_are_annihilated(self, p):
         for l in range(5):
             s = _state(l, l + 1, p)
             killed = apply_Lminus(s, p)
-            assert weighted_norm(killed.values, killed, exclude_margin=MARGIN) <= 1e-6
+            assert weighted_norm(killed.modes, killed, exclude_margin=MARGIN) <= 1e-6
 
     def test_l3_eigenvalue_is_n(self, p):
         # spectral derivative along y: the weighted residual is near
@@ -82,7 +83,7 @@ class TestLadderAction:
         for l, n in ((0, 1), (1, 3), (2, 4)):
             s = _state(l, n, p)
             rotated = apply_L3(s, p)
-            assert _diff_norm(rotated, n * s.values, s) <= 1e-10 * n
+            assert _diff_norm(rotated, n, s) <= 1e-10 * n
 
     def test_adjoint_pairing(self, p):
         # <L+ a | b> = <a | L- b> ties the two stencils together through
@@ -111,7 +112,7 @@ class TestQuadraticOperators:
     def test_superposition_is_not_an_eigenstate(self, p):
         a = _state(0, 1, p)
         b = _state(0, 2, p)
-        mixed = dataclasses.replace(a, values=(a.values + b.values) / math.sqrt(2.0), labels=None)
+        mixed = SampledState.from_samples(a.grid, (a.values + b.values) / math.sqrt(2.0), a.weight, a.y_period)
         res = apply_hamiltonian(mixed, p, reference_energy=energy(QuantumNumbers(0, 1), p))
         assert res > 0.1
 
@@ -126,7 +127,7 @@ class TestQuadraticOperators:
 
 class TestArrayComposition:
     def test_residuals_build_no_state(self, p, monkeypatch):
-        # the operators compose on value arrays; a SampledState per image
+        # the operators compose on mode arrays; a SampledState per image
         # would be built and re-validated 41 times for one h_casimir residual
         s = _state(1, 2, p)
         built = []
@@ -179,20 +180,20 @@ class TestCommutators:
 
 def _single_operator_rows(p, grid, n_max):
     """The ladder-check rows as the operators applied on their own measure
-    them, each state built afresh and every image a whole array."""
+    them, each state built afresh and every image a whole mode array."""
     want = []
     for n in range(1, n_max + 1):
         for l in range(n):
             s = wavefunction(QuantumNumbers(l, n), p, grid)
             c = math.sqrt((n + l + 1) * (n - l))
-            up = wavefunction(QuantumNumbers(l, n + 1), p, grid).values
-            raised = _relative_defect(apply_Lplus(s, p).values, up, s, c, c, _COMPOSED_MARGIN)
-            lowered = apply_Lminus(s, p).values
+            up = wavefunction(QuantumNumbers(l, n + 1), p, grid)
+            raised = _relative_defect(apply_Lplus(s, p), up, s, c, c, _COMPOSED_MARGIN)
+            lowered = apply_Lminus(s, p)
             if n == l + 1:
-                lower = _relative_defect(lowered, s.values, s, 0.0, 1.0, _COMPOSED_MARGIN)
+                lower = _relative_defect(lowered, s, s, 0.0, 1.0, _COMPOSED_MARGIN)
             else:
                 c = math.sqrt((n + l) * (n - l - 1))
-                down = wavefunction(QuantumNumbers(l, n - 1), p, grid).values
+                down = wavefunction(QuantumNumbers(l, n - 1), p, grid)
                 lower = _relative_defect(lowered, down, s, c, c, _COMPOSED_MARGIN)
             want.append(
                 {
@@ -214,12 +215,12 @@ _CONFIG_GRIDS = [(nx, ny) for nx in (8, 9, 1001, 4099) for ny in (8, 12, 64)]
 
 
 class TestLadderCheck:
-    # sha256 of ladder-check output as the whole-array operators wrote it
+    # sha256 of ladder-check output as the whole-array mode-space operators wrote it
     PINNED = {
         ("ladder-check", "--n-max", "4"):
-            "ff3bee822b0f89940207e05efabf26a6adfdab86463cd8b207873e74216b9f05",
+            "3bf7c6ac0d8e19ee2c1c6a9c474be0a9fbeb4a1abd4e3baeaabce3a905af7316",
         ("--format", "json", "ladder-check", "--n-max", "2"):
-            "bb17acb92247ec7feac8b4b5c042f68426a88ee27e8303181d5f209bf29b41f0",
+            "50375c2267f997496a2f8ddebda07c6e18f577f40bf387562b5ed8ae72dac390",
     }
 
     def test_rows_are_the_single_operators_bits(self, p, tmp_path):
@@ -252,13 +253,13 @@ class TestLadderCheck:
         assert hashlib.sha256(out).hexdigest() == self.PINNED[argv]
 
     def test_peak_memory(self, tmp_path):
-        # 8192x64 complex cells are 8 MiB; --n-max 2 peaks at 34.8 MiB traced
-        # while holding the state, the one below, L- and L+ of the state; one
-        # more state-sized image fails
+        # an eigenstate on the 8192x64 grid is one 128 KiB mode column;
+        # --n-max 2 peaks at 2.3 MiB traced, and one dense 8192x64 array
+        # (8 MiB) fails
         tracemalloc.start()
         try:
             assert main(["--out", str(tmp_path / "ladder.csv"), "ladder-check", "--n-max", "2"]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 42 * 2**20
+        assert peak <= 4 * 2**20

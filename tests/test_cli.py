@@ -36,11 +36,9 @@ from morseband import (
     GridSpec,
     PhysParams,
     QuantumNumbers,
-    SampledState,
     __version__,
     algebra,
     bg_measure_density,
-    bg_state_closed,
     cli,
     default_coherent_grid,
     default_grid,
@@ -49,6 +47,7 @@ from morseband import (
     landau_a0,
     landau_energy,
     landau_limit_error,
+    measure_weight,
     model,
     moments_closed,
     moments_quadrature,
@@ -56,6 +55,7 @@ from morseband import (
     wavefunction,
 )
 from morseband.cli import main
+from morseband.coherent import _closed_samples
 
 
 # The referee: the per-cell text writers the table commands used before they
@@ -130,21 +130,42 @@ def data_lines(blob: bytes) -> list[str]:
     ]
 
 
-def per_cell_rows(s) -> str:
+def per_cell_rows(values, x_axis, y_axis, weight) -> str:
     """The data lines of ``export`` as the per-cell loop before the row
     writer wrote them: the reference the row writer must match byte for byte."""
     lines = []
+    nx, ny = values.shape
     with np.errstate(over="ignore"):
-        for i in range(s.grid.nx):
-            w = format(float(s.weight[i]), ".16e")
-            x = format(float(s.x[i]), ".16e")
-            for j in range(s.grid.ny):
-                v = s.values[i, j]
+        for i in range(nx):
+            w = format(float(weight[i]), ".16e")
+            x = format(float(x_axis[i]), ".16e")
+            for j in range(ny):
+                v = values[i, j]
                 lines.append(
-                    f"{x},{format(float(s.y[j]), '.16e')},{format(float(v.real), '.16e')},"
+                    f"{x},{format(float(y_axis[j]), '.16e')},{format(float(v.real), '.16e')},"
                     f"{format(float(v.imag), '.16e')},{format(float(abs(v) ** 2), '.16e')},{w}\n"
                 )
     return "".join(lines)
+
+
+class TestNegativeValues:
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            (["coherent"], "--z-im", "-1e-3"),
+            (["coherent"], "--z-re", "-1.5E+0"),
+            (["export", "--kind", "landau-asym"], "--ky", "-1e-3"),
+        ],
+    )
+    def test_exponent_notation_is_a_value(self, tmp_path, command, option, value):
+        # argparse alone takes "-1e-3" for an option and exits 2 with
+        # "expected one argument"; it is the value, as in the "=" form
+        code, blob = run(tmp_path, *command, option, value)
+        assert code == 0
+        assert blob == run(tmp_path, *command, f"{option}={value}", name="joined.txt")[1]
+
+    def test_a_dash_word_is_still_not_a_value(self, tmp_path):
+        assert run(tmp_path, "coherent", "--z-im", "-x")[0] == 2
 
 
 class TestExitCodes:
@@ -268,6 +289,20 @@ class TestExitCodes:
             warnings.simplefilter("error")
             assert main(["--config", str(config), "ladder-check", "--n-max", "1"]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("hbar", ["1e153", "4e153"])
+    def test_overflowing_energy_scale_is_named(self, tmp_path, capsys, hbar):
+        # the window is fine; H v overflows because 2 pi^2 hbar^2 / (mu a0^2)
+        # is 5e305 (or inf at 4e153), and the refusal says so
+        config = tmp_path / "params.cfg"
+        config.write_text(f"hbar={hbar}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", str(config), "ladder-check", "--n-max", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "energy scale 2 pi^2 hbar^2 / (mu a0^2)" in captured.err
+        assert "shrink the window" not in captured.err
 
     def test_unwritable_out_is_three(self):
         code = main(["--out", "/nonexistent-dir/x.csv", "spectrum"])
@@ -490,6 +525,13 @@ TABLE_COMMANDS = (
 )
 
 
+def _closed_column(spec: CoherentSpec, p: PhysParams, grid: GridSpec) -> tuple:
+    """x, the closed coherent form's samples at y = -a0/2 and the weight,
+    evaluated on the whole grid: ``coherent`` prints this column."""
+    x = np.linspace(grid.x_min, grid.x_max, grid.nx)
+    return x, _closed_samples(spec, p, grid)[:, 0], measure_weight(x, p)
+
+
 def _referee_tables(command: str, p: PhysParams, grid: GridSpec | None) -> list[tuple]:
     """The tables of a command at its defaults as (name, header, rows), each
     row computed by the library one level or one grid row at a time, as the
@@ -509,10 +551,8 @@ def _referee_tables(command: str, p: PhysParams, grid: GridSpec | None) -> list[
         header = ("l", "n", "raise_defect", "lower_defect", "casimir_residual", "hamiltonian_residual")
         return [("rows", header, rows)]
     if command == "coherent":
-        s = bg_state_closed(CoherentSpec(0, complex(1.0, 0.0)), p, grid or default_coherent_grid(p))
-        state = [
-            (float(s.x[i]), float(abs(s.values[i, 0]) ** 2), float(s.weight[i])) for i in range(s.grid.nx)
-        ]
+        x, column, weight = _closed_column(CoherentSpec(0, complex(1.0, 0.0)), p, grid or default_coherent_grid(p))
+        state = [(float(x[i]), float(abs(column[i]) ** 2), float(weight[i])) for i in range(x.size)]
         measure = [(r, bg_measure_density(0, r)) for r in (i / 10.0 for i in range(1, 101))]
         return [("state", ("x", "density", "weight"), state), ("measure", ("r", "measure_density"), measure)]
     if command == "uncertainty":
@@ -706,12 +746,13 @@ class TestReportCommands:
         _, blob = run(tmp_path, *config, "wavefunction", "--l", "1", "--n", "3", name="w.csv")
         assert blob.decode() == want
 
-        s = bg_state_closed(CoherentSpec(2, complex(0.9, 0.5)), p, grid or default_coherent_grid(p))
-        assert s.grid.ny > 8
-        density = cli._density(s.values[:, 0])
+        coherent_grid = grid or default_coherent_grid(p)
+        assert coherent_grid.ny > 8
+        x, column, weight = _closed_column(CoherentSpec(2, complex(0.9, 0.5)), p, coherent_grid)
+        density = cli._density(column)
         want = _csv_block(
             ("x", "density", "weight"),
-            [(float(s.x[i]), float(density[i]), float(s.weight[i])) for i in range(s.grid.nx)],
+            [(float(x[i]), float(density[i]), float(weight[i])) for i in range(x.size)],
         )
         _, blob = run(
             tmp_path, *config, "coherent", "--l", "2", "--z-re", "0.9", "--z-im", "0.5", name="c.csv"
@@ -829,13 +870,13 @@ class TestExport:
         code, blob = run(tmp_path, *config, "export", *argv)
         assert code == 0
         args = cli._build_parser().parse_args([*config, "export", *argv])
-        s, _, _ = cli._export_state(args, cli._load_run_config(args))
-        if s.grid.nx == 600:
-            per_block = cli._BLOCK_LINES // s.grid.ny
-            assert s.grid.nx > per_block and s.grid.nx % per_block
+        values, x, y, weight, grid, _ = cli._export_samples(args, cli._load_run_config(args))
+        if grid.nx == 600:
+            per_block = cli._BLOCK_LINES // grid.ny
+            assert grid.nx > per_block and grid.nx % per_block
         header, _, rows = blob.decode().partition("x,y,re_psi,im_psi,density,weight\n")
         assert header.count("\n") == 4
-        assert rows == per_cell_rows(s)
+        assert rows == per_cell_rows(values, x, y, weight)
         del rows  # the coherent text is 73 MB; free it before the stdout run
         assert main([*config, "export", *argv]) == 0
         assert capsys.readouterr().out.encode() == blob
@@ -855,17 +896,10 @@ class TestExport:
             complex(1e200, 1.0),  # the density overflows
         ]
         x = np.linspace(-1.0, 1.0, 8)
+        y = np.linspace(-0.5, 0.5, 8, endpoint=False)
         for v in (values, values.real.copy()):
-            s = SampledState(
-                grid=GridSpec(-1.0, 1.0, *shape),
-                x=x,
-                y=np.linspace(-0.5, 0.5, 8, endpoint=False),
-                values=v,
-                weight=np.exp(x),
-                y_period=1.0,
-            )
-            written = "".join(cli._export_rows(s))
-            assert written == per_cell_rows(s)
+            written = "".join(cli._export_rows(v, x, y, np.exp(x)))
+            assert written == per_cell_rows(v, x, y, np.exp(x))
 
     def test_row_count_matches_grid(self, tmp_path):
         cfg = tmp_path / "grid.cfg"

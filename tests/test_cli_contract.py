@@ -60,7 +60,7 @@ _COMMANDS = st.one_of(
     ),
     st.builds(lambda n: ("spectrum", "--n-max", str(n)), st.integers(1, 8)),
     st.builds(
-        lambda l, re, im: ("coherent", "--l", str(l), f"--z-re={re!r}", f"--z-im={im!r}"),
+        lambda l, re, im: ("coherent", "--l", str(l), "--z-re", repr(re), "--z-im", repr(im)),
         st.integers(0, 3),
         st.floats(-5.0, 5.0),
         st.floats(-5.0, 5.0),

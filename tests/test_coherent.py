@@ -40,9 +40,13 @@ from morseband import (
     grid_inner_product,
     identity_resolution_check,
     radial_identity_integral,
+    measure_weight,
     wavefunction,
     weighted_norm,
 )
+from morseband.coherent import _closed_samples
+from morseband.quadrature import _row_weights
+from morseband.states import _grid_axes
 
 import mpmath
 
@@ -51,10 +55,11 @@ mpmath.mp.dps = 30
 SAMPLE_Z = (0.7 + 0.0j, 1.8 * cmath.exp(0.25j * math.pi), 2.8 * cmath.exp(2.0j))
 
 
-def _norm_of_difference(image, values, margin=8) -> float:
-    """Margin-excluded weighted norm of a state minus an array sampled on
-    its grid."""
-    return weighted_norm(image.values - values, image, exclude_margin=margin)
+def _norm_of_difference(image, coeff, s, margin=8) -> float:
+    """Margin-excluded weighted norm of an operator image minus coeff times
+    the state s, whose mode indices the image holds."""
+    assert np.array_equal(image.k, s.k)
+    return weighted_norm(image.modes - coeff * s.modes, s, exclude_margin=margin)
 
 
 class TestCoefficients:
@@ -112,7 +117,7 @@ class TestStateConstruction:
         grid = default_coherent_grid(p)
         for l, Z in ((0, SAMPLE_Z[0]), (1, SAMPLE_Z[1]), (2, SAMPLE_Z[2])):
             s = bg_state_closed(CoherentSpec(l, Z), p, grid)
-            assert abs(weighted_norm(s.values, s) - 1.0) <= 1e-7
+            assert abs(weighted_norm(s.modes, s) - 1.0) <= 1e-7
 
     def test_series_and_closed_agree(self, p):
         grid = default_coherent_grid(p)
@@ -121,11 +126,35 @@ class TestStateConstruction:
             assert report.weighted_l2 <= 1e-7
             assert report.pointwise_max <= 1e-7
 
+    @pytest.mark.parametrize("l, Z", [(0, SAMPLE_Z[0]), (1, SAMPLE_Z[1]), (2, SAMPLE_Z[2])])
+    def test_closed_modes_are_the_series_columns(self, p, l, Z):
+        # the y-FFT of the closed form occupies exactly the series' indices
+        # -(l+1) .. -(l+T+1) mod ny, and there holds c_N times the level's
+        # profile: each column's weighted norm, outside the band and of the
+        # difference inside it, against the largest column (both measure
+        # about 1e-15)
+        grid = default_coherent_grid(p)
+        spec = CoherentSpec(l, Z)
+        closed, series = bg_state_closed(spec, p, grid), bg_state_series(spec, p, grid)
+        band = [-(l + N + 1) % grid.ny for N in range(spec.truncation + 1)]
+        assert sorted(band) == series.k.tolist() and len(set(band)) == len(band)
+        assert closed.k.tolist() == list(range(grid.ny))
+        w = (_row_weights(closed) * closed.weight)[:, None]
+
+        def column_norms(modes):
+            return np.sqrt(np.sum(w * np.abs(modes) ** 2, axis=0))
+
+        largest = column_norms(closed.modes).max()
+        outside = np.delete(closed.modes, series.k, axis=1)
+        assert column_norms(outside).max() <= 1e-13 * largest
+        assert column_norms(closed.modes[:, series.k] - series.modes).max() <= 1e-13 * largest
+
     def test_zero_eigenvalue_is_the_bottom_eigenstate(self, p):
         grid = default_coherent_grid(p)
         for l in (0, 2):
             coh = bg_state_closed(CoherentSpec(l, 0.0), p, grid)
             eig = wavefunction(QuantumNumbers(l, l + 1), p, grid)
+            assert np.array_equal(coh.k, eig.k) and np.array_equal(coh.modes, eig.modes)
             assert np.array_equal(coh.values, eig.values)
 
     def test_lowering_eigenvalue(self, p):
@@ -133,7 +162,7 @@ class TestStateConstruction:
         for l, Z in ((0, SAMPLE_Z[0]), (1, SAMPLE_Z[1]), (2, SAMPLE_Z[2])):
             s = bg_state_closed(CoherentSpec(l, Z), p, grid)
             lowered = apply_Lminus(s, p)
-            assert _norm_of_difference(lowered, Z * s.values) <= 1e-5 * max(1.0, abs(Z))
+            assert _norm_of_difference(lowered, Z, s) <= 1e-5 * max(1.0, abs(Z))
 
 
 def series_agreement(l, Z, p, grid) -> AgreementReport:
@@ -149,14 +178,15 @@ class TestLiteralBranch:
         # in both factors, no continuation across the cut
         grid = default_coherent_grid(p)
         l = 1
-        state = bg_state_closed(CoherentSpec(l, Z), p, grid)
+        samples = _closed_samples(CoherentSpec(l, Z), p, grid)
+        x_axis, y_axis = _grid_axes(grid, p.a0)
         denom = math.sqrt(bessel_i(2 * l + 1, 2.0 * abs(Z)))
         front = math.sqrt(2.0 * math.pi * (2 * l + 1)) / p.a0
         phase = (abs(Z) / Z) ** (l + 0.5)
-        i_row = int(np.searchsorted(state.x, p.x_weight_mode + 0.3 * p.a0))
-        x = state.x[i_row]
+        i_row = int(np.searchsorted(x_axis, p.x_weight_mode + 0.3 * p.a0))
+        x = x_axis[i_row]
         signs = []
-        for j, y in enumerate(state.y):
+        for j, y in enumerate(y_axis):
             zxy = x + 1j * y
             w = p.beta * Z * cmath.exp(-p.kappa * zxy)
             literal = (
@@ -166,7 +196,7 @@ class TestLiteralBranch:
                 * bessel_j(2 * l + 1, 2.0 * cmath.sqrt(w))
                 / denom
             )
-            ratio = literal / state.values[i_row, j]
+            ratio = literal / samples[i_row, j]
             assert abs(abs(ratio) - 1.0) <= 1e-10
             assert abs(ratio.imag) <= 1e-10
             signs.append(1 if ratio.real > 0 else -1)
@@ -202,6 +232,17 @@ def _referee(p, l, Z, x, y) -> tuple[complex, float]:
     return complex(value), float(abs(2 * s * mpmath.besselj(a, 2 * s, derivative=1) / bessel))
 
 
+class _Closed:
+    """The closed form's own samples on a grid (before the transform to
+    mode columns), with the grid's axes and the weight."""
+
+    def __init__(self, l, Z, p, grid):
+        self.values = _closed_samples(CoherentSpec(l, Z), p, grid)
+        self.x, self.y = _grid_axes(grid, p.a0)
+        self.weight = measure_weight(self.x, p)
+        self.grid = grid
+
+
 def _trusted_cells(state) -> np.ndarray:
     dens = state.weight[:, None] * np.abs(state.values) ** 2
     return np.argwhere(dens >= 1e-12 * np.max(dens))
@@ -221,7 +262,7 @@ class TestClosedFormReferee:
         # the verify sample's worst series/closed cell; a hand-summed
         # Bessel series was off by 6.4e-10 on this row
         l, Z = 2, SAMPLE_Z[2]
-        state = bg_state_closed(CoherentSpec(l, Z), p, default_coherent_grid(p))
+        state = _Closed(l, Z, p, default_coherent_grid(p))
         i = int(np.argmin(np.abs(state.x + 2.668)))
         cells = [(i, j) for i2, j in _trusted_cells(state) if i2 == i]
         assert len(cells) == state.grid.ny
@@ -231,7 +272,7 @@ class TestClosedFormReferee:
         # |Z| = 10 lies in the CLI sweep's range; a hand-summed Bessel
         # series cancels like e^(2 sqrt|w|) and lost every digit on the
         # left trusted rows here
-        state = bg_state_closed(CoherentSpec(0, 10.0), p, default_coherent_grid(p))
+        state = _Closed(0, 10.0, p, default_coherent_grid(p))
         rows = np.unique(_trusted_cells(state)[:, 0])
         cells = [(i, j) for i in rows[:: max(1, rows.size // 24)] for j in (0, 37, 64, 101)]
         assert max(err for err, _ in _referee_errors(p, 0, 10.0, state, cells)) <= 1e-13
@@ -253,7 +294,7 @@ class TestClosedFormReferee:
         Z = 10.0**log_r * cmath.exp(1j * angle)
         window = default_coherent_grid(p)
         grid = GridSpec(window.x_min, window.x_max, 513, 16)
-        state = bg_state_closed(CoherentSpec(l, Z), p, grid)
+        state = _Closed(l, Z, p, grid)
         cells = _trusted_cells(state)
         picked = [cells[(pick + k * 7919) % len(cells)] for k in range(3)]
         eps = np.finfo(float).eps
@@ -264,7 +305,7 @@ class TestClosedFormReferee:
     def test_norm_at_large_eigenvalue(self, p, r):
         # what is left comes from the fixed window, not from the closed form
         s = bg_state_closed(CoherentSpec(0, r * cmath.exp(0.3j)), p, default_coherent_grid(p))
-        assert np.all(np.isfinite(s.values))
+        assert np.all(np.isfinite(s.modes))
         assert abs(grid_inner_product(s, s).real - 1.0) <= 1e-2
 
     @pytest.mark.parametrize("x_min", [-30.0, -700.0])

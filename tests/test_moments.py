@@ -71,14 +71,14 @@ def _braket_moments(s, hbar: float) -> MomentSet:
     norm = grid_inner_product(s, s).real
 
     def braket(values):
-        return grid_inner_product(s, dataclasses.replace(s, values=values, labels=None)) / norm
+        return grid_inner_product(s, dataclasses.replace(s, modes=values, labels=None)) / norm
 
     x = s.x[:, None]
-    p_values = -1j * hbar * fd_derivative(s.values, s, "x", 1)
-    p2_values = -(hbar**2) * fd_derivative(s.values, s, "x", 2)
+    p_values = -1j * hbar * fd_derivative(s.modes, s, "x", 1)
+    p2_values = -(hbar**2) * fd_derivative(s.modes, s, "x", 2)
     return MomentSet.from_means(
-        mean_x=braket(x * s.values).real,
-        mean_x2=braket(x**2 * s.values).real,
+        mean_x=braket(x * s.modes).real,
+        mean_x2=braket(x**2 * s.modes).real,
         mean_p=braket(p_values),
         mean_p2=braket(p2_values),
         mean_xp=braket(x * p_values),
@@ -119,15 +119,15 @@ class TestFusedPassAgainstBrakets:
 
 
 def _whole_array_moments(s, hbar: float) -> MomentSet:
-    """The one-pass moments on whole arrays: every derivative from
-    fd_derivative, every y sum one einsum over the full grid."""
+    """The one-pass moments on whole mode arrays: every derivative from
+    fd_derivative, every column sum one einsum over the whole array."""
     root_w = np.sqrt(s.weight)[:, None]
-    amp = s.values * root_w
+    amp = s.modes * root_w
     parts = amp.view(np.float64)
     density = np.einsum("ij,ij->i", parts, parts)
     bra = np.conjugate(amp)
     d1, d2 = (
-        np.einsum("ij,ij->i", bra, fd_derivative(s.values, s, "x", order) * root_w)
+        np.einsum("ij,ij->i", bra, fd_derivative(s.modes, s, "x", order) * root_w)
         for order in (1, 2)
     )
     wx = _row_weights(s)
@@ -157,13 +157,11 @@ class TestStreamedMoments:
     def test_random_state_bits(self, nx, ny, monkeypatch):
         monkeypatch.setattr(MomentSet, "from_means", classmethod(lambda cls, **means: means))
         rng = np.random.default_rng(nx + ny)
-        s = SampledState(
-            grid=GridSpec(-1.0, 1.0, nx, ny),
-            x=np.linspace(-1.0, 1.0, nx),
-            y=np.arange(ny) / ny,
-            values=rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny)),
-            weight=np.ones(nx),
-            y_period=1.0,
+        s = SampledState.from_samples(
+            GridSpec(-1.0, 1.0, nx, ny),
+            rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny)),
+            np.ones(nx),
+            1.0,
         )
         assert _grid_moments(s, 1.0) == _whole_array_moments(s, 1.0)
 

@@ -6,6 +6,7 @@ SampledState instances (plain polynomials, unit weight) expose the
 strip-grid inner product and the finite-difference stencils directly.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -148,9 +149,7 @@ def _flat_state(nx: int, ny: int, fx, x_min=0.0, x_max=1.0, y_period=1.0) -> Sam
     x = np.linspace(x_min, x_max, nx)
     y = -0.5 * y_period + np.arange(ny) * (y_period / ny)
     values = np.repeat(fx(x)[:, None], ny, axis=1).astype(complex)
-    return SampledState(
-        grid=grid, x=x, y=y, values=values, weight=np.ones(nx), y_period=y_period
-    )
+    return SampledState.from_samples(grid, values, np.ones(nx), y_period)
 
 
 def _harmonic_state(nx: int, ny: int, m: int, y_period=1.0) -> SampledState:
@@ -160,9 +159,7 @@ def _harmonic_state(nx: int, ny: int, m: int, y_period=1.0) -> SampledState:
     values = np.repeat(
         np.exp(2j * math.pi * m * y / y_period)[None, :], nx, axis=0
     )
-    return SampledState(
-        grid=grid, x=x, y=y, values=values, weight=np.ones(nx), y_period=y_period
-    )
+    return SampledState.from_samples(grid, values, np.ones(nx), y_period)
 
 
 class TestGridInnerProduct:
@@ -190,9 +187,9 @@ class TestGridInnerProduct:
 
     def test_weighted_norm_margin_guard(self):
         s = _flat_state(16, 8, lambda x: np.ones_like(x))
-        assert abs(weighted_norm(s.values, s) - 1.0) <= 1e-14
+        assert abs(weighted_norm(s.modes, s) - 1.0) <= 1e-14
         with pytest.raises(DomainError):
-            weighted_norm(s.values, s, exclude_margin=8)
+            weighted_norm(s.modes, s, exclude_margin=8)
 
     def test_weighted_norm_shape_guard(self):
         # an array travels apart from the state whose grid it is sampled on;
@@ -238,16 +235,14 @@ class TestGridInnerProduct:
         x = np.linspace(-1.0, 1.0, nx)
         weight = np.exp(-4.0 * x**2)
         weight[:3] = 0.0
-        s = SampledState(
-            grid=GridSpec(-1.0, 1.0, nx, ny),
-            x=x,
-            y=np.arange(ny) / ny,
-            values=rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny)),
-            weight=weight,
-            y_period=1.0,
+        s = SampledState.from_samples(
+            GridSpec(-1.0, 1.0, nx, ny),
+            rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny)),
+            weight,
+            1.0,
         )
         root_w = np.sqrt(s.weight)
-        for values in (s.values, s.values.real.copy()):
+        for values in (s.modes, s.modes.real.copy()):
             amp = values * root_w[:, None]
             whole = np.sum(amp.real**2 + amp.imag**2, axis=1)
             for a, b in _row_blocks(nx, 2 * ny):
@@ -275,18 +270,21 @@ class TestGridInnerProduct:
         x = np.linspace(-1.0, 1.0, nx)
         weight = np.exp(-4.0 * x**2)
         weight[:6] = 0.0
+        grid = GridSpec(-1.0, 1.0, nx, ny)
+        growth = np.exp(3.0 * (1.0 - x))[:, None]
         states = [
-            SampledState(
-                grid=GridSpec(-1.0, 1.0, nx, ny),
-                x=x,
-                y=np.arange(ny) / ny,
-                values=(rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny)))
-                * np.exp(3.0 * (1.0 - x))[:, None],
-                weight=weight,
-                y_period=1.0,
+            SampledState.from_samples(
+                grid,
+                (rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny))) * growth,
+                weight,
+                1.0,
             )
             for _ in range(5)
         ]
+        # and states holding some mode columns only: the products pair shared indices
+        for k in ([0], [3], [0, 3, 15], [1, 2, 3, 4], [15]):
+            modes = (rng.standard_normal((nx, len(k))) + 1j * rng.standard_normal((nx, len(k)))) * growth
+            states.append(SampledState(grid=grid, modes=modes, k=np.array(k), weight=weight, y_period=1.0))
         gram = _grid_gram(states)
         for i, a in enumerate(states):
             for j, b in enumerate(states):
@@ -307,7 +305,7 @@ class TestDerivatives:
         errs = []
         for nx in (64, 128):
             s = _flat_state(nx, 8, lambda x: np.exp(np.sin(3.0 * x)))
-            d = fd_derivative(s.values, s, "x", 1)
+            d = fd_derivative(s.modes, s, "x", 1)
             exact = 3.0 * np.cos(3.0 * s.x) * np.exp(np.sin(3.0 * s.x))
             errs.append(np.max(np.abs(d[:, 0].real - exact)))
         order = math.log2(errs[0] / errs[1])
@@ -320,7 +318,7 @@ class TestDerivatives:
         errs_edge = []
         for nx in (64, 128):
             s = _flat_state(nx, 8, lambda x: np.exp(np.sin(3.0 * x)))
-            d = fd_derivative(s.values, s, "x", 2)
+            d = fd_derivative(s.modes, s, "x", 2)
             f = np.exp(np.sin(3.0 * s.x))
             exact = (3.0 * np.cos(3.0 * s.x)) ** 2 * f - 9.0 * np.sin(3.0 * s.x) * f
             err = np.abs(d[:, 0].real - exact)
@@ -348,14 +346,15 @@ class TestDerivatives:
             if layout == "F":
                 values = np.asfortranarray(values)
             kept = values.copy()
-            s = SampledState(grid=grid, x=x, y=y, values=values, weight=np.ones(nx), y_period=1.0)
-            d = fd_derivative(s.values, s, "x", order)
+            # any array of the shape of the state's mode columns is differentiated
+            s = SampledState.from_samples(grid, values, np.ones(nx), 1.0)
+            d = fd_derivative(values, s, "x", order)
             monomial = np.zeros(k + 1)
             monomial[k] = 1.0
             exact = P.polyval(x, P.polyder(monomial, order))[:, None] * coeff[None, :]
             scale = max(1.0, float(np.max(np.abs(exact))))
             assert np.max(np.abs(d - exact)) <= 1e-9 * scale
-            assert np.array_equal(s.values, kept)
+            assert np.array_equal(values, kept)
 
     @pytest.mark.parametrize("ny", [8, 16400])
     def test_x_stencils_are_the_complex_arithmetic_bits(self, ny):
@@ -377,19 +376,19 @@ class TestDerivatives:
     def test_y_derivative_is_spectrally_exact_on_harmonics(self):
         for m in (1, 5, 15):
             h = _harmonic_state(8, 64, m)
-            d = fd_derivative(h.values, h, "y", 1)
+            d = dataclasses.replace(h, modes=fd_derivative(h.modes, h, "y", 1)).values
             exact = 2j * math.pi * m * h.values
             assert np.max(np.abs(d - exact)) <= 5e-13 * max(1.0, 2 * math.pi * m)
-            d2 = fd_derivative(h.values, h, "y", 2)
+            d2 = dataclasses.replace(h, modes=fd_derivative(h.modes, h, "y", 2)).values
             exact2 = -((2 * math.pi * m) ** 2) * h.values
             assert np.max(np.abs(d2 - exact2)) <= 5e-11 * (2 * math.pi * m) ** 2
 
     def test_guards(self):
         s = _flat_state(16, 8, lambda x: x)
         with pytest.raises(DomainError):
-            fd_derivative(s.values, s, "x", 3)
+            fd_derivative(s.modes, s, "x", 3)
         with pytest.raises(DomainError):
-            fd_derivative(s.values, s, "z", 1)
+            fd_derivative(s.modes, s, "z", 1)
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_shape_guard(self, axis):
@@ -415,10 +414,14 @@ class TestContainers:
 
     def test_sampled_state_shape_guards(self):
         grid = GridSpec(0.0, 1.0, 16, 8)
-        x = np.linspace(0.0, 1.0, 16)
-        y = np.arange(8) / 8.0
-        vals = np.zeros((16, 8), dtype=complex)
+        modes = np.zeros((16, 8), dtype=complex)
         with pytest.raises(DomainError):
-            SampledState(grid=grid, x=x, y=y, values=vals, weight=-np.ones(16), y_period=1.0)
+            SampledState(grid=grid, modes=modes, k=np.arange(8), weight=-np.ones(16), y_period=1.0)
         with pytest.raises(DomainError):
-            SampledState(grid=grid, x=x, y=y, values=np.zeros((8, 16), dtype=complex), weight=np.ones(16), y_period=1.0)
+            SampledState(grid=grid, modes=modes.T, k=np.arange(8), weight=np.ones(16), y_period=1.0)
+        with pytest.raises(DomainError):
+            SampledState.from_samples(grid, modes.T, np.ones(16), 1.0)
+        # mode indices: distinct, ascending, in [0, ny), one per column
+        for k in ([0, 0], [1, 0], [-1, 2], [7, 8], [0.0, 1.0], [0, 1, 2]):
+            with pytest.raises(DomainError):
+                SampledState(grid=grid, modes=modes[:, :2], k=np.array(k), weight=np.ones(16), y_period=1.0)

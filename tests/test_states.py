@@ -93,8 +93,9 @@ class TestOrthonormality:
     def test_labels_and_frozen_arrays(self, p):
         s = wavefunction(QuantumNumbers(1, 3), p, default_grid(p))
         assert s.labels == QuantumNumbers(1, 3)
-        with pytest.raises((ValueError, RuntimeError)):
-            s.values[0, 0] = 0.0
+        for arr in (s.values, s.modes, s.k, s.x, s.y, s.weight):
+            with pytest.raises((ValueError, RuntimeError)):
+                arr[0] = 0.0
 
     def test_overflowing_window_is_refused(self, p):
         x_c = p.x_weight_mode
@@ -218,14 +219,15 @@ class TestLandauStates:
     @pytest.mark.parametrize("n, l", [(0, 0), (1, 2), (3, 3)])
     def test_sym_state_is_built_in_place(self, p, n, l):
         # landau_delta's grid; the reference is the state's expression written
-        # as one product, which holds about seven full temporaries (112 MiB);
-        # in place with row blocks only the 32 MiB of values is full-size
+        # as one product, which holds about seven full temporaries (112 MiB),
+        # and transformed whole; evaluated and transformed a block of rows
+        # at a time, only the 32 MiB of mode columns is full-size
         r_c = LandauParams.cyclotron_radius(p)
         p_box = replace(p, a0=24.0 * r_c)
         grid = GridSpec(-12.0 * r_c, 12.0 * r_c, 4096, 512)
         tracemalloc.start()
         try:
-            got = landau_state_sym(n, l, p_box, grid).values
+            state = landau_state_sym(n, l, p_box, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -240,7 +242,12 @@ class TestLandauStates:
             norm / s * vortex * np.exp(-rho2 / (4.0 * r_c * r_c))
             * special.eval_genlaguerre(n, float(l), rho2 / (2.0 * r_c * r_c))
         )
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(state.k, np.arange(grid.ny))
+        modes = np.fft.fft(want, axis=1, norm="forward")
+        assert np.array_equal(state.modes.view(np.uint64), modes.view(np.uint64))
+        # the synthesised samples give the expression back to rounding of each row's scale
+        row_scale = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.max(np.abs(state.values - want) / row_scale) <= 1e-14
 
     def test_label_validation(self):
         with pytest.raises(DomainError):
