@@ -179,7 +179,7 @@ def _closed_samples(spec: CoherentSpec, p: PhysParams, grid: GridSpec) -> np.nda
     where not finite. Printed and compared samples come from here, not
     from the state's mode columns: synthesis keeps each row to rounding of
     its largest sample, and a row of the closed form spans e^(2|Z|), so at
-    |Z| = 10 its smaller trusted samples would carry 5e-6 relative error."""
+    |Z| = 10 its smaller trusted samples would carry 4.5e-6 relative error."""
     if spec.Z == 0:
         return wavefunction(QuantumNumbers(spec.l, spec.l + 1), p, grid).values
     return _evaluated(grid, _closed_rows(spec, p, grid))

@@ -281,8 +281,8 @@ def _braket(bra: np.ndarray, ket: np.ndarray, state) -> complex:
 
 
 def _shared_columns(a, b) -> tuple:
-    """Where the mode columns of a and of b with the DFT indices both hold
-    sit in each: whole rows when their indices agree. Columns of distinct
+    """The positions, among a's columns and among b's, of the DFT indices
+    both hold (all columns when their indices agree). Columns of distinct
     indices are orthogonal over the period, so only these meet in a product."""
     if np.array_equal(a.k, b.k):
         return slice(None), slice(None)

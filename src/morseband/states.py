@@ -136,10 +136,13 @@ def _amplitude_overflow() -> RangeError:
 
 
 def _evaluated(grid: GridSpec, rows) -> np.ndarray:
-    """Every row of the samples rows(a, b) gives, as one array; a sample
-    that is not finite raises RangeError, and no warning is raised."""
+    """Every row of the samples rows(a, b) gives, evaluated a block of rows
+    at a time into one array; a sample that is not finite raises
+    RangeError, and no warning is raised."""
+    values = np.empty((grid.nx, grid.ny), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = rows(0, grid.nx)
+        for a, b in _row_blocks(grid.nx, 2 * grid.ny):
+            values[a:b] = rows(a, b)
     if not np.all(np.isfinite(values)):
         raise _amplitude_overflow()
     return values

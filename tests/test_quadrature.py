@@ -147,14 +147,12 @@ class TestRadial:
 def _flat_state(nx: int, ny: int, fx, x_min=0.0, x_max=1.0, y_period=1.0) -> SampledState:
     grid = GridSpec(x_min, x_max, nx, ny)
     x = np.linspace(x_min, x_max, nx)
-    y = -0.5 * y_period + np.arange(ny) * (y_period / ny)
     values = np.repeat(fx(x)[:, None], ny, axis=1).astype(complex)
     return SampledState.from_samples(grid, values, np.ones(nx), y_period)
 
 
 def _harmonic_state(nx: int, ny: int, m: int, y_period=1.0) -> SampledState:
     grid = GridSpec(0.0, 1.0, nx, ny)
-    x = np.linspace(0.0, 1.0, nx)
     y = -0.5 * y_period + np.arange(ny) * (y_period / ny)
     values = np.repeat(
         np.exp(2j * math.pi * m * y / y_period)[None, :], nx, axis=0
@@ -336,7 +334,6 @@ class TestDerivatives:
         nx, ny, x_min, x_max = 24, 8, -0.7, 1.3
         grid = GridSpec(x_min, x_max, nx, ny)
         x = np.linspace(x_min, x_max, nx)
-        y = np.arange(ny) / ny
         rng = np.random.default_rng(10 * order + len(layout))
         for k in range(5):
             coeff = rng.standard_normal(ny) + 1j * rng.standard_normal(ny)
