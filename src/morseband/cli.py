@@ -295,8 +295,9 @@ def _cmd_wavefunction(args: argparse.Namespace, cfg: RunConfig) -> int:
     # only column 0 (y = -a0/2 on every grid) is printed: build the fewest columns
     s = wavefunction(q, cfg.params, dataclasses.replace(grid, ny=8))
     phase = cmath.exp(1j * args.n * cfg.params.kappa * s.y[0])
-    density = _printed_density(s.values[:, 0])
-    radial = (s.values[:, 0] * phase).real
+    column = s.values[:, 0]
+    density = _printed_density(column)
+    radial = (column * phase).real
     _table_output(
         cfg, "wavefunction", rows={"x": s.x, "radial": radial, "density": density, "weight": s.weight}
     )

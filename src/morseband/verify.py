@@ -202,12 +202,12 @@ def _y_translation():
     p = PhysParams.natural()
     grid = default_grid(p)
     for l, n in ((0, 1), (1, 3), (2, 4)):
-        s = wavefunction(QuantumNumbers(l, n), p, grid)
-        scale = float(np.max(np.abs(s.values)))
+        values = wavefunction(QuantumNumbers(l, n), p, grid).values
+        scale = float(np.max(np.abs(values)))
         for m in (1, 7, grid.ny // 2):
             phase = cmath.exp(-2j * math.pi * n * m / grid.ny)
             resid = float(
-                np.max(np.abs(np.roll(s.values, -m, axis=1) - s.values * phase))
+                np.max(np.abs(np.roll(values, -m, axis=1) - values * phase))
             ) / scale
             yield resid, f"(l,n)=({l},{n}), shift={m}"
 
