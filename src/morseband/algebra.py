@@ -437,6 +437,7 @@ def commutator_residual(s: SampledState, p: PhysParams, pair: str) -> float:
         lowered, l3, raised = _images(s, fr, "-3+")
         reference = _hamiltonian(s, fr, (_images(lowered, fr, "+")[0], l3))
         defect = _hamiltonian(raised, fr).modes - _images(reference, fr, "+")[0].modes
+        margin = 3 * FD_MARGIN
         k = raised.k
     else:
         raise DomainError(f"unknown commutator pair {pair!r}")

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import _ladder_table, algebra_grid
-from .coherent import CoherentSpec, _closed_samples, bg_measure_density, default_coherent_grid
+from .coherent import CoherentSpec, _closed_field, bg_measure_density, default_coherent_grid
 from .errors import ConfigError, CrossCheckError, MorsebandError, RangeError
 from .model import (
     DegeneracyTable,
@@ -50,13 +50,10 @@ from .moments import moments_closed, moments_quadrature
 from .quadrature import GridSpec
 from .states import (
     LandauParams,
-    _evaluated,
-    _grid_axes,
-    _landau_asym_rows,
-    _landau_sym_rows,
+    _landau_asym_field,
+    _landau_sym_field,
     default_grid,
     landau_box,
-    measure_weight,
     wavefunction,
 )
 from .verify import SUITE_NAMES, resolve_tolerances, run_suite
@@ -319,15 +316,14 @@ def _cmd_coherent(args: argparse.Namespace, cfg: RunConfig) -> int:
     spec = CoherentSpec(args.l, z)
     grid = cfg.grid or default_coherent_grid(cfg.params)
     # only column 0 (y = -a0/2 on every grid) is printed: evaluate the fewest columns
-    grid = dataclasses.replace(grid, ny=8)
-    density = _printed_density(_closed_samples(spec, cfg.params, grid)[:, 0])
-    x = _grid_axes(grid, cfg.params.a0)[0]
+    s = _closed_field(spec, cfg.params, dataclasses.replace(grid, ny=8))
+    density = _printed_density(s.values[:, 0])
     r = np.arange(1, 101) / 10.0
     measure = np.array([bg_measure_density(args.l, v) for v in r.tolist()])
     _table_output(
         cfg,
         "coherent",
-        state={"x": x, "density": density, "weight": measure_weight(x, cfg.params)},
+        state={"x": s.x, "density": density, "weight": s.weight},
         measure={"r": r, "measure_density": measure},
     )
     return 0
@@ -392,36 +388,31 @@ def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0 if report["passed"] else 1
 
 
-def _export_samples(args: argparse.Namespace, cfg: RunConfig):
-    """The dense samples ``export`` prints, with their x and y axes, weight,
-    grid and label line: an eigenstate's synthesised from its one mode
-    column, every other kind's evaluated on the grid as its state builder
-    evaluates it before the transform (see ``coherent._closed_samples``)."""
+def _export_state(args: argparse.Namespace, cfg: RunConfig):
+    """The state ``export`` prints, its grid and its label line. The kinds
+    known only on the grid come before their transform, whose cost the
+    printed samples, the field's own, do not need."""
     p = cfg.params
     if args.kind == "eigen":
         grid = cfg.grid or default_grid(p)
         s = wavefunction(QuantumNumbers(args.l, args.n), p, grid)
         label = f"kind=eigen l={args.l} n={args.n}"
-        return s.values, s.x, s.y, s.weight, grid, label
-    if args.kind == "coherent":
+    elif args.kind == "coherent":
         grid = cfg.grid or default_coherent_grid(p)
-        values = _closed_samples(CoherentSpec(args.l, complex(args.z_re, args.z_im)), p, grid)
-        x, y = _grid_axes(grid, p.a0)
+        s = _closed_field(CoherentSpec(args.l, complex(args.z_re, args.z_im)), p, grid)
         label = f"kind=coherent l={args.l} z_re={args.z_re!r} z_im={args.z_im!r}"
-        return values, x, y, measure_weight(x, p), grid, label
-    if args.kind == "landau-sym":
+    elif args.kind == "landau-sym":
         p_box, box = landau_box(LandauParams(gauge="symmetric", n=args.n, l=args.l), p, 1024, 256)
         grid = cfg.grid or box
-        rows = _landau_sym_rows(args.n, args.l, p_box, grid)
+        s = _landau_sym_field(args.n, args.l, p_box, grid)
         label = f"kind=landau-sym n={args.n} l={args.l}"
     else:
         lp = LandauParams(gauge="asymmetric", N=args.n, k_y=args.ky)
         p_box, box = landau_box(lp, p, 1024, 8)
         grid = cfg.grid or box
-        rows = _landau_asym_rows(lp, p_box, grid)
+        s = _landau_asym_field(lp, p_box, grid)
         label = f"kind=landau-asym N={args.n} ky={args.ky!r}"
-    x, y = _grid_axes(grid, p_box.a0)
-    return _evaluated(grid, rows), x, y, np.ones(grid.nx), grid, label
+    return s, grid, label
 
 
 # Decimal exponents E of the finite nonzero doubles run from -324 to 308, so
@@ -720,7 +711,8 @@ def _export_rows(values: np.ndarray, x: np.ndarray, y: np.ndarray, weight: np.nd
 
 
 def _cmd_export(args: argparse.Namespace, cfg: RunConfig) -> int:
-    values, x, y, weight, grid, label = _export_samples(args, cfg)
+    s, grid, label = _export_state(args, cfg)
+    values = s.values
     _printed_density(values)  # refuses an overflowing state before anything is written
     p = cfg.params
     header = [
@@ -731,7 +723,7 @@ def _cmd_export(args: argparse.Namespace, cfg: RunConfig) -> int:
         f" nx={grid.nx} ny={grid.ny}",
         "x,y,re_psi,im_psi,density,weight",
     ]
-    _emit(cfg, itertools.chain(["\n".join(header) + "\n"], _export_rows(values, x, y, weight)))
+    _emit(cfg, itertools.chain(["\n".join(header) + "\n"], _export_rows(values, s.x, s.y, s.weight)))
     return 0
 
 

@@ -26,7 +26,7 @@ from .errors import DomainError
 from .model import PhysParams, QuantumNumbers
 from .quadrature import GridSpec, IntegrationResult, integrate_radial
 from .specfun import bessel_i, bessel_k
-from .states import SampledState, _evaluated, _grid_axes, _transformed, measure_weight, wavefunction
+from .states import SampledState, _Field, _grid_axes, measure_weight, wavefunction
 
 __all__ = [
     "CoherentSpec",
@@ -163,26 +163,22 @@ def bg_state_closed(spec: CoherentSpec, p: PhysParams, grid: GridSpec) -> Sample
     C e^(Z e^(-i kappa y) - (l+1) kappa (x+iy)) (beta |Z|)^(a/2) J_a(2s) / s^a,
     C = sqrt(2 pi a / I_a(2|Z|)) / a0. The samples of :func:`_closed_rows`
     are transformed a block of rows at a time to the state's ny mode
-    columns. At Z = 0 the state reduces to the bottom level (l, l+1)
-    exactly. A window reaching so far to the growing side that the state
-    overflows raises RangeError.
+    columns, and the state's ``values`` are those samples evaluated again.
+    At Z = 0 the state reduces to the bottom level (l, l+1) exactly. A
+    window reaching so far to the growing side that the state overflows
+    raises RangeError.
     """
+    field = _closed_field(spec, p, grid)
+    return field.state() if isinstance(field, _Field) else field
+
+
+def _closed_field(spec: CoherentSpec, p: PhysParams, grid: GridSpec) -> _Field | SampledState:
+    """The closed form before its transform: the bottom level (l, l+1)
+    itself at Z = 0, else the samples of :func:`_closed_rows`."""
     if spec.Z == 0:
         return replace(wavefunction(QuantumNumbers(spec.l, spec.l + 1), p, grid), labels=None)
     x = _grid_axes(grid, p.a0)[0]
-    return _transformed(grid, _closed_rows(spec, p, grid), measure_weight(x, p), p.a0)
-
-
-def _closed_samples(spec: CoherentSpec, p: PhysParams, grid: GridSpec) -> np.ndarray:
-    """The closed form's dense samples on the grid: the bottom level's at
-    Z = 0, else every row of :func:`_closed_rows`, refused with RangeError
-    where not finite. Printed and compared samples come from here, not
-    from the state's mode columns: synthesis keeps each row to rounding of
-    its largest sample, and a row of the closed form spans e^(2|Z|), so at
-    |Z| = 10 its smaller trusted samples would carry 4.5e-6 relative error."""
-    if spec.Z == 0:
-        return wavefunction(QuantumNumbers(spec.l, spec.l + 1), p, grid).values
-    return _evaluated(grid, _closed_rows(spec, p, grid))
+    return _Field(grid, _closed_rows(spec, p, grid), measure_weight(x, p), p.a0)
 
 
 def _closed_rows(spec: CoherentSpec, p: PhysParams, grid: GridSpec):
@@ -293,7 +289,7 @@ def series_closed_agreement(spec: CoherentSpec, p: PhysParams, grid: GridSpec) -
     series = bg_state_series(spec, p, grid)
     values = series.values
     dens = series.weight[:, None] * np.abs(values) ** 2
-    diff = _closed_samples(spec, p, grid) - values
+    diff = _closed_field(spec, p, grid).values - values
     num = math.sqrt(float(np.sum(series.weight[:, None] * np.abs(diff) ** 2)))
     den = math.sqrt(float(np.sum(dens)))
     trusted = dens >= 1e-12 * np.max(dens)

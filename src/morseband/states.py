@@ -14,13 +14,14 @@ state's series is its coefficient-times-profile columns. A field known
 only on the grid (the closed coherent form, both Landau gauges) is
 evaluated a block of rows at a time and transformed into one
 preallocated array of all ny columns. Dense samples are synthesised by
-one inverse FFT where they are read; the fields known only on the grid
-are printed from their own evaluation.
+one inverse FFT where they are read, except for a field known only on
+the grid, whose dense samples are its own evaluation again.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -56,8 +57,9 @@ class SampledState:
     plane wave e^(-i n kappa y) is the index -n mod ny, whatever n is, so
     aliasing follows the DFT index. Only the columns a state needs are
     kept: one for an eigenstate, all ny for a field transformed from
-    samples (:meth:`from_samples`). ``values`` synthesises the dense
-    samples by one inverse FFT.
+    samples (:meth:`from_samples`) or known only on the grid. ``values``
+    synthesises the dense samples by one inverse FFT, or evaluates such a
+    field again.
 
     ``x`` and ``y`` are the grid's axes, with y[0] = -y_period/2.
     ``weight[i]`` samples the measure along x (mathematically positive
@@ -75,6 +77,9 @@ class SampledState:
     labels: QuantumNumbers | None = None
     x: np.ndarray = field(init=False, repr=False)
     y: np.ndarray = field(init=False, repr=False)
+    # the field known only on the grid that this state was transformed
+    # from; a state derived through ``replace`` has none
+    _source: "_Field | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.y_period > 0.0:
@@ -120,9 +125,17 @@ class SampledState:
 
     @property
     def values(self) -> np.ndarray:
-        """The dense samples ``values[i, j]`` at ``(x[i], y[j])``, synthesised
-        by one inverse FFT along y and read-only. Each is exact to rounding
-        of the largest sample of its row; one that overflows is not finite."""
+        """The dense samples ``values[i, j]`` at ``(x[i], y[j])``, read-only.
+        A state transformed from a field known only on the grid (the closed
+        coherent form, both Landau gauges) evaluates that field again, so
+        each sample is the field's own. Any other state's are synthesised
+        by one inverse FFT along y, each exact to rounding of the largest
+        sample of its row; one that overflows is not finite. Each read
+        computes them anew."""
+        if self._source is not None:
+            out = self._source.values
+            out.setflags(write=False)
+            return out
         full = np.zeros((self.grid.nx, self.grid.ny), dtype=complex)
         full[:, self.k] = self.modes
         with np.errstate(over="ignore", invalid="ignore"):
@@ -156,8 +169,43 @@ def _transformed(grid: GridSpec, rows, weight: np.ndarray, y_period: float) -> S
     modes = np.empty((grid.nx, grid.ny), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for a, b in _row_blocks(grid.nx, 2 * grid.ny):
-            np.fft.fft(rows(a, b), axis=1, norm="forward", out=modes[a:b])
+            modes[a:b] = np.fft.fft(rows(a, b), axis=1, norm="forward")
     return SampledState(grid=grid, modes=modes, k=np.arange(grid.ny), weight=weight, y_period=y_period)
+
+
+@dataclass(frozen=True, eq=False)
+class _Field:
+    """A complex field known only through its samples on a grid, rows(a, b)
+    giving rows a..b-1, with its measure weight: the closed coherent form
+    and both Landau gauges before their transform. It reads like a
+    SampledState where samples are printed or compared (``grid``, ``x``,
+    ``y``, ``weight``, ``values``) without paying the transform."""
+
+    grid: GridSpec
+    rows: Callable[[int, int], np.ndarray]
+    weight: np.ndarray
+    y_period: float
+
+    @property
+    def x(self) -> np.ndarray:
+        return _grid_axes(self.grid, self.y_period)[0]
+
+    @property
+    def y(self) -> np.ndarray:
+        return _grid_axes(self.grid, self.y_period)[1]
+
+    @property
+    def values(self) -> np.ndarray:
+        """Every sample, evaluated a block of rows at a time; a sample that
+        is not finite raises RangeError."""
+        return _evaluated(self.grid, self.rows)
+
+    def state(self) -> SampledState:
+        """The field transformed to its ny mode columns; the state's
+        ``values`` are this field's own samples."""
+        s = _transformed(self.grid, self.rows, self.weight, self.y_period)
+        object.__setattr__(s, "_source", self)
+        return s
 
 
 def default_grid(p: PhysParams) -> GridSpec:
@@ -390,12 +438,11 @@ def landau_state_asym(lp: LandauParams, p: PhysParams, grid: GridSpec) -> Sample
     array is identically 1 (flat measure); the x integral of the density
     is 1/(4 pi^2) by the stated prefactor. k_y need not be a multiple of
     2 pi / a0, so the samples are transformed to all ny mode columns."""
-    return _transformed(grid, _landau_asym_rows(lp, p, grid), np.ones(grid.nx), p.a0)
+    return _landau_asym_field(lp, p, grid).state()
 
 
-def _landau_asym_rows(lp: LandauParams, p: PhysParams, grid: GridSpec):
-    """The samples of :func:`landau_state_asym`, as a function of (a, b)
-    giving rows a..b-1."""
+def _landau_asym_field(lp: LandauParams, p: PhysParams, grid: GridSpec) -> _Field:
+    """The samples of :func:`landau_state_asym`, before the transform."""
     if lp.gauge != "asymmetric":
         raise DomainError("landau_state_asym needs asymmetric-gauge labels")
     x, y = _grid_axes(grid, p.a0)
@@ -407,7 +454,7 @@ def _landau_asym_rows(lp: LandauParams, p: PhysParams, grid: GridSpec):
     )
     profile = norm * np.exp(-0.5 * t * t) * hermite(lp.N, t)
     phase = np.exp(-1j * lp.k_y * y)
-    return lambda a, b: profile[a:b, None] * phase[None, :]
+    return _Field(grid, lambda a, b: profile[a:b, None] * phase[None, :], np.ones(grid.nx), p.a0)
 
 
 def landau_box(lp: LandauParams, p: PhysParams, nx: int, ny: int) -> tuple[PhysParams, GridSpec]:
@@ -427,12 +474,11 @@ def landau_state_sym(n: int, l: int, p: PhysParams, grid: GridSpec) -> SampledSt
     Gaussian envelope, Laguerre radial polynomial; unit norm under the
     flat plane measure. The weight array is identically 1. The samples
     are evaluated and transformed a block of rows at a time."""
-    return _transformed(grid, _landau_sym_rows(n, l, p, grid), np.ones(grid.nx), p.a0)
+    return _landau_sym_field(n, l, p, grid).state()
 
 
-def _landau_sym_rows(n: int, l: int, p: PhysParams, grid: GridSpec):
-    """The samples of :func:`landau_state_sym`, as a function of (a, b)
-    giving rows a..b-1."""
+def _landau_sym_field(n: int, l: int, p: PhysParams, grid: GridSpec) -> _Field:
+    """The samples of :func:`landau_state_sym`, before the transform."""
     lp = LandauParams(gauge="symmetric", n=n, l=l)
     x, y = _grid_axes(grid, p.a0)
     r_c = lp.cyclotron_radius(p)
@@ -454,4 +500,4 @@ def _landau_sym_rows(n: int, l: int, p: PhysParams, grid: GridSpec):
         block *= laguerre(n, float(l), rho2 / (2.0 * r_c * r_c))
         return block
 
-    return rows
+    return _Field(grid, rows, np.ones(grid.nx), p.a0)

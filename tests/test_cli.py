@@ -39,6 +39,7 @@ from morseband import (
     __version__,
     algebra,
     bg_measure_density,
+    bg_state_closed,
     cli,
     default_coherent_grid,
     default_grid,
@@ -47,7 +48,6 @@ from morseband import (
     landau_a0,
     landau_energy,
     landau_limit_error,
-    measure_weight,
     model,
     moments_closed,
     moments_quadrature,
@@ -55,7 +55,6 @@ from morseband import (
     wavefunction,
 )
 from morseband.cli import main
-from morseband.coherent import _closed_samples
 
 
 # The referee: the per-cell text writers the table commands used before they
@@ -525,13 +524,6 @@ TABLE_COMMANDS = (
 )
 
 
-def _closed_column(spec: CoherentSpec, p: PhysParams, grid: GridSpec) -> tuple:
-    """x, the closed coherent form's samples at y = -a0/2 and the weight,
-    evaluated on the whole grid: ``coherent`` prints this column."""
-    x = np.linspace(grid.x_min, grid.x_max, grid.nx)
-    return x, _closed_samples(spec, p, grid)[:, 0], measure_weight(x, p)
-
-
 def _referee_tables(command: str, p: PhysParams, grid: GridSpec | None) -> list[tuple]:
     """The tables of a command at its defaults as (name, header, rows), each
     row computed by the library one level or one grid row at a time, as the
@@ -551,8 +543,9 @@ def _referee_tables(command: str, p: PhysParams, grid: GridSpec | None) -> list[
         header = ("l", "n", "raise_defect", "lower_defect", "casimir_residual", "hamiltonian_residual")
         return [("rows", header, rows)]
     if command == "coherent":
-        x, column, weight = _closed_column(CoherentSpec(0, complex(1.0, 0.0)), p, grid or default_coherent_grid(p))
-        state = [(float(x[i]), float(abs(column[i]) ** 2), float(weight[i])) for i in range(x.size)]
+        s = bg_state_closed(CoherentSpec(0, complex(1.0, 0.0)), p, grid or default_coherent_grid(p))
+        column = s.values[:, 0]
+        state = [(float(s.x[i]), float(abs(column[i]) ** 2), float(s.weight[i])) for i in range(s.grid.nx)]
         measure = [(r, bg_measure_density(0, r)) for r in (i / 10.0 for i in range(1, 101))]
         return [("state", ("x", "density", "weight"), state), ("measure", ("r", "measure_density"), measure)]
     if command == "uncertainty":
@@ -746,13 +739,12 @@ class TestReportCommands:
         _, blob = run(tmp_path, *config, "wavefunction", "--l", "1", "--n", "3", name="w.csv")
         assert blob.decode() == want
 
-        coherent_grid = grid or default_coherent_grid(p)
-        assert coherent_grid.ny > 8
-        x, column, weight = _closed_column(CoherentSpec(2, complex(0.9, 0.5)), p, coherent_grid)
-        density = cli._density(column)
+        s = bg_state_closed(CoherentSpec(2, complex(0.9, 0.5)), p, grid or default_coherent_grid(p))
+        assert s.grid.ny > 8
+        density = cli._density(s.values[:, 0])
         want = _csv_block(
             ("x", "density", "weight"),
-            [(float(x[i]), float(density[i]), float(weight[i])) for i in range(x.size)],
+            [(float(s.x[i]), float(density[i]), float(s.weight[i])) for i in range(s.grid.nx)],
         )
         _, blob = run(
             tmp_path, *config, "coherent", "--l", "2", "--z-re", "0.9", "--z-im", "0.5", name="c.csv"
@@ -870,13 +862,13 @@ class TestExport:
         code, blob = run(tmp_path, *config, "export", *argv)
         assert code == 0
         args = cli._build_parser().parse_args([*config, "export", *argv])
-        values, x, y, weight, grid, _ = cli._export_samples(args, cli._load_run_config(args))
-        if grid.nx == 600:
-            per_block = cli._BLOCK_LINES // grid.ny
-            assert grid.nx > per_block and grid.nx % per_block
+        s, _, _ = cli._export_state(args, cli._load_run_config(args))
+        if s.grid.nx == 600:
+            per_block = cli._BLOCK_LINES // s.grid.ny
+            assert s.grid.nx > per_block and s.grid.nx % per_block
         header, _, rows = blob.decode().partition("x,y,re_psi,im_psi,density,weight\n")
         assert header.count("\n") == 4
-        assert rows == per_cell_rows(values, x, y, weight)
+        assert rows == per_cell_rows(s.values, s.x, s.y, s.weight)
         del rows  # the coherent text is 73 MB; free it before the stdout run
         assert main([*config, "export", *argv]) == 0
         assert capsys.readouterr().out.encode() == blob

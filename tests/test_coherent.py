@@ -40,13 +40,10 @@ from morseband import (
     grid_inner_product,
     identity_resolution_check,
     radial_identity_integral,
-    measure_weight,
     wavefunction,
     weighted_norm,
 )
-from morseband.coherent import _closed_samples
 from morseband.quadrature import _row_weights
-from morseband.states import _grid_axes
 
 import mpmath
 
@@ -178,15 +175,14 @@ class TestLiteralBranch:
         # in both factors, no continuation across the cut
         grid = default_coherent_grid(p)
         l = 1
-        samples = _closed_samples(CoherentSpec(l, Z), p, grid)
-        x_axis, y_axis = _grid_axes(grid, p.a0)
+        state = bg_state_closed(CoherentSpec(l, Z), p, grid)
         denom = math.sqrt(bessel_i(2 * l + 1, 2.0 * abs(Z)))
         front = math.sqrt(2.0 * math.pi * (2 * l + 1)) / p.a0
         phase = (abs(Z) / Z) ** (l + 0.5)
-        i_row = int(np.searchsorted(x_axis, p.x_weight_mode + 0.3 * p.a0))
-        x = x_axis[i_row]
+        i_row = int(np.searchsorted(state.x, p.x_weight_mode + 0.3 * p.a0))
+        x, values = state.x[i_row], state.values
         signs = []
-        for j, y in enumerate(y_axis):
+        for j, y in enumerate(state.y):
             zxy = x + 1j * y
             w = p.beta * Z * cmath.exp(-p.kappa * zxy)
             literal = (
@@ -196,7 +192,7 @@ class TestLiteralBranch:
                 * bessel_j(2 * l + 1, 2.0 * cmath.sqrt(w))
                 / denom
             )
-            ratio = literal / samples[i_row, j]
+            ratio = literal / values[i_row, j]
             assert abs(abs(ratio) - 1.0) <= 1e-10
             assert abs(ratio.imag) <= 1e-10
             signs.append(1 if ratio.real > 0 else -1)
@@ -232,17 +228,6 @@ def _referee(p, l, Z, x, y) -> tuple[complex, float]:
     return complex(value), float(abs(2 * s * mpmath.besselj(a, 2 * s, derivative=1) / bessel))
 
 
-class _Closed:
-    """The closed form's own samples on a grid (before the transform to
-    mode columns), with the grid's axes and the weight."""
-
-    def __init__(self, l, Z, p, grid):
-        self.values = _closed_samples(CoherentSpec(l, Z), p, grid)
-        self.x, self.y = _grid_axes(grid, p.a0)
-        self.weight = measure_weight(self.x, p)
-        self.grid = grid
-
-
 def _trusted_cells(state) -> np.ndarray:
     dens = state.weight[:, None] * np.abs(state.values) ** 2
     return np.argwhere(dens >= 1e-12 * np.max(dens))
@@ -250,10 +235,10 @@ def _trusted_cells(state) -> np.ndarray:
 
 def _referee_errors(p, l, Z, state, cells) -> list[tuple[float, float]]:
     """(relative error, Bessel argument condition) of each cell."""
-    out = []
+    out, values = [], state.values
     for i, j in cells:
         want, cond = _referee(p, l, Z, state.x[i], state.y[j])
-        out.append((abs(state.values[i, j] - want) / abs(want), cond))
+        out.append((abs(values[i, j] - want) / abs(want), cond))
     return out
 
 
@@ -262,7 +247,7 @@ class TestClosedFormReferee:
         # the verify sample's worst series/closed cell; a hand-summed
         # Bessel series was off by 6.4e-10 on this row
         l, Z = 2, SAMPLE_Z[2]
-        state = _Closed(l, Z, p, default_coherent_grid(p))
+        state = bg_state_closed(CoherentSpec(l, Z), p, default_coherent_grid(p))
         i = int(np.argmin(np.abs(state.x + 2.668)))
         cells = [(i, j) for i2, j in _trusted_cells(state) if i2 == i]
         assert len(cells) == state.grid.ny
@@ -272,7 +257,7 @@ class TestClosedFormReferee:
         # |Z| = 10 lies in the CLI sweep's range; a hand-summed Bessel
         # series cancels like e^(2 sqrt|w|) and lost every digit on the
         # left trusted rows here
-        state = _Closed(0, 10.0, p, default_coherent_grid(p))
+        state = bg_state_closed(CoherentSpec(0, 10.0), p, default_coherent_grid(p))
         rows = np.unique(_trusted_cells(state)[:, 0])
         cells = [(i, j) for i in rows[:: max(1, rows.size // 24)] for j in (0, 37, 64, 101)]
         assert max(err for err, _ in _referee_errors(p, 0, 10.0, state, cells)) <= 1e-13
@@ -294,7 +279,7 @@ class TestClosedFormReferee:
         Z = 10.0**log_r * cmath.exp(1j * angle)
         window = default_coherent_grid(p)
         grid = GridSpec(window.x_min, window.x_max, 513, 16)
-        state = _Closed(l, Z, p, grid)
+        state = bg_state_closed(CoherentSpec(l, Z), p, grid)
         cells = _trusted_cells(state)
         picked = [cells[(pick + k * 7919) % len(cells)] for k in range(3)]
         eps = np.finfo(float).eps

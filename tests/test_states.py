@@ -181,6 +181,25 @@ class TestLandauStates:
         assert p_box == replace(p, a0=24.0 * r_c)
         assert grid == GridSpec(-12.0 * r_c, 12.0 * r_c, 4096, 512)
 
+    def test_values_are_the_fields_own_samples(self, p):
+        # k_y off the grid's frequencies spreads the plane wave over every
+        # column; values evaluates the field again, while a state derived
+        # through replace has no field and synthesises its modes
+        lp = LandauParams(gauge="asymmetric", N=1, k_y=0.7)
+        p_box, grid = landau_box(lp, p, 64, 8)
+        s = landau_state_asym(lp, p_box, grid)
+        x, y = s.x[:, None], s.y[None, :]
+        r_c = lp.cyclotron_radius(p)
+        t = (x - lp.guiding_centre(p)) / r_c
+        norm = 1.0 / (2.0 * math.pi * math.sqrt(math.sqrt(math.pi) * r_c * 2.0))
+        want = norm * np.exp(-0.5 * t * t) * (2.0 * t) * np.exp(-0.7j * y)
+        assert np.max(np.abs(s.values - want) / np.abs(want)) <= 1e-14
+        assert np.array_equal(s.values, s.values)
+        with pytest.raises(ValueError):
+            s.values[0, 0] = 0.0
+        doubled = replace(s, modes=2.0 * s.modes).values
+        assert np.max(np.abs(doubled - 2.0 * want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_asym_x_density_integral(self, p):
         lp = LandauParams(gauge="asymmetric", N=2, k_y=0.7)
         r_c = LandauParams.cyclotron_radius(p)
@@ -245,9 +264,8 @@ class TestLandauStates:
         assert np.array_equal(state.k, np.arange(grid.ny))
         modes = np.fft.fft(want, axis=1, norm="forward")
         assert np.array_equal(state.modes.view(np.uint64), modes.view(np.uint64))
-        # the synthesised samples give the expression back to rounding of each row's scale
-        row_scale = np.max(np.abs(want), axis=1, keepdims=True)
-        assert np.max(np.abs(state.values - want) / row_scale) <= 1e-14
+        # the samples are the field's own, evaluated again
+        assert np.array_equal(state.values.view(np.uint64), want.view(np.uint64))
 
     def test_label_validation(self):
         with pytest.raises(DomainError):
