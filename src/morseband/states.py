@@ -148,19 +148,6 @@ def _amplitude_overflow() -> RangeError:
     return RangeError("state amplitudes overflow on this grid; shrink the window on the growing side")
 
 
-def _evaluated(grid: GridSpec, rows) -> np.ndarray:
-    """Every row of the samples rows(a, b) gives, evaluated a block of rows
-    at a time into one array; a sample that is not finite raises
-    RangeError, and no warning is raised."""
-    values = np.empty((grid.nx, grid.ny), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a, b in _row_blocks(grid.nx, 2 * grid.ny):
-            values[a:b] = rows(a, b)
-    if not np.all(np.isfinite(values)):
-        raise _amplitude_overflow()
-    return values
-
-
 def _transformed(grid: GridSpec, rows, weight: np.ndarray, y_period: float) -> SampledState:
     """The state whose samples rows(a, b) gives a block of rows at a time.
     Each block's y-FFT fills its rows of one preallocated array of all ny
@@ -196,9 +183,16 @@ class _Field:
 
     @property
     def values(self) -> np.ndarray:
-        """Every sample, evaluated a block of rows at a time; a sample that
-        is not finite raises RangeError."""
-        return _evaluated(self.grid, self.rows)
+        """Every sample, evaluated a block of rows at a time into one array;
+        a sample that is not finite raises RangeError, and no warning is
+        raised."""
+        values = np.empty((self.grid.nx, self.grid.ny), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, b in _row_blocks(self.grid.nx, 2 * self.grid.ny):
+                values[a:b] = self.rows(a, b)
+        if not np.all(np.isfinite(values)):
+            raise _amplitude_overflow()
+        return values
 
     def state(self) -> SampledState:
         """The field transformed to its ny mode columns; the state's
