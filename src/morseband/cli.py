@@ -305,7 +305,11 @@ def _cmd_ladder_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.n_max < 1:
         raise ConfigError(f"--n-max must be >= 1, got {args.n_max}")
     p = cfg.params
-    rows = _ladder_table(p, cfg.grid or algebra_grid(p), args.n_max)
+    grid = cfg.grid or algebra_grid(p)
+    if 2 * args.n_max >= grid.ny:
+        # a level n >= ny/2 aliases: L3 and the y-derivatives of L+- read a lower frequency
+        raise ConfigError(f"--n-max {args.n_max} needs ny > {2 * args.n_max}, got ny = {grid.ny}")
+    rows = _ladder_table(p, grid, args.n_max)
     names = ("l", "n", "raise_defect", "lower_defect", "casimir_residual", "hamiltonian_residual")
     _table_output(cfg, "ladder-check", rows=dict(zip(names, map(np.array, zip(*rows)))))
     return 0
@@ -680,17 +684,19 @@ def _class_blocks(table: DegeneracyTable, form: str) -> Iterator[str]:
         yield _text(np.hstack((leads, levels, endings[is_last[a:b]])))
 
 
-def _export_rows(values: np.ndarray, x: np.ndarray, y: np.ndarray, weight: np.ndarray) -> Iterator[str]:
-    """The CSV data lines of a sampled field, one text block per run of x rows.
+def _export_rows(
+    values: np.ndarray, density: np.ndarray, x: np.ndarray, y: np.ndarray, weight: np.ndarray
+) -> Iterator[str]:
+    """The CSV data lines of a sampled field and its density (``_density``
+    of every cell), one text block per run of x rows.
 
     Every number reads as ``format(v, ".16e")`` would write it, byte for
-    byte (see ``_e17_fields``), and the density is ``_density`` of the
-    block's cells. A block is a zero-padded byte matrix with one line per
-    (x, y) cell and one slot per column, each slot a field and its ``,``
-    or newline; one pass of ``bytes.translate`` deletes the pad bytes,
-    which is faster here than a boolean mask. A block holds about
-    ``_BLOCK_LINES`` lines, so its temporaries stay small beside the text
-    already written, and no state-sized array is held while it grows.
+    byte (see ``_e17_fields``). A block is a zero-padded byte matrix with
+    one line per (x, y) cell and one slot per column, each slot a field
+    and its ``,`` or newline; one pass of ``bytes.translate`` deletes the
+    pad bytes, which is faster here than a boolean mask. A block holds
+    about ``_BLOCK_LINES`` lines, so its temporaries stay small beside the
+    text already written, and no state-sized temporary is built while it grows.
     """
     nx, ny = values.shape
     rows = max(1, _BLOCK_LINES // ny)
@@ -704,7 +710,7 @@ def _export_rows(values: np.ndarray, x: np.ndarray, y: np.ndarray, weight: np.nd
         block[:, :, 0, :_FIELD] = x_w[i : i + n, None, 0]
         block[:, :, 1, :_FIELD] = y
         cells = values[i : i + n]
-        cells = np.stack((cells.real, cells.imag, _density(cells)), axis=-1)
+        cells = np.stack((cells.real, cells.imag, density[i : i + n]), axis=-1)
         block[:, :, 2:5, :_FIELD] = _e17_fields(cells)
         block[:, :, 5, :_FIELD] = x_w[i : i + n, None, 1]
         yield _text(block)
@@ -713,7 +719,7 @@ def _export_rows(values: np.ndarray, x: np.ndarray, y: np.ndarray, weight: np.nd
 def _cmd_export(args: argparse.Namespace, cfg: RunConfig) -> int:
     s, grid, label = _export_state(args, cfg)
     values = s.values
-    _printed_density(values)  # refuses an overflowing state before anything is written
+    density = _printed_density(values)  # refuses an overflowing state before anything is written
     p = cfg.params
     header = [
         f"# morseband-{__version__}",
@@ -723,7 +729,7 @@ def _cmd_export(args: argparse.Namespace, cfg: RunConfig) -> int:
         f" nx={grid.nx} ny={grid.ny}",
         "x,y,re_psi,im_psi,density,weight",
     ]
-    _emit(cfg, itertools.chain(["\n".join(header) + "\n"], _export_rows(values, s.x, s.y, s.weight)))
+    _emit(cfg, itertools.chain(["\n".join(header) + "\n"], _export_rows(values, density, s.x, s.y, s.weight)))
     return 0
 
 

@@ -34,9 +34,10 @@ from .specfun import digamma, ln_gamma, trigamma
 from .states import (
     LandauParams,
     SampledState,
+    _Field,
+    _landau_asym_field,
+    _landau_sym_field,
     landau_box,
-    landau_state_asym,
-    landau_state_sym,
     wavefunction,
 )
 
@@ -175,28 +176,30 @@ def moments_closed(q: QuantumNumbers, p: PhysParams) -> MomentSet:
     )
 
 
-def _grid_moments(s: SampledState, hbar: float) -> MomentSet:
-    """Raw moments of a sampled state by quadrature; the state is
-    normalized by its own computed norm, so small grid-norm drift does
-    not leak into the moments.
+def _grid_moments(s: SampledState | _Field, hbar: float) -> MomentSet:
+    """Raw moments of a sampled state, or of a field known only on the
+    grid, by quadrature; the state is normalized by its own computed norm,
+    so small grid-norm drift does not leak into the moments.
 
-    One weighted pass over the mode columns, block by block of rows: the
-    column sums of bra = conj(sqrt(w) psi) against sqrt(w) psi and against
-    the sqrt(w) scaled x-stencils of order 1 and 2 (``fd_derivative``'s
-    kernel) fill three rows, and no state-sized temporary is built. By
-    Parseval these column sums are the y sums of the samples, an
-    eigenstate's being one column. Each moment is one row dotted with
-    ``quadrature._row_weights`` times 1, x or x^2. The sqrt(w) scaling
-    keeps every product finite where the weight underflows, as in
-    ``grid_inner_product``. An overflowing derivative, or a norm that
-    underflows to 0 (a window where the state is dead), raises RangeError.
+    One weighted pass over the rows, block by block: the row sums of
+    bra = conj(sqrt(w) psi) against sqrt(w) psi and against the sqrt(w)
+    scaled x-stencils of order 1 and 2 (``fd_derivative``'s kernel) fill
+    three arrays, and no state-sized temporary is built. A state's rows
+    are its mode columns and a field's its samples; by Parseval a row's
+    sum over the samples is ny times its sum over the mode columns, a
+    constant every normalised moment cancels. Each moment is one array
+    dotted with ``quadrature._row_weights`` times 1, x or x^2. The sqrt(w)
+    scaling keeps every product finite where the weight underflows, as in
+    ``grid_inner_product``. A non-finite sample or derivative, or a norm
+    that underflows to 0 (a window where the state is dead), raises RangeError.
     """
     root_w = np.sqrt(s.weight)[:, None]
     nx = s.grid.nx
+    source = s.modes if isinstance(s, SampledState) else s
     density, d1, d2 = np.empty(nx), np.empty(nx, complex), np.empty(nx, complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, b, kets in _x_stencil_blocks(s.modes, _x_step(s.grid), (1, 2)):
-            amp = np.multiply(s.modes[a:b], root_w[a:b], order="C")
+        for a, b, (psi, *kets) in _x_stencil_blocks(source, _x_step(s.grid), (0, 1, 2)):
+            amp = np.multiply(psi, root_w[a:b], order="C")
             parts = amp.view(np.float64)
             np.einsum("ij,ij->i", parts, parts, out=density[a:b])
             bra = np.conjugate(amp, out=amp)
@@ -268,12 +271,14 @@ def landau_delta(lp: LandauParams, p: PhysParams) -> float:
     The state is sampled in the box of :func:`states.landau_box` (24
     cyclotron radii around its centre; the Gaussian envelope is below
     1e-15 at the edge), and the moments are taken under the flat measure
-    the Landau states are normalized in.
+    the Landau states are normalized in. They are taken straight from the
+    field's rows, a block at a time: the state is never transformed, and
+    no array of its nx by ny samples is built.
     """
     if lp.gauge == "asymmetric":
         p_box, grid = landau_box(lp, p, 4096, 8)
-        state = landau_state_asym(lp, p_box, grid)
+        field = _landau_asym_field(lp, p_box, grid)
     else:
         p_box, grid = landau_box(lp, p, 4096, 512)
-        state = landau_state_sym(lp.n, lp.l, p_box, grid)
-    return _grid_moments(state, p.hbar).delta
+        field = _landau_sym_field(lp.n, lp.l, p_box, grid)
+    return _grid_moments(field, p.hbar).delta

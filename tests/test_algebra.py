@@ -246,6 +246,28 @@ class TestLadderCheck:
         assert main(argv) == 0
         assert json.loads(out.read_text())["rows"] == _single_operator_rows(p, grid, 2)
 
+    # sha256 of the csv table at the largest n_max with 2 n_max < ny, as
+    # written before larger n_max were refused
+    BELOW_ALIASING = {
+        8: (3, "49c98b0a7cd90bd8707bdfee2ad3ecc48be8ace830ceb8da1e66405392587220"),
+        10: (4, "99c520ba6bcf80416d9d7149cfb05b32d99d4fe6873b843ced535df703ebd51b"),
+    }
+
+    @pytest.mark.parametrize("ny", sorted(BELOW_ALIASING))
+    def test_aliasing_bound(self, capsys, tmp_path, ny):
+        # a level n >= ny/2 sits on or past the Nyquist index, where L3 and
+        # the y-derivatives read an aliased frequency: refused, not printed
+        n_max, digest = self.BELOW_ALIASING[ny]
+        config = tmp_path / "grid.cfg"
+        config.write_text(f"x_min=-2.0\nx_max=12.0\nnx=1001\nny={ny}\n")
+        assert main(["--config", str(config), "ladder-check", "--n-max", str(n_max)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        out = tmp_path / "ladder.csv"
+        argv = ["--config", str(config), "--out", str(out), "ladder-check", "--n-max", str(n_max + 1)]
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", sorted(PINNED))
     def test_pinned_bytes(self, capsys, argv):
         assert main(list(argv)) == 0

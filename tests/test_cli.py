@@ -890,7 +890,7 @@ class TestExport:
         x = np.linspace(-1.0, 1.0, 8)
         y = np.linspace(-0.5, 0.5, 8, endpoint=False)
         for v in (values, values.real.copy()):
-            written = "".join(cli._export_rows(v, x, y, np.exp(x)))
+            written = "".join(cli._export_rows(v, cli._density(v), x, y, np.exp(x)))
             assert written == per_cell_rows(v, x, y, np.exp(x))
 
     def test_row_count_matches_grid(self, tmp_path):
