@@ -190,7 +190,9 @@ def _grid_moments(s: SampledState | _Field, hbar: float) -> MomentSet:
     constant every normalised moment cancels. Each moment is one array
     dotted with ``quadrature._row_weights`` times 1, x or x^2. The sqrt(w)
     scaling keeps every product finite where the weight underflows, as in
-    ``grid_inner_product``. A non-finite sample or derivative, or a norm
+    ``grid_inner_product``; a block whose sqrt(w) is exactly 1 (the flat
+    measure of the Landau fields) is not scaled, since times 1 changes no
+    finite nonzero value. A non-finite sample or derivative, or a norm
     that underflows to 0 (a window where the state is dead), raises RangeError.
     """
     root_w = np.sqrt(s.weight)[:, None]
@@ -199,12 +201,14 @@ def _grid_moments(s: SampledState | _Field, hbar: float) -> MomentSet:
     density, d1, d2 = np.empty(nx), np.empty(nx, complex), np.empty(nx, complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for a, b, (psi, *kets) in _x_stencil_blocks(source, _x_step(s.grid), (0, 1, 2)):
-            amp = np.multiply(psi, root_w[a:b], order="C")
+            scaled = not np.all(root_w[a:b] == 1.0)
+            amp = np.multiply(psi, root_w[a:b], order="C") if scaled else psi
             parts = amp.view(np.float64)
             np.einsum("ij,ij->i", parts, parts, out=density[a:b])
-            bra = np.conjugate(amp, out=amp)
+            bra = np.conjugate(amp, out=amp if scaled else None)
             for ket, row in zip(kets, (d1, d2)):
-                ket *= root_w[a:b]
+                if scaled:
+                    ket *= root_w[a:b]
                 np.einsum("ij,ij->i", bra, ket, out=row[a:b])
     wx = _row_weights(s)
     # a moment that overflows is refused by MomentSet, not warned about

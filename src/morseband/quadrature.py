@@ -33,7 +33,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_genlaguerre, roots_legendre
+from scipy.special import eval_genlaguerre, eval_legendre, gamma
 
 from .errors import (
     ConvergenceError,
@@ -98,22 +98,86 @@ class GridSpec:
             raise DomainError(f"the x step {h!r} of [{self.x_min!r}, {self.x_max!r}] is too small")
 
 
+def _golub_welsch(mu0: float, diagonal: np.ndarray, off_diagonal: np.ndarray, f, df, symmetrize: bool):
+    """Nodes and weights of the n-point Gauss rule of the orthogonal
+    polynomials f(m, x) (derivative df(m, x)), whose three-term recurrence
+    has the n by n Jacobi matrix of the given diagonal and off-diagonal
+    (entries k = 0..n-1 and k = 1..n-1), and whose weight has total mass mu0.
+
+    Golub & Welsch, Math. Comp. 23 (1969) 221: the nodes are the Jacobi
+    matrix's eigenvalues (``numpy.linalg.eigvalsh``), then, as scipy's
+    ``roots_*`` do, one Newton step on each node and weights 1/(f(n-1) f'(n))
+    with both factors log-normalised, scaled to sum to mu0; ``symmetrize``
+    averages a rule symmetric about 0 with its mirror image. The result is
+    bit-identical to scipy's ``roots_genlaguerre`` and ``roots_legendre``
+    for orders 2..256, without importing ``scipy.linalg``.
+    """
+    n = len(diagonal)
+    jacobi = np.diag(diagonal)
+    below = np.arange(1, n)
+    jacobi[below, below - 1] = off_diagonal  # eigvalsh reads the lower triangle
+    x = np.linalg.eigvalsh(jacobi)
+    dy = df(n, x)
+    x -= f(n, x) / dy
+    fm = f(n - 1, x)
+    log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    if symmetrize:
+        w = (w + w[::-1]) / 2
+        x = (x - x[::-1]) / 2
+    w *= mu0 / w.sum()
+    return x, w
+
+
 @lru_cache(maxsize=128)
 def gauss_laguerre_nodes(order: int, alpha: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the generalized Gauss-Laguerre rule.
 
     Exact for ``u^k`` against the weight ``u^alpha e^-u`` up to degree
-    ``2*order - 1``. Orders above 256 are refused: the underlying solver
-    degrades there (measured NaN weights at order 400 with alpha = 14.5).
+    ``2*order - 1``, from ``_golub_welsch``. Orders above 256 are refused:
+    the solver degrades there (measured: every weight NaN at order 400,
+    alpha 0 and 14.5, as with scipy's ``roots_genlaguerre``).
     Returned arrays are frozen; copy before mutating.
     """
     if not 1 <= order <= 256:
         raise DomainError(f"gauss_laguerre_nodes supports orders 1..256, got {order!r}")
     if not alpha > -1.0:
         raise DomainError(f"gauss_laguerre_nodes requires alpha > -1, got {alpha!r}")
-    nodes, weights = roots_genlaguerre(order, alpha)
-    nodes = np.asarray(nodes, dtype=float)
-    weights = np.asarray(weights, dtype=float)
+    mu0 = gamma(alpha + 1.0)
+    if order == 1:
+        nodes, weights = np.array([alpha + 1.0]), np.array([mu0])
+    else:
+        k = np.arange(order, dtype=float)
+        nodes, weights = _golub_welsch(
+            mu0,
+            2 * k + alpha + 1,
+            -np.sqrt(k[1:] * (k[1:] + alpha)),
+            lambda m, u: eval_genlaguerre(m, alpha, u),
+            lambda m, u: (
+                m * eval_genlaguerre(m, alpha, u) - (m + alpha) * eval_genlaguerre(m - 1, alpha, u)
+            ) / u,
+            symmetrize=False,
+        )
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+@lru_cache(maxsize=8)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre rule of an order >= 2 on [-1, 1], from
+    ``_golub_welsch``; the arrays are frozen."""
+    k = np.arange(1, order, dtype=float)
+    nodes, weights = _golub_welsch(
+        2.0,
+        np.zeros(order),
+        k * np.sqrt(1.0 / (4 * k * k - 1)),
+        eval_legendre,
+        lambda m, x: (-m * x * eval_legendre(m, x) + m * eval_legendre(m - 1, x)) / (1 - x**2),
+        symmetrize=True,
+    )
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -199,7 +263,7 @@ def integrate_radial(f: Callable, r_max: float) -> IntegrationResult:
     """
     if not r_max > 0.0:
         raise DomainError(f"integrate_radial requires r_max > 0, got {r_max!r}")
-    nodes, weights = roots_legendre(32)
+    nodes, weights = _gauss_legendre(32)
     panels = max(8, int(math.ceil(r_max / 5.0)))
     value, evaluations = _panel_sum(f, r_max, panels, nodes, weights)
     delta = math.inf
@@ -455,7 +519,12 @@ def _x_stencil_blocks(values, h: float, orders: tuple[int, ...]):
     in place in a cache-sized block with one scratch term. Terms are added
     left to right and scaled by the reciprocal of the divisor, as numpy
     divides complex by real, so every value is bit-identical to the
-    stencil evaluated in complex arithmetic on the whole array.
+    stencil evaluated on the real and imaginary parts of the whole array,
+    and equal to it in complex arithmetic (whose products by c + 0j may
+    turn a sum of zeros from -0 to +0). A tap of 1 adds the rows themselves
+    and a negative tap -c subtracts c times them, both exact in IEEE
+    arithmetic (1 v = v, x + (-c) v = x - c v), which takes the first
+    derivative in 6 passes over a block and the second in 9.
     """
     if isinstance(values, np.ndarray):
         values = np.ascontiguousarray(values, dtype=complex)
@@ -474,14 +543,16 @@ def _x_stencil_blocks(values, h: float, orders: tuple[int, ...]):
         v = window.view(np.float64)
         lo = max(a, 2)
         hi = max(lo, min(b, nx - 2))
+        taps = [v[lo - 2 + k - start : hi - 2 + k - start] for k in range(5)]
         for order, out in outs.items():
             divisor, head, flip, scale = stencils[order]
-            (k0, c0), *rest = _CENTRED_TAPS[order]
             body, t = out.view(np.float64)[lo - a : hi - a], term[: hi - lo]
-            np.multiply(v[lo - 2 + k0 - start : hi - 2 + k0 - start], c0, out=body)
+            (k0, c0), *rest = _CENTRED_TAPS[order]
+            acc = taps[k0] if c0 == 1.0 else np.multiply(taps[k0], c0, out=body)
             for k, c in rest:
-                np.multiply(v[lo - 2 + k - start : hi - 2 + k - start], c, out=t)
-                body += t
+                scaled = taps[k] if abs(c) == 1.0 else np.multiply(taps[k], abs(c), out=t)
+                (np.add if c > 0.0 else np.subtract)(acc, scaled, out=body)
+                acc = body
             body *= 1.0 / divisor
             for i, row in enumerate(head):
                 if a <= i < b:

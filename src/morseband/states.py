@@ -479,21 +479,32 @@ def _landau_sym_field(n: int, l: int, p: PhysParams, grid: GridSpec) -> _Field:
     x, y = _grid_axes(grid, p.a0)
     r_c = lp.cyclotron_radius(p)
     s = math.sqrt(2.0) * r_c
-    yy = y[None, :]
-    iy = 1j * yy
+    x2, y2, iy = x * x, y * y, 1j * y
     norm = math.exp(0.5 * (math.lgamma(n + 1.0) - math.lgamma(n + l + 1.0)) - 0.5 * math.log(math.pi))
 
     def rows(a: int, b: int) -> np.ndarray:
         # norm/s * ((x + iy)/s)^l * exp(-rho2/4r_c^2) * L(rho2/2r_c^2), multiplied
-        # left to right in place: the same roundings as the expression
-        xx = x[a:b, None]
-        block = np.add(xx, iy)
-        block /= s
-        block **= l
-        np.multiply(norm / s, block, out=block)
-        rho2 = xx * xx + yy * yy
+        # left to right in place: the same roundings as the expression. The
+        # real factors stay complex multiplies: numpy's complex * real takes
+        # (ar r - ai 0, ar 0 + ai r), whose signs of zero export prints, and
+        # scaling .real and .imag apart gives other ones. Only steps whose
+        # bits are known are skipped: ^0 is 1 + 0j, ^1 returns a nonzero base
+        # as it is (the one zero base, x = y = 0, is +0 + 0j either way), and
+        # at n = l = 0 the block after the Gaussian is (c, +0), which times
+        # L_0 = 1 leaves alone (at l = 1 an underflowed cell with x, y < 0
+        # holds -0 that the multiply would turn into +0).
+        if l == 0:
+            block = np.full((b - a, len(y)), norm / s * (1.0 + 0.0j))
+        else:
+            block = np.add(x[a:b, None], iy)
+            block /= s
+            if l > 1:
+                block **= l
+            np.multiply(norm / s, block, out=block)
+        rho2 = x2[a:b, None] + y2
         block *= np.exp(-rho2 / (4.0 * r_c * r_c))
-        block *= laguerre(n, float(l), rho2 / (2.0 * r_c * r_c))
+        if n or l:
+            block *= laguerre(n, float(l), rho2 / (2.0 * r_c * r_c))
         return block
 
     return _Field(grid, rows, np.ones(grid.nx), p.a0)

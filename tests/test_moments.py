@@ -199,6 +199,22 @@ class TestFieldMoments:
         ids=["ragged-last-block", "one-block", "two-row-last-block", "three-row-last-block"],
     )
     def test_random_field_bits(self, nx, ny, monkeypatch):
+        self._check_random_field(nx, ny, np.linspace(0.5, 2.0, nx), monkeypatch)
+
+    @pytest.mark.parametrize(
+        "nx, ny, graded",
+        [(3000, 16, 0), (17, 16400, 0), (3000, 16, 1000)],
+        ids=["flat", "flat-two-blocks", "flat-then-graded"],
+    )
+    def test_random_flat_field_bits(self, nx, ny, graded, monkeypatch):
+        # a block whose sqrt(w) is exactly 1 is not scaled; on a weight flat
+        # in its first rows only, some blocks are scaled and some are not
+        weight = np.ones(nx)
+        weight[nx - graded :] = np.linspace(0.5, 2.0, graded)
+        self._check_random_field(nx, ny, weight, monkeypatch)
+
+    @staticmethod
+    def _check_random_field(nx, ny, weight, monkeypatch):
         monkeypatch.setattr(MomentSet, "from_means", classmethod(lambda cls, **means: means))
         rng = np.random.default_rng(nx + ny)
         samples = rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny))
@@ -208,7 +224,7 @@ class TestFieldMoments:
             calls.append((a, b))
             return samples[a:b].copy()
 
-        field = _Field(GridSpec(-1.0, 1.0, nx, ny), rows, np.linspace(0.5, 2.0, nx), 1.0)
+        field = _Field(GridSpec(-1.0, 1.0, nx, ny), rows, weight, 1.0)
         got = _grid_moments(field, 1.0)
         # each row is evaluated exactly once, in order
         assert [a for a, _ in calls] == [0] + [b for _, b in calls[:-1]] and calls[-1][1] == nx

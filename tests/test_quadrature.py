@@ -8,14 +8,18 @@ strip-grid inner product and the finite-difference stencils directly.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
-from scipy.special import logsumexp
+from scipy.special import logsumexp, roots_genlaguerre, roots_legendre
 
+import morseband
 from morseband import (
     ConvergenceError,
     DomainError,
@@ -32,7 +36,7 @@ from morseband import (
     integrate_semi_infinite_u,
     weighted_norm,
 )
-from morseband.quadrature import _grid_gram, _row_blocks, _row_density, _row_weights
+from morseband.quadrature import _gauss_legendre, _grid_gram, _row_blocks, _row_density, _row_weights
 
 mpmath.mp.dps = 30
 
@@ -66,6 +70,30 @@ class TestGaussLaguerre:
         assert u1 is u2
         with pytest.raises((ValueError, RuntimeError)):
             u1[0] = 0.0
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 3.0, 7.0, 14.5])
+    def test_rules_are_scipys_bits(self, alpha):
+        # Golub-Welsch on numpy's eigvalsh, then scipy's Newton step and
+        # weights: the same bits as scipy's banded-eigenvalue route
+        for order in range(1, 257):
+            for got, want in zip(gauss_laguerre_nodes(order, alpha), roots_genlaguerre(order, alpha)):
+                assert np.array_equal(got.view(np.uint64), np.asarray(want).view(np.uint64)), order
+
+    def test_legendre_rules_are_scipys_bits(self):
+        for order in range(2, 257):
+            for got, want in zip(_gauss_legendre(order), roots_legendre(order)):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), order
+
+    def test_specfun_suite_does_not_import_scipy_linalg(self):
+        src = os.path.dirname(os.path.dirname(morseband.__file__))
+        code = (
+            "import contextlib, io, sys; from morseband import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['verify', '--suite', 'specfun'])\n"
+            "sys.exit(code or 3 * ('scipy.linalg' in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
     def test_guards(self):
         with pytest.raises(DomainError):
@@ -355,20 +383,39 @@ class TestDerivatives:
 
     @pytest.mark.parametrize("ny", [8, 16400])
     def test_x_stencils_are_the_complex_arithmetic_bits(self, ny):
-        # the blocked float64 accumulation must give the centred stencils
-        # evaluated in complex arithmetic, on every interior row, whether a
-        # block holds all rows (ny = 8) or two of them (ny = 16400)
+        # the blocked float64 accumulation must give, on every interior row,
+        # whether a block holds all rows (ny = 8) or two of them (ny = 16400),
+        # the centred stencils written term by term on the real and imaginary
+        # parts bit for bit, signed zeros, subnormals and values near 1e300
+        # among them, and the stencils in complex arithmetic value for value:
+        # complex arithmetic multiplies by c + 0j, whose +0 products can turn
+        # a sum of zeros from -0 to +0
         nx = 21
         rng = np.random.default_rng(ny)
         s = _flat_state(nx, ny, lambda x: x, x_min=-0.3, x_max=2.9)
-        v = rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny))
+        parts = rng.standard_normal((nx, 2 * ny))
+        pick = rng.random(parts.shape)
+        for lo, hi, fill in (
+            (0.0, 0.05, 0.0),
+            (0.05, 0.1, -0.0),
+            (0.1, 0.15, 5e-324 * rng.integers(-2**20, 2**20, parts.shape)),
+            (0.15, 0.2, 1e300 * rng.standard_normal(parts.shape)),
+        ):
+            cells = (lo <= pick) & (pick < hi)
+            parts[cells] = np.broadcast_to(fill, parts.shape)[cells]
+        v = parts.view(complex)
         h = (s.grid.x_max - s.grid.x_min) / (nx - 1)
-        d1 = (1.0 * v[:-4] + -8.0 * v[1:-3] + 8.0 * v[3:-1] + -1.0 * v[4:]) * (1.0 / (12.0 * h))
-        d2 = (
-            -1.0 * v[:-4] + 16.0 * v[1:-3] + -30.0 * v[2:-2] + 16.0 * v[3:-1] + -1.0 * v[4:]
-        ) * (1.0 / (12.0 * h * h))
-        assert np.array_equal(fd_derivative(v, s, "x", 1)[2:-2], d1)
-        assert np.array_equal(fd_derivative(v, s, "x", 2)[2:-2], d2)
+        for u, bits in ((parts, True), (v, False)):
+            d1 = (1.0 * u[:-4] + -8.0 * u[1:-3] + 8.0 * u[3:-1] + -1.0 * u[4:]) * (1.0 / (12.0 * h))
+            d2 = (
+                -1.0 * u[:-4] + 16.0 * u[1:-3] + -30.0 * u[2:-2] + 16.0 * u[3:-1] + -1.0 * u[4:]
+            ) * (1.0 / (12.0 * h * h))
+            for order, want in ((1, d1), (2, d2)):
+                got = fd_derivative(v, s, "x", order)[2:-2].view(u.dtype)
+                if bits:
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                else:
+                    assert np.array_equal(got, want)
 
     def test_y_derivative_is_spectrally_exact_on_harmonics(self):
         for m in (1, 5, 15):

@@ -38,6 +38,21 @@ from morseband import (
 from morseband.states import landau_box
 
 
+def _sym_expression(n, l, p_box, grid):
+    """The symmetric-gauge Landau samples written as one complex product."""
+    r_c = LandauParams.cyclotron_radius(p_box)
+    xx = np.linspace(grid.x_min, grid.x_max, grid.nx)[:, None]
+    yy = (-0.5 * p_box.a0 + np.arange(grid.ny) * (p_box.a0 / grid.ny))[None, :]
+    s = math.sqrt(2.0) * r_c
+    rho2 = xx * xx + yy * yy
+    norm = math.exp(0.5 * (math.lgamma(n + 1.0) - math.lgamma(n + l + 1.0)) - 0.5 * math.log(math.pi))
+    vortex = ((xx + 1j * yy) / s) ** l
+    return (
+        norm / s * vortex * np.exp(-rho2 / (4.0 * r_c * r_c))
+        * special.eval_genlaguerre(n, float(l), rho2 / (2.0 * r_c * r_c))
+    )
+
+
 class TestMeasureWeight:
     def test_closed_form_samples(self, p):
         for x in (-3.0, 0.0, 1.5, 5.0):
@@ -235,7 +250,7 @@ class TestLandauStates:
         norm = float(np.sum(np.abs(s.values) ** 2) * dx * dy)
         assert abs(norm - 1.0) <= 1e-8
 
-    @pytest.mark.parametrize("n, l", [(0, 0), (1, 2), (3, 3)])
+    @pytest.mark.parametrize("n, l", [(0, 0), (1, 0), (1, 1), (1, 2), (3, 3)])
     def test_sym_state_is_built_in_place(self, p, n, l):
         # landau_delta's grid; the reference is the state's expression written
         # as one product, which holds about seven full temporaries (112 MiB),
@@ -251,21 +266,29 @@ class TestLandauStates:
         finally:
             tracemalloc.stop()
         assert peak <= 40 * 2**20
-        xx = np.linspace(grid.x_min, grid.x_max, grid.nx)[:, None]
-        yy = (-0.5 * p_box.a0 + np.arange(grid.ny) * (p_box.a0 / grid.ny))[None, :]
-        s = math.sqrt(2.0) * r_c
-        rho2 = xx * xx + yy * yy
-        norm = math.exp(0.5 * (math.lgamma(n + 1.0) - math.lgamma(n + l + 1.0)) - 0.5 * math.log(math.pi))
-        vortex = ((xx + 1j * yy) / s) ** l
-        want = (
-            norm / s * vortex * np.exp(-rho2 / (4.0 * r_c * r_c))
-            * special.eval_genlaguerre(n, float(l), rho2 / (2.0 * r_c * r_c))
-        )
+        want = _sym_expression(n, l, p_box, grid)
         assert np.array_equal(state.k, np.arange(grid.ny))
         modes = np.fft.fft(want, axis=1, norm="forward")
         assert np.array_equal(state.modes.view(np.uint64), modes.view(np.uint64))
         # the samples are the field's own, evaluated again
         assert np.array_equal(state.values.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n, l", [(n, l) for n in range(4) for l in range(4)])
+    @pytest.mark.parametrize(
+        "x_min, x_max, nx", [(-12.0, 12.0, 33), (-400.0, 400.0, 65)], ids=["odd-nx", "underflowing"]
+    )
+    def test_sym_samples_keep_signed_zeros(self, p, n, l, x_min, x_max, nx):
+        # an odd nx puts x = 0.0 on the grid, so one sample has the base
+        # x + iy = 0; out at |x| = 400 r_c the Gaussian underflows, and
+        # every factor's zero signs are those of the complex expression
+        r_c = LandauParams.cyclotron_radius(p)
+        p_box = replace(p, a0=24.0 * r_c)
+        grid = GridSpec(x_min * r_c, x_max * r_c, nx, 16)
+        x = np.linspace(grid.x_min, grid.x_max, grid.nx)
+        assert 0.0 in x
+        want = _sym_expression(n, l, p_box, grid)
+        got = landau_state_sym(n, l, p_box, grid).values
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_label_validation(self):
         with pytest.raises(DomainError):
