@@ -419,10 +419,8 @@ def _export_state(args: argparse.Namespace, cfg: RunConfig):
     return s, grid, label
 
 
-# Decimal exponents E of the finite nonzero doubles run from -324 to 308, so
-# the scale 10^(16-E) that brings 17 digits before the point runs over these k.
+# Decimal exponents E of the finite nonzero doubles run from -324 to 308.
 _E_MIN, _E_MAX = -324, 308
-_POW10_MIN, _POW10_MAX = 16 - _E_MAX, 16 - _E_MIN
 _FIELD = 24  # the widest finite text of format(v, ".16e"): "-d.dddddddddddddddde-ddd"
 _TIE_MARGIN = 2.0**-32
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for 53-bit doubles
@@ -430,70 +428,85 @@ _BLOCK_LINES = 2048
 
 
 @functools.cache
-def _pow10_table() -> tuple[np.ndarray, ...]:
-    """10^k = (hi + lo) 2^exp for k in [_POW10_MIN, _POW10_MAX], hi in [1, 2).
+def _pow10_table() -> np.ndarray:
+    """10^(16-E) = (hi + lo) 2^exp for E in [_E_MIN, _E_MAX], hi in [1, 2):
+    one row per E of hi, its Veltkamp halves (26 bits each) for the exact
+    product in ``_scaled_digits``, lo, and exp + 1023.
 
     Built with Python integers: each true division of two ints is
-    correctly rounded, so hi is 10^k 2^-exp rounded to a double and lo is
-    the remainder rounded to a double. Returns hi, its Veltkamp halves
-    (26 bits each) for the exact product in ``_scaled_digits``, lo and exp.
+    correctly rounded, so hi is 10^(16-E) 2^-exp rounded to a double and
+    lo is the remainder rounded to a double.
     """
-    his, los, exps = [], [], []
-    for k in range(_POW10_MIN, _POW10_MAX + 1):
-        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+    rows = []
+    for E in range(_E_MIN, _E_MAX + 1):
+        num, den = (10 ** (16 - E), 1) if E <= 16 else (1, 10 ** (E - 16))
         shift = den.bit_length() - num.bit_length()
         if num << max(shift, 0) < den << max(-shift, 0):
             shift += 1
         num, den = (num << shift, den) if shift >= 0 else (num, den << -shift)
         hi = num / den
-        his.append(hi)
-        los.append((num * 2**52 - int(hi * 2**52) * den) / (den * 2**52))
-        exps.append(-shift)
-    hi = np.array(his)
-    big = hi * _SPLIT
-    hi_top = big - (big - hi)
-    return hi, hi_top, hi - hi_top, np.array(los), np.array(exps)
+        big = hi * _SPLIT
+        top = big - (big - hi)
+        lo = (num * 2**52 - int(hi * 2**52) * den) / (den * 2**52)
+        rows.append((hi, top, hi - top, lo, 1023.0 - shift))
+    return np.array(rows)
 
 
 @functools.cache
-def _digit_texts() -> tuple[np.ndarray, np.ndarray]:
-    """The texts "0000" ... "9999" as uint32, and "e-324" ... "e+308"
-    zero-padded to 5 bytes, one row per exponent."""
-    quads = np.frombuffer("".join(f"{i:04d}" for i in range(10**4)).encode(), dtype=np.uint32)
-    tails = "".join(f"e{E:+03d}".ljust(5, "\0") for E in range(_E_MIN, _E_MAX + 1))
-    return quads, np.frombuffer(tails.encode(), dtype=np.uint8).reshape(-1, 5)
+def _digit_texts() -> tuple[np.ndarray, ...]:
+    """The pieces of a text as machine words, so that one store writes
+    each, built from bytes so that they hold on either byte order: the
+    lead digit and point, with no sign byte, a blank one and "-", as
+    uint32 (the digits overwrite what follows the point); every 4-digit
+    group "0000" to "9999" in the first and in the second half of a
+    uint64; and "e-324" to "e+308", one per exponent, as the uint32 of a
+    two-digit exponent and as the last five bytes of a uint64
+    (zero-padded) whose first three bytes the digits overwrite."""
+    heads = (b"%s%d." % (sign, d) for sign in (b"", b"\0", b"-") for d in range(10))
+    heads = np.frombuffer(b"".join(h.ljust(4, b"\0") for h in heads), np.uint32)
+    quads = [b"%04d" % i for i in range(10**4)]
+    firsts = np.frombuffer(b"".join(q + b"\0\0\0\0" for q in quads), np.uint64)
+    seconds = np.frombuffer(b"".join(b"\0\0\0\0" + q for q in quads), np.uint64)
+    tails = [b"e%+03d" % E for E in range(_E_MIN, _E_MAX + 1)]
+    short = np.frombuffer(b"".join(t[:4] for t in tails), np.uint32)
+    long = np.frombuffer(b"".join(b"\0\0\0" + t.ljust(5, b"\0") for t in tails), np.uint64)
+    return heads, firsts, seconds, short, long
 
 
-def _scaled_digits(m: np.ndarray, e: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """floor(D) and D - floor(D) for D = m 2^e 10^(16-E), m in [1/2, 1)."""
-    hi, hi_top, hi_bot, lo, exp = _pow10_table()
-    k = np.clip(16 - E, _POW10_MIN, _POW10_MAX) - _POW10_MIN
-    top, bot = hi_top[k], hi_bot[k]
-    prod = m * hi[k]
+def _scaled_digits(m: np.ndarray, e: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor(D) and D - floor(D) for D = m 2^e 10^(16-E), m in [1/2, 1),
+    given the rows of ``_pow10_table`` for E."""
+    hi, top, bot, lo, bias = rows.T
+    prod = m * hi
     big = m * _SPLIT
     m_top = big - (big - m)
     m_bot = m - m_top
     # Dekker's two-product: prod + tail == m * hi exactly
-    tail = ((m_top * top - prod) + m_top * bot + m_bot * top) + m_bot * bot
-    tail += m * lo[k]
-    scale = e + exp[k]
-    prod = np.ldexp(prod, scale)
-    tail = np.ldexp(tail, scale)
+    tail = m_top * top
+    tail -= prod
+    tail += m_top * bot
+    tail += m_bot * top
+    tail += m_bot * bot
+    tail += m * lo
+    # 2^(e+exp) from its exponent bits; D < 2^57 keeps it a normal double
+    scale = ((e + bias).astype(np.int64) << 52).view(np.float64)
+    prod *= scale
+    tail *= scale
     whole = np.floor(prod)
     tail += prod - whole
     step = np.floor(tail)
-    return whole.astype(np.int64) + step.astype(np.int64), tail - step
+    tail -= step
+    whole = whole.astype(np.int64)
+    whole += step.astype(np.int64)
+    return whole, tail
 
 
-def _e17_fields(v, quote: bool = False) -> np.ndarray:
-    """The bytes of ``format(v, ".16e")`` for every cell of a float block;
-    with quote, a non-finite cell's text is written as a JSON string.
+class _E17:
+    """The texts ``format(v, ".16e")`` writes for a block of floats, held
+    as machine words until ``write`` stores them in a byte matrix.
 
-    Returns an array of shape ``v.shape + (_FIELD,)`` of uint8, each text
-    left-aligned on its sign slot: a positive number leaves byte 0 zero
-    and a two-digit exponent leaves the last byte zero; no other byte is
-    zero. With |v| = m 2^e, m in [1/2, 1), and E = floor(log10 |v|),
-    D = |v| 10^(16-E) is m (hi + lo) 2^(e+exp) from the table. Dekker's
+    With |v| = m 2^e, m in [1/2, 1), and E = floor(log10 |v|), D = |v|
+    10^(16-E) is m (hi + lo) 2^(e+exp) from the table. Dekker's
     two-product gives m hi exactly, and what is left out is at most
     2^-105 2^(e+exp): m times lo's own rounding error (2^-107), the
     rounding of m lo (2^-107) and of the tail sum (2^-106). As m hi
@@ -507,50 +520,109 @@ def _e17_fields(v, quote: bool = False) -> np.ndarray:
     carry the true E would give. Where either bound fails, E is moved by
     one and D taken again. The other cells, exact ties such as 1 + 2^-17
     among them, non-finite cells, and any cell whose moved E still fails,
-    are written by ``format(v, ".16e")`` itself, which defines the text.
-    """
-    v = np.asarray(v, dtype=float)
-    flat = v.ravel()
-    a = np.abs(flat)
-    finite = np.isfinite(a)
-    nonzero = finite & (a > 0.0)
-    a[~nonzero] = 1.0
-    m, e = np.frexp(a)
-    E = np.floor(np.log10(a)).astype(np.int64)
-    whole, frac = _scaled_digits(m, e, E)
-    digits = whole + (frac > 0.5)
-    off = np.flatnonzero((whole < 10**16) | (digits > 10**17))
-    if off.size:
-        E[off] += np.where(whole[off] < 10**16, -1, 1)
-        whole[off], frac[off] = _scaled_digits(m[off], e[off], E[off])
-        digits[off] = whole[off] + (frac[off] > 0.5)
-    unproven = (np.abs(frac - 0.5) <= _TIE_MARGIN) | (whole < 10**16) | (digits > 10**17)
-    carry = digits == 10**17
-    digits[carry] = 10**16
-    E[carry] += 1
-    digits[~nonzero] = 0
-    E[~nonzero] = 0
+    are written by ``format(v, ".16e")`` itself, which defines the text;
+    with quote, a non-finite cell's text is written as a JSON string.
 
-    quads, tails = _digit_texts()
-    out = np.zeros((flat.size, _FIELD), np.uint8)
-    out[:, 0] = np.signbit(flat) * np.uint8(ord("-"))
-    lead, rest = np.divmod(digits, 10**16)
-    out[:, 1] = lead + ord("0")
-    out[:, 2] = ord(".")
-    fraction = out[:, 3:19].view(np.uint32)
-    for col, part in enumerate(np.divmod(rest, 10**8)):
-        part = part.astype(np.uint32)
-        top = part // 10**4
-        fraction[:, 2 * col] = quads[top]
-        fraction[:, 2 * col + 1] = quads[part - top * 10**4]
-    out[:, 19:] = tails[np.clip(E, _E_MIN, _E_MAX) - _E_MIN]
-    for i in np.flatnonzero(~finite | (nonzero & unproven)):
-        text = format(float(flat[i]), ".16e").encode()
-        if quote and not finite[i]:
-            text = b'"' + text + b'"'
-        out[i] = 0
-        out[i, : len(text)] = np.frombuffer(text, np.uint8)
-    return out.reshape(v.shape + (_FIELD,))
+    ``width`` is the narrowest field that holds every text: 22 bytes, one
+    more for a sign byte if some cell is negative, and one more if some
+    text has a three-digit exponent.
+    """
+
+    def __init__(self, v, quote: bool = False) -> None:
+        v = np.asarray(v, dtype=float)
+        flat = v.ravel()
+        a = np.abs(flat)
+        finite = np.isfinite(a)
+        nonzero = finite & (a > 0.0)
+        a[~nonzero] = 1.0
+        m, e = np.frexp(a)
+        E = np.floor(np.log10(a)).astype(np.int64)
+        table = _pow10_table()
+        whole, frac = _scaled_digits(m, e, np.take(table, E - _E_MIN, axis=0, mode="clip"))
+        digits = whole + (frac > 0.5)
+        unproven = (whole < 10**16) | (digits > 10**17)
+        off = np.flatnonzero(unproven)
+        if off.size:
+            E[off] += np.where(whole[off] < 10**16, -1, 1)
+            rows = np.take(table, E[off] - _E_MIN, axis=0, mode="clip")
+            whole[off], frac[off] = _scaled_digits(m[off], e[off], rows)
+            digits[off] = whole[off] + (frac[off] > 0.5)
+            unproven[off] = (whole[off] < 10**16) | (digits[off] > 10**17)
+        frac -= 0.5
+        unproven |= np.abs(frac) <= _TIE_MARGIN
+        carry = digits == 10**17
+        digits[carry] = 10**16
+        E += carry
+        digits[~nonzero] = 0
+        E[~nonzero] = 0
+
+        self.shape = v.shape
+        self.special = np.flatnonzero(~finite | unproven)
+        self.texts = []
+        for i in self.special:
+            text = format(float(flat[i]), ".16e").encode()
+            if quote and not finite[i]:
+                text = b'"' + text + b'"'
+            self.texts.append(text)
+        negative = np.signbit(flat)
+        self.signed = bool(negative.any())
+        wide = E.size and (E.min() <= -100 or E.max() >= 100)
+        wide = wide or any(len(t) - t.startswith(b"-") > 22 for t in self.texts)
+        self.width = 22 + self.signed + bool(wide)
+        self.exponent = E - _E_MIN
+        lead = digits // 10**16
+        digits -= lead * 10**16
+        # heads[head] is the lead digit and point, heads[head + 10] the same after a sign byte
+        self.head = lead + 10 * negative
+        groups = np.empty((flat.size, 2), np.int64)
+        groups[:, 0] = digits // 10**8
+        groups[:, 1] = digits - groups[:, 0] * 10**8
+        top = groups // 10**4
+        groups -= top * 10**4
+        _, firsts, seconds, _, _ = _digit_texts()
+        self.words = np.take(firsts, top)
+        self.words |= np.take(seconds, groups)
+
+    def write(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Store every text in its field, the last axis of ``out``, and
+        return ``out``: a field of ``_FIELD`` bytes always has the sign byte
+        and the third exponent digit, one of ``width`` bytes only those its
+        texts need (by default, a new matrix of such fields). A text is
+        left-aligned after the sign byte, which a negative text starts on;
+        the bytes a text leaves are zero."""
+        if out is None:
+            out = np.empty(self.shape + (self.width,), np.uint8)
+        signed = out.shape[-1] == _FIELD or self.signed
+        wide = out.shape[-1] - signed > 22
+        heads, _, _, short, long = _digit_texts()
+        shape, s = self.shape, int(signed)
+
+        def store(at: int, words: np.ndarray) -> None:
+            """One machine word per cell, at byte ``at`` of its field."""
+            out[..., at : at + words.itemsize].view(words.dtype)[..., 0] = words.reshape(shape)
+
+        store(0, np.take(heads, self.head + 10 * s, mode="clip"))
+        if wide:  # before the digits, which overwrite its first three bytes
+            store(s + 15, np.take(long, self.exponent, mode="clip"))
+        else:
+            store(s + 18, np.take(short, self.exponent, mode="clip"))
+        store(s + 2, self.words.view("V16")[:, 0])
+        for i, text in zip(self.special, self.texts):
+            field = out[np.unravel_index(i, shape)]
+            field[:] = 0
+            at = s - text.startswith(b"-")
+            field[at : at + len(text)] = np.frombuffer(text, np.uint8)
+        return out
+
+
+def _e17_fields(v, quote: bool = False) -> np.ndarray:
+    """The bytes of ``format(v, ".16e")`` for every cell of a float block
+    (see ``_E17``), in an array of shape ``v.shape + (_FIELD,)`` of uint8:
+    each text left-aligned after its sign byte, so a positive number
+    leaves byte 0 zero and a two-digit exponent the last byte; a finite
+    number leaves no other byte zero."""
+    texts = _E17(v, quote)
+    return texts.write(np.empty(texts.shape + (_FIELD,), np.uint8))
 
 
 def _int_fields(v: np.ndarray) -> np.ndarray:
@@ -565,27 +637,41 @@ def _int_fields(v: np.ndarray) -> np.ndarray:
 
 
 def _text(slots: np.ndarray) -> str:
-    """The bytes of a zero-padded byte matrix with the pad bytes deleted."""
-    return slots.tobytes().translate(None, b"\0").decode("ascii")
+    """The bytes of a zero-padded byte matrix with the pad bytes deleted.
 
-
-def _fields(column: np.ndarray, quote: bool) -> np.ndarray:
-    """A float column as ``format(v, ".16e")`` writes it (see ``_e17_fields``;
-    with quote, a non-finite value as a JSON string), an integer column
-    (non-negative) as ``str`` does."""
-    return _e17_fields(column, quote) if column.dtype.kind == "f" else _int_fields(column)
+    ``bytes.replace`` costs about 20 ns per pad byte and ``bytes.translate``
+    about 1.2 ns per byte, so the first is taken where at most one byte in
+    16 of the matrix's first 4 KiB is a pad (the narrow fields of ``_E17``
+    leave few), the second where pads are denser (the blank class heads of
+    ``_class_blocks``).
+    """
+    sample = slots.reshape(-1)[:4096]
+    data = slots.tobytes()
+    if 16 * (sample.size - np.count_nonzero(sample)) <= sample.size:
+        return data.replace(b"\0", b"").decode("ascii")
+    return data.translate(None, b"\0").decode("ascii")
 
 
 def _filled(template: list, columns: dict[str, np.ndarray], quote: bool = False) -> np.ndarray:
     """One zero-padded line of bytes per row: the template's literals
-    (bytes, the same on every line) and the ``_fields`` of its named
-    columns (str) side by side."""
-    n = len(next(iter(columns.values())))
-    return np.hstack([
-        np.broadcast_to(np.frombuffer(part, np.uint8), (n, len(part))) if isinstance(part, bytes)
-        else _fields(columns[part], quote)
+    (bytes, the same on every line) and the fields of its named columns
+    (str) side by side, a float column's in the narrowest field that holds
+    them (``_E17``; with quote, a non-finite value as a JSON string), an
+    integer column's (non-negative) as ``_int_fields`` writes them."""
+    parts = [
+        np.frombuffer(part, np.uint8) if isinstance(part, bytes)
+        else _E17(columns[part], quote) if columns[part].dtype.kind == "f"
+        else _int_fields(columns[part])
         for part in template
-    ])
+    ]
+    widths = [part.width if isinstance(part, _E17) else part.shape[-1] for part in parts]
+    out = np.empty((len(next(iter(columns.values()))), sum(widths)), np.uint8)
+    for part, end, width in zip(parts, itertools.accumulate(widths), widths):
+        if isinstance(part, _E17):
+            part.write(out[:, end - width : end])
+        else:
+            out[:, end - width : end] = part
+    return out
 
 
 def _table_blocks(template: list, columns: dict[str, np.ndarray], quote: bool = False) -> Iterator[str]:
@@ -691,28 +777,38 @@ def _export_rows(
     of every cell), one text block per run of x rows.
 
     Every number reads as ``format(v, ".16e")`` would write it, byte for
-    byte (see ``_e17_fields``). A block is a zero-padded byte matrix with
-    one line per (x, y) cell and one slot per column, each slot a field
-    and its ``,`` or newline; one pass of ``bytes.translate`` deletes the
-    pad bytes, which is faster here than a boolean mask. A block holds
-    about ``_BLOCK_LINES`` lines, so its temporaries stay small beside the
-    text already written, and no state-sized temporary is built while it grows.
+    byte (see ``_E17``). A block is a byte matrix with one line per (x, y)
+    cell. The x, y and weight fields are formatted once per export. The
+    cells' amplitudes and density are written in place, in the narrowest
+    fields that hold the block's texts, so that few pad bytes are left for
+    ``_text`` to delete. A block holds about ``_BLOCK_LINES`` lines, so its
+    temporaries stay small beside the text already written. One buffer
+    serves every block, and its separators and y fields are written again
+    only when the cells' field width changes.
     """
     nx, ny = values.shape
-    rows = max(1, _BLOCK_LINES // ny)
-    y = _e17_fields(y)
-    x_w = _e17_fields(np.stack((x, weight), axis=-1))
+    rows = max(1, min(_BLOCK_LINES // ny, nx))
+    x, y, weight = (_E17(a).write() for a in (x, y, weight))
+    buffer = np.empty(rows * ny * 6 * (_FIELD + 1), np.uint8)
+    laid = None
     for i in range(0, nx, rows):
         n = min(rows, nx - i)
-        block = np.zeros((n, ny, 6, _FIELD + 1), np.uint8)
-        block[:, :, :, _FIELD] = ord(",")
-        block[:, :, 5, _FIELD] = ord("\n")
-        block[:, :, 0, :_FIELD] = x_w[i : i + n, None, 0]
-        block[:, :, 1, :_FIELD] = y
         cells = values[i : i + n]
-        cells = np.stack((cells.real, cells.imag, density[i : i + n]), axis=-1)
-        block[:, :, 2:5, :_FIELD] = _e17_fields(cells)
-        block[:, :, 5, :_FIELD] = x_w[i : i + n, None, 1]
+        cells = _E17(np.stack((cells.real, cells.imag, density[i : i + n]), axis=-1))
+        # x "," y, then "," and a cell's field three times, then "," weight "\n"
+        at = x.shape[1] + 1 + y.shape[1]
+        end = at + 3 * (cells.width + 1)
+        lines = buffer[: rows * ny * (end + weight.shape[1] + 2)].reshape(rows, ny, -1)
+        if cells.width != laid:
+            lines[:, :, x.shape[1]] = ord(",")
+            lines[:, :, x.shape[1] + 1 : at] = y
+            lines[:, :, at : end + 1 : cells.width + 1] = ord(",")
+            lines[:, :, -1] = ord("\n")
+            laid = cells.width
+        block = lines[:n]
+        block[:, :, : x.shape[1]] = x[i : i + n, None]
+        cells.write(block[:, :, at:end].reshape(n, ny, 3, cells.width + 1)[..., 1:])
+        block[:, :, end + 1 : -1] = weight[i : i + n, None]
         yield _text(block)
 
 
@@ -750,7 +846,11 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept: a process
+    that calls ``main`` many times builds it once, and importing the
+    module builds nothing."""
     parser = _Parser(
         prog="morseband",
         description="Closed-form and numerical checks for an electron band "

@@ -342,6 +342,36 @@ class TestDeterminism:
         code, _ = run(tmp_path, "verify", "--suite", "states")
         assert code == 2
 
+    def test_requests_in_one_process_are_fresh_runs(self, monkeypatch):
+        # main builds its parser once per process: each request after the
+        # first must still print and exit as a fresh process does, with no
+        # option value, appended --tol list or default left over
+        argvs = [
+            ["--tol", "bessel_recurrence=1e-30", "--tol", "polygamma_consistency=1e-3",
+             "verify", "--suite", "specfun"],
+            ["verify", "--suite", "specfun"],
+            ["spectrum", "--n-max", "4", "--l-max", "1"],
+            ["spectrum", "--bogus"],
+            ["--format", "json", "spectrum"],
+            ["--version"],
+            ["coherent", "--z-re", "0.5", "--z-im", "-1e-3"],
+            ["--tol", "orthodoxy=1e-8", "verify", "--suite", "specfun"],
+            ["--format", "json", "landau-limit", "--N", "1", "--l-schedule", "10,100"],
+            ["landau-limit"],
+        ]
+        # argparse wraps its usage text to the terminal's width
+        monkeypatch.setenv("COLUMNS", "80")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(morseband.__file__))}
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "morseband", *argv], env=env, capture_output=True, text=True, timeout=300
+            )
+            assert (code, out.getvalue(), err.getvalue()) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert cli._build_parser.cache_info().currsize == 1
+
 
 class TestJsonText:
     def test_non_finite_numbers_are_strings(self, tmp_path):
@@ -902,6 +932,44 @@ class TestExport:
         rows = data_lines(blob)
         assert len(rows) == 1 + 16 * 8
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_rows_are_the_per_cell_loop_in_any_block(self, data):
+        # blocks of 1 to 8 lines: one x row to a block once ny exceeds
+        # them, ragged last blocks, and field widths that change from one
+        # block to the next in the buffer the blocks share
+        nx, ny = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+        floats = st.floats(allow_subnormal=True) | st.sampled_from(_SPECIAL_FLOATS)
+
+        def column(*shape):
+            size = math.prod(shape)
+            return np.array(data.draw(st.lists(floats, min_size=size, max_size=size))).reshape(shape)
+
+        values = np.empty((nx, ny), complex)
+        values.real, values.imag = column(nx, ny), column(nx, ny)
+        x, y, weight = column(nx), column(ny), column(nx)
+        with mock.patch.object(cli, "_BLOCK_LINES", data.draw(st.integers(1, 8))):
+            written = "".join(cli._export_rows(values, cli._density(values), x, y, weight))
+        assert written == per_cell_rows(values, x, y, weight)
+
+    def test_export_peak_memory(self, tmp_path):
+        # 4096 x 128 cells make a 73 MB file. The state's 8 MiB of
+        # amplitudes peak at 16.1 MiB traced while they are built; the
+        # writer then holds them, their 4 MiB density and one block of
+        # 2048 lines (14.5 MiB). Holding the text, or one byte matrix of
+        # the state, would take more than 70 MiB.
+        (tmp_path / "grid.cfg").write_text("x_min=-2.0\nx_max=12.0\nnx=4096\nny=128\n")
+        config, out = str(tmp_path / "grid.cfg"), str(tmp_path / "e.csv")
+        argv = ["--config", config, "--out", out, "export", "--kind", "eigen"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "e.csv").stat().st_size > 70 * 10**6
+        assert peak <= 20 * 2**20
+
 
 def _texts(fields: np.ndarray) -> list[str]:
     return [bytes(f[f != 0]).decode("ascii") for f in fields.reshape(-1, cli._FIELD)]
@@ -913,6 +981,42 @@ def _format_all(v) -> list[str]:
 
 class TestE17Fields:
     """``cli._e17_fields`` against ``format(v, ".16e")``, which defines the text."""
+
+    def test_every_binary_exponent(self):
+        # the smallest, the largest and a random mantissa of every binary
+        # exponent 1..2046 and the smallest and largest subnormal of every
+        # binade, both signs: every decimal exponent, so every row of the
+        # power-of-ten table
+        rng = np.random.default_rng(20)
+        exponents = np.arange(1, 2047, dtype=np.uint64) << np.uint64(52)
+        mantissas = (np.uint64(0), np.uint64(2**52 - 1), rng.integers(0, 2**52, exponents.size, dtype=np.uint64))
+        binades = np.uint64(1) << np.arange(52, dtype=np.uint64)
+        bits = np.concatenate([exponents | m for m in mantissas] + [binades, 2 * binades - np.uint64(1)])
+        v = np.concatenate([bits.view(np.float64), -bits.view(np.float64)])
+        texts = _texts(cli._e17_fields(v))
+        assert texts == _format_all(v)
+        assert {int(t.partition("e")[2]) for t in texts} == set(range(cli._E_MIN, cli._E_MAX + 1))
+
+    @pytest.mark.parametrize("quote", [False, True])
+    def test_writes_into_a_strided_view(self, quote):
+        # fields written in place, in the full width or the narrowest, are
+        # the standalone call's texts, and no byte outside them is touched
+        v = np.array([
+            [0.0, -0.0, 5e-324, 1e-14], [1 + 2**-17, 1e300, -1e-300, -2.5], [math.inf, -math.inf, math.nan, 1.0]
+        ])
+        for sign in (1.0, -1.0):
+            texts = cli._E17(sign * v, quote)
+            want = cli._e17_fields(sign * v, quote)
+            for width in (cli._FIELD, texts.width):
+                block = np.full((3, 4, 2, width + 3), 0xFF, np.uint8)
+                texts.write(block[:, :, 1, 2 : 2 + width])
+                got = block[:, :, 1, 2 : 2 + width]
+                texts_in = [bytes(f[f != 0]) for f in got.reshape(-1, width)]
+                assert texts_in == [bytes(f[f != 0]) for f in want.reshape(-1, cli._FIELD)]
+                if width == cli._FIELD:
+                    assert np.array_equal(got, want)
+                block[:, :, 1, 2 : 2 + width] = 0xFF
+                assert (block == 0xFF).all()
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -983,10 +1087,10 @@ class TestE17Fields:
         assert [repr(x) for x in calls] == [repr(x) for x in want]
 
     def test_no_table_is_built_at_import(self):
+        # neither the writer's tables nor the parser: importing the module stays cheap
         src = os.path.dirname(os.path.dirname(morseband.__file__))
-        code = (
-            "import morseband.cli as c, sys; "
-            "sys.exit(c._pow10_table.cache_info().currsize + c._digit_texts.cache_info().currsize)"
-        )
+        cached = ("_pow10_table", "_digit_texts", "_build_parser")
+        built = " + ".join(f"c.{name}.cache_info().currsize" for name in cached)
+        code = f"import morseband.cli as c, sys; sys.exit({built})"
         env = {**os.environ, "PYTHONPATH": src}
         assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
