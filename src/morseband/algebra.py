@@ -25,9 +25,8 @@ The generators act on one cache-sized block of rows at a time, so an
 image built block by block is bit-identical to one built on the whole
 array. Every residual is ``_relative_defect``, which forms
 image - coeff reference a block of rows at a time; ``ladder-check``
-takes its raise and lower defects from it and its Casimir and
-Hamiltonian residuals from :func:`_quadratic_defects`, one streamed
-pass over the blocks of L- v.
+measures its raise and lower defects and its Casimir and Hamiltonian
+residuals through it, as the operators applied on their own do.
 """
 
 from __future__ import annotations
@@ -43,8 +42,6 @@ from .model import PhysParams, QuantumNumbers, energy
 from .quadrature import (
     FD_MARGIN,
     GridSpec,
-    _density_norm,
-    _row_density,
     _streamed_norm,
     _x_step,
     _x_stencil_blocks,
@@ -114,23 +111,9 @@ def _frame(s: SampledState, p: PhysParams) -> _Frame:
     )
 
 
-# The generator kernels act on one block of rows: the block's x-derivative
-# dx, its y-derivative dy (the columns times their multipliers), and for
-# L+ its value rows and the rows of the field term. _images runs them
-# over every block of a whole array.
-
-
-def _plus(dx: np.ndarray, dy: np.ndarray, v: np.ndarray, field: np.ndarray, fr: _Frame) -> np.ndarray:
-    return fr.step * (-dx + 1j * dy + field * v)
-
-
-def _three(dy: np.ndarray, fr: _Frame) -> np.ndarray:
-    return fr.three * dy
-
-
 def _l3(v, fr: _Frame) -> _Modes:
     """L3 v of whole mode columns: each column times its frequency."""
-    return _Modes(_three(v.modes * fr.dy[v.k], fr), v.k)
+    return _Modes(fr.three * (v.modes * fr.dy[v.k]), v.k)
 
 
 # DFT index step of each generator's image: e^(+i kappa y) in L- raises it
@@ -160,9 +143,9 @@ def _images(v, fr: _Frame, names: str) -> list[_Modes]:
             if name == "-":
                 image = fr.step * (dx + 1j * dy)
             elif name == "+":
-                image = _plus(dx, dy, rows, fr.field[a:b], fr)
+                image = fr.step * (-dx + 1j * dy + fr.field[a:b] * rows)
             else:
-                image = _three(dy, fr)
+                image = fr.three * dy
             out[a:b] = image[:, order]
     return [_Modes(out, k) for out, (k, _) in zip(outs, targets)]
 
@@ -174,39 +157,26 @@ def _quadratic_images(v, fr: _Frame) -> tuple[_Modes, _Modes]:
     return _images(lowered, fr, "+")[0], l3
 
 
-# The quadratic operators on rows of v and of its two images, elementwise
-# (L3 acts column by column), so they act on any range of rows; dy_k is
-# the y-derivative multiplier of the columns of v.
-
-
-def _hamiltonian_rows(v: np.ndarray, lpm: np.ndarray, l3: np.ndarray, fr: _Frame) -> np.ndarray:
-    """H v; where only the energy scale's factor overflows a finite image,
-    RangeError names the scale rather than the window."""
-    inner = lpm + l3 - 0.25 * v
+def _hamiltonian(v, fr: _Frame, images=None) -> _Modes:
+    """H v from the images of :func:`_quadratic_images`, computed here
+    unless the caller already holds them. Where only the energy scale's
+    factor overflows a finite image, RangeError names the scale rather
+    than the window."""
+    lpm, l3 = _quadratic_images(v, fr) if images is None else images
+    inner = lpm.modes + l3.modes - 0.25 * v.modes
     out = fr.energy * inner
     if not np.all(np.isfinite(out)) and np.all(np.isfinite(inner)):
         raise RangeError(
             f"H v overflows at the energy scale 2 pi^2 hbar^2 / (mu a0^2) = {fr.energy:.3e} of these "
             "parameters, not for the window; lower hbar, or raise mu or a0"
         )
-    return out
-
-
-def _casimir_rows(v: np.ndarray, lpm: np.ndarray, l3: np.ndarray, dy_k: np.ndarray, fr: _Frame) -> np.ndarray:
-    return lpm - _three(l3 * dy_k, fr) + l3
-
-
-def _hamiltonian(v, fr: _Frame, images=None) -> _Modes:
-    """H v from the images of :func:`_quadratic_images`, computed here
-    unless the caller already holds them."""
-    lpm, l3 = _quadratic_images(v, fr) if images is None else images
-    return _Modes(_hamiltonian_rows(v.modes, lpm.modes, l3.modes, fr), v.k)
+    return _Modes(out, v.k)
 
 
 def _casimir(v, fr: _Frame, images=None) -> _Modes:
     """C v = (L+ L- - L3^2 + L3) v, from the images as in :func:`_hamiltonian`."""
     lpm, l3 = _quadratic_images(v, fr) if images is None else images
-    return _Modes(_casimir_rows(v.modes, lpm.modes, l3.modes, fr.dy[v.k], fr), v.k)
+    return _Modes(lpm.modes - fr.three * (l3.modes * fr.dy[v.k]) + l3.modes, v.k)
 
 
 def apply_Lplus(s: SampledState, p: PhysParams) -> SampledState:
@@ -274,13 +244,7 @@ def _relative_defect(
         reference_norm = _streamed_norm(s, margin, lambda a, b: reference.modes[a:b])
     img, ref = _aligned(image, reference)
     defect = _streamed_norm(s, margin, lambda a, b: img[a:b] - coeff * ref[a:b])
-    return _relative(defect, scale, reference_norm)
-
-
-def _relative(defect: float, scale: float, norm: float) -> float:
-    """defect / (scale norm), refused with RangeError unless finite: a state
-    whose weighted norm underflows on the window has no relative residual."""
-    ratio = defect / (scale * norm) if scale * norm > 0.0 else math.inf
+    ratio = defect / (scale * reference_norm) if scale * reference_norm > 0.0 else math.inf
     if not math.isfinite(ratio):
         raise RangeError(
             "the state's weighted norm underflows on this grid; move the window toward the weight mode"
@@ -292,10 +256,11 @@ def _relative(defect: float, scale: float, norm: float) -> float:
 _COMPOSED_MARGIN = 2 * FD_MARGIN
 
 
-def _eigen_defect(applied, s: SampledState, eigenvalue: float) -> float:
+def _eigen_defect(applied, s: SampledState, eigenvalue: float, norm: float | None = None) -> float:
     """Relative eigen-residual of an operator image of s: the defect against
-    eigenvalue times s over max(|eigenvalue|, 1) ||s||_w, on interior rows."""
-    return _relative_defect(applied, s, s, eigenvalue, max(abs(eigenvalue), 1.0), _COMPOSED_MARGIN)
+    eigenvalue times s over max(|eigenvalue|, 1) ||s||_w, on interior rows;
+    a caller already holding ||s||_w there passes it as norm."""
+    return _relative_defect(applied, s, s, eigenvalue, max(abs(eigenvalue), 1.0), _COMPOSED_MARGIN, norm)
 
 
 def apply_casimir(
@@ -334,37 +299,14 @@ def apply_hamiltonian(
     return _eigen_defect(_hamiltonian(s, _frame(s, p)), s, reference_energy)
 
 
-def _quadratic_defects(
-    s: SampledState, fr: _Frame, lowered: _Modes, eigenvalues, norm: float
-) -> list[float]:
-    """The Casimir and Hamiltonian residuals of s against eigenvalues, bit
-    for bit as :func:`apply_casimir` and :func:`apply_hamiltonian` measure
-    them, from lowered = L- v and norm = ||v||_w. One streamed pass over
-    the x-stencil blocks of L- v forms L+ L- v, L3 v and L3 L3 v block by
-    block and reduces both defects' row densities."""
-    v, root_w = s.modes, np.sqrt(s.weight)
-    dy_k, dy_lowered = fr.dy[s.k], fr.dy[lowered.k]
-    order = _shifted(lowered.k, _STEPS["+"], fr.ny)[1]
-    density = np.empty((2, s.grid.nx))
-    for a, b, (dx,) in _x_stencil_blocks(lowered.modes, fr.h, (1,)):
-        rows, low = v[a:b], lowered.modes[a:b]
-        lpm = _plus(dx, low * dy_lowered, low, fr.field[a:b], fr)[:, order]
-        l3 = _three(rows * dy_k, fr)
-        images = (_casimir_rows(rows, lpm, l3, dy_k, fr), _hamiltonian_rows(rows, lpm, l3, fr))
-        for i, image in enumerate(images):
-            density[i, a:b] = _row_density(image - eigenvalues[i] * rows, root_w[a:b])
-    scales = [max(abs(e), 1.0) for e in eigenvalues]
-    return [_relative(_density_norm(d, s, _COMPOSED_MARGIN), c, norm) for d, c in zip(density, scales)]
-
-
 def _ladder_table(p: PhysParams, grid: GridSpec, n_max: int) -> list[tuple]:
     """Rows (l, n, raise defect, lower defect, Casimir residual, Hamiltonian
     residual) of ``ladder-check`` for every n <= n_max, in (n, l) order.
 
     Each family l is walked upwards. A state's raise defect is measured
-    once the state above is built, so each state, L- and L+ of it and the
-    state below are held: one mode column each. Every value is
-    bit-identical to the operators applied on their own.
+    once the state above is built, so each state, its images and the
+    state below are held: one mode column each. Every value is measured
+    as the operators applied on their own measure it.
     """
     m = _COMPOSED_MARGIN
     rows = {}
@@ -381,12 +323,14 @@ def _ladder_table(p: PhysParams, grid: GridSpec, n_max: int) -> list[tuple]:
                     rows[n - 1, l][2] = _relative_defect(raised, s, s, coeff, coeff, m, norm)
                 if n > n_max:
                     break
-                lowered, raised = _images(s, fr, "-+")
+                lowered, raised, l3 = _images(s, fr, "-+3")
                 # the bottom state's L- v (coeff 0) is measured against 0 v over ||v||
                 reference, reference_norm = below or (s, norm)
                 lower = _relative_defect(lowered, reference, s, coeff, max(coeff, 1.0), m, reference_norm)
-                eigenvalues = (-float(l * (l + 1)), energy(s.labels, p))
-                rows[n, l] = [l, n, None, lower, *_quadratic_defects(s, fr, lowered, eigenvalues, norm)]
+                images = _images(lowered, fr, "+")[0], l3
+                casimir = _eigen_defect(_casimir(s, fr, images), s, -float(l * (l + 1)), norm)
+                hamiltonian = _eigen_defect(_hamiltonian(s, fr, images), s, energy(s.labels, p), norm)
+                rows[n, l] = [l, n, None, lower, casimir, hamiltonian]
                 below = s, norm
     return [tuple(rows[key]) for key in sorted(rows)]
 

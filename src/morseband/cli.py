@@ -181,6 +181,9 @@ def _parse_config_file(path: str) -> dict:
             raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path!r} must hold a JSON object")
+        booleans = sorted(key for key, value in data.items() if isinstance(value, bool))
+        if booleans:
+            raise ConfigError(f"config file {path!r}: {booleans} must be numbers, not booleans")
         return data
     data = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -192,6 +195,14 @@ def _parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         data[key.strip()] = value.strip()
     return data
+
+
+def _grid_count(value) -> int:
+    """nx or ny from a config: an int, its text, or a float of integral value."""
+    count = int(value)
+    if isinstance(value, float) and count != value:
+        raise ValueError(f"grid sizes must be integers, got {value!r}")
+    return count
 
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
@@ -209,10 +220,10 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
             grid = GridSpec(
                 x_min=float(grid_map["x_min"]),
                 x_max=float(grid_map["x_max"]),
-                nx=int(grid_map["nx"]),
-                ny=int(grid_map["ny"]),
+                nx=_grid_count(grid_map["nx"]),
+                ny=_grid_count(grid_map["ny"]),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad grid values: {exc}") from exc
     overrides = {}
     for item in args.tol or ():
@@ -567,8 +578,8 @@ class _E17:
         negative = np.signbit(flat)
         self.signed = bool(negative.any())
         wide = E.size and (E.min() <= -100 or E.max() >= 100)
-        wide = wide or any(len(t) - t.startswith(b"-") > 22 for t in self.texts)
-        self.width = 22 + self.signed + bool(wide)
+        self.wide = bool(wide or any(len(t) - t.startswith(b"-") > 22 for t in self.texts))
+        self.width = 22 + self.signed + self.wide
         self.exponent = E - _E_MIN
         lead = digits // 10**16
         digits -= lead * 10**16
@@ -584,25 +595,22 @@ class _E17:
         self.words |= np.take(seconds, groups)
 
     def write(self, out: np.ndarray | None = None) -> np.ndarray:
-        """Store every text in its field, the last axis of ``out``, and
-        return ``out``: a field of ``_FIELD`` bytes always has the sign byte
-        and the third exponent digit, one of ``width`` bytes only those its
-        texts need (by default, a new matrix of such fields). A text is
-        left-aligned after the sign byte, which a negative text starts on;
-        the bytes a text leaves are zero."""
+        """Store every text in its field of ``width`` bytes, the last axis
+        of ``out`` (by default, a new matrix of such fields), and return
+        ``out``. A text is left-aligned after the sign byte, if the field
+        has one, which a negative text starts on; the bytes a text leaves
+        are zero."""
         if out is None:
             out = np.empty(self.shape + (self.width,), np.uint8)
-        signed = out.shape[-1] == _FIELD or self.signed
-        wide = out.shape[-1] - signed > 22
         heads, _, _, short, long = _digit_texts()
-        shape, s = self.shape, int(signed)
+        shape, s = self.shape, int(self.signed)
 
         def store(at: int, words: np.ndarray) -> None:
             """One machine word per cell, at byte ``at`` of its field."""
             out[..., at : at + words.itemsize].view(words.dtype)[..., 0] = words.reshape(shape)
 
         store(0, np.take(heads, self.head + 10 * s, mode="clip"))
-        if wide:  # before the digits, which overwrite its first three bytes
+        if self.wide:  # before the digits, which overwrite its first three bytes
             store(s + 15, np.take(long, self.exponent, mode="clip"))
         else:
             store(s + 18, np.take(short, self.exponent, mode="clip"))
@@ -613,16 +621,6 @@ class _E17:
             at = s - text.startswith(b"-")
             field[at : at + len(text)] = np.frombuffer(text, np.uint8)
         return out
-
-
-def _e17_fields(v, quote: bool = False) -> np.ndarray:
-    """The bytes of ``format(v, ".16e")`` for every cell of a float block
-    (see ``_E17``), in an array of shape ``v.shape + (_FIELD,)`` of uint8:
-    each text left-aligned after its sign byte, so a positive number
-    leaves byte 0 zero and a two-digit exponent the last byte; a finite
-    number leaves no other byte zero."""
-    texts = _E17(v, quote)
-    return texts.write(np.empty(texts.shape + (_FIELD,), np.uint8))
 
 
 def _int_fields(v: np.ndarray) -> np.ndarray:

@@ -316,15 +316,6 @@ def _simpson_weights(nx: int, h: float) -> np.ndarray:
     return w
 
 
-def _check_same_grid(a, b) -> None:
-    if a.grid != b.grid:
-        raise GridMismatchError(f"states sampled on different grids: {a.grid} vs {b.grid}")
-    if a.y_period != b.y_period:
-        raise GridMismatchError("states carry different periodic lengths")
-    if not np.array_equal(a.weight, b.weight):
-        raise GridMismatchError("states carry different measure weights")
-
-
 def _x_step(grid: GridSpec) -> float:
     return (grid.x_max - grid.x_min) / (grid.nx - 1)
 
@@ -338,22 +329,6 @@ def _row_weights(state) -> np.ndarray:
     return _simpson_weights(grid.nx, _x_step(grid)) * state.y_period
 
 
-def _braket(bra: np.ndarray, ket: np.ndarray, state) -> complex:
-    """The one inner-product reduction: row sums of bra * ket weighted by
-    ``_row_weights``, in a fixed order, so repeated calls are bit-identical."""
-    return complex(np.sum(_row_weights(state) * np.sum(bra * ket, axis=1)))
-
-
-def _shared_columns(a, b) -> tuple:
-    """The positions, among a's columns and among b's, of the DFT indices
-    both hold (all columns when their indices agree). Columns of distinct
-    indices are orthogonal over the period, so only these meet in a product."""
-    if np.array_equal(a.k, b.k):
-        return slice(None), slice(None)
-    _, ia, ib = np.intersect1d(a.k, b.k, assume_unique=True, return_indices=True)
-    return ia, ib
-
-
 def grid_inner_product(a, b) -> complex:
     """Weighted inner product <a|b> of two states on the same grid.
 
@@ -361,33 +336,23 @@ def grid_inner_product(a, b) -> complex:
     Each factor is scaled by sqrt(weight) before the product is formed:
     states may grow large exactly where the weight underflows to zero,
     and this ordering keeps the integrand finite instead of forming
-    0 * inf. The sum over the mode columns both states hold of each row
-    is then weighted by ``_row_weights``.
+    0 * inf. Only the mode columns both states hold meet in the product
+    (columns of distinct DFT indices are orthogonal over the period), and
+    each row's sum over them is weighted by ``_row_weights``, in a fixed
+    order, so repeated calls are bit-identical.
     """
-    _check_same_grid(a, b)
-    ia, ib = _shared_columns(a, b)
+    if a.grid != b.grid:
+        raise GridMismatchError(f"states sampled on different grids: {a.grid} vs {b.grid}")
+    if a.y_period != b.y_period:
+        raise GridMismatchError("states carry different periodic lengths")
+    if not np.array_equal(a.weight, b.weight):
+        raise GridMismatchError("states carry different measure weights")
+    ia = ib = slice(None)
+    if not np.array_equal(a.k, b.k):
+        _, ia, ib = np.intersect1d(a.k, b.k, assume_unique=True, return_indices=True)
     root_w = np.sqrt(a.weight)[:, None]
-    return _braket(np.conj(a.modes[:, ia] * root_w), b.modes[:, ib] * root_w, a)
-
-
-def _grid_gram(states) -> np.ndarray:
-    """Upper triangle (i <= j) of the matrix of ``grid_inner_product(a, b)``
-    among states on one grid, the same values, with the grid checked,
-    each state scaled by sqrt(w) and each bra conjugated once. Entries
-    below the diagonal are NaN: <b|a> may differ from conj(<a|b>) in the
-    last bit, so neither stands in for the other."""
-    first = states[0]
-    for s in states[1:]:
-        _check_same_grid(first, s)
-    root_w = np.sqrt(first.weight)[:, None]
-    kets = [s.modes * root_w for s in states]
-    gram = np.full((len(kets), len(kets)), np.nan, dtype=complex)
-    for i, ket in enumerate(kets):
-        bra = np.conj(ket)
-        for j in range(i, len(kets)):
-            ia, ib = _shared_columns(states[i], states[j])
-            gram[i, j] = _braket(bra[:, ia], kets[j][:, ib], first)
-    return gram
+    products = np.conj(a.modes[:, ia] * root_w) * (b.modes[:, ib] * root_w)
+    return complex(np.sum(_row_weights(a) * np.sum(products, axis=1)))
 
 
 def _check_shape(values: np.ndarray, s) -> None:
@@ -419,38 +384,23 @@ def weighted_norm(values: np.ndarray, s, exclude_margin: int = 0) -> float:
 def _streamed_norm(s, exclude_margin: int, rows) -> float:
     """The weighted norm on the grid of s of the array whose rows a..b-1
     rows(a, b) returns, formed and reduced one cache-sized block of rows
-    at a time. A block that overflows is refused, not warned about."""
+    at a time: each row's density sum(|sqrt(w) d|^2) is reduced on its
+    own, so a row's value does not depend on the block it sits in; the
+    first and last exclude_margin rows are zeroed, and the rest summed
+    with the rule of ``_row_weights``. A non-finite cell (checked before
+    anything is multiplied) or total raises RangeError, not a warning."""
     root_w = np.sqrt(s.weight)
     density = np.empty(s.grid.nx)
     with np.errstate(over="ignore", invalid="ignore"):
         for a, b in _row_blocks(s.grid.nx, 2 * s.modes.shape[1]):
-            density[a:b] = _row_density(rows(a, b), root_w[a:b])
-    return _density_norm(density, s, exclude_margin)
-
-
-def _row_density(block: np.ndarray, root_w: np.ndarray) -> np.ndarray:
-    """The weighted norm's density of each row of a block of rows d:
-    sum(|sqrt(w) d|^2, axis=1), root_w holding sqrt(w) of those rows.
-    Every row is reduced on its own, so a row's value does not depend on
-    the block it sits in. A non-finite cell raises RangeError before
-    anything is multiplied, so an overflowing image raises no warning."""
-    if not np.all(np.isfinite(block)):
-        raise RangeError(
-            "values overflow on this grid; shrink the window on the growing side"
-        )
-    amp = block * root_w[:, None]
-    return np.sum(amp.real**2 + amp.imag**2, axis=1)
-
-
-def _density_norm(density: np.ndarray, s, exclude_margin: int) -> float:
-    """The weighted norm from the row densities of ``_row_density`` over
-    the whole grid of s: the first and last exclude_margin rows are zeroed
-    (in place), and the rest are summed with the rule of ``_row_weights``.
-    A total that is not finite (a density that overflowed) raises RangeError."""
-    if exclude_margin < 0 or 2 * exclude_margin >= s.grid.nx:
-        raise DomainError(f"exclude_margin {exclude_margin!r} incompatible with nx = {s.grid.nx}")
-    density[:exclude_margin] = density[s.grid.nx - exclude_margin :] = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
+            block = rows(a, b)
+            if not np.all(np.isfinite(block)):
+                raise RangeError("values overflow on this grid; shrink the window on the growing side")
+            amp = block * root_w[a:b, None]
+            density[a:b] = np.sum(amp.real**2 + amp.imag**2, axis=1)
+        if exclude_margin < 0 or 2 * exclude_margin >= s.grid.nx:
+            raise DomainError(f"exclude_margin {exclude_margin!r} incompatible with nx = {s.grid.nx}")
+        density[:exclude_margin] = density[s.grid.nx - exclude_margin :] = 0.0
         total = float(np.sum(_row_weights(s) * density))
     if not math.isfinite(total):
         raise RangeError("the weighted norm overflows on this grid; shrink the window on the growing side")

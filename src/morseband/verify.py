@@ -47,7 +47,7 @@ from .coherent import (
 from .errors import ConfigError
 from .model import PhysParams, QuantumNumbers
 from .moments import landau_delta, moments_closed, moments_quadrature
-from .quadrature import FD_MARGIN, _grid_gram, fd_derivative, gauss_laguerre_nodes, grid_inner_product
+from .quadrature import FD_MARGIN, fd_derivative, gauss_laguerre_nodes, grid_inner_product
 from .specfun import (
     bessel_i,
     bessel_j,
@@ -180,11 +180,10 @@ def _orthonormality():
         for n in range(1, 7)
         for l in range(n)
     ]
-    gram = _grid_gram(basis)
     for i, a in enumerate(basis):
         for j, b in enumerate(basis[i:], i):
             target = 1.0 if i == j else 0.0
-            resid = abs(complex(gram[i, j]) - target)
+            resid = abs(grid_inner_product(a, b) - target)
             yield resid, f"({a.labels.l},{a.labels.n})|({b.labels.l},{b.labels.n})"
 
 

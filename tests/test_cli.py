@@ -826,6 +826,28 @@ class TestConfig:
         assert code == 2
         assert blob == b""
 
+    @staticmethod
+    def _refused(tmp_path, capsys, mapping):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(mapping))
+        argv = ["--config", str(cfg), "ladder-check", "--n-max", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+        assert run(tmp_path, *argv) == (2, b"")
+        assert not (tmp_path / "out.txt").exists()
+
+    @pytest.mark.parametrize("nx, ny", [(1000.7, 16.9), (1000, 16.9), (1e400, 16)])
+    def test_non_integral_json_grid_size_is_two(self, tmp_path, capsys, nx, ny):
+        # truncated in silence to a 1000x16 grid before; 1e400 reads as inf
+        self._refused(tmp_path, capsys, {"x_min": -2.0, "x_max": 12.0, "nx": nx, "ny": ny})
+
+    @pytest.mark.parametrize("mapping", [
+        {"x_min": True, "x_max": 12.0, "nx": 1000, "ny": 16}, {"B0": True},
+    ])
+    def test_json_boolean_is_two(self, tmp_path, capsys, mapping):
+        # read as 1.0 before
+        self._refused(tmp_path, capsys, mapping)
+
 
 class TestExport:
     def test_zero_eigenvalue_coherent_equals_eigenstate(self, tmp_path):
@@ -971,8 +993,9 @@ class TestExport:
         assert peak <= 20 * 2**20
 
 
-def _texts(fields: np.ndarray) -> list[str]:
-    return [bytes(f[f != 0]).decode("ascii") for f in fields.reshape(-1, cli._FIELD)]
+def _texts(v, quote: bool = False) -> list[str]:
+    fields = cli._E17(v, quote).write()
+    return [bytes(f[f != 0]).decode("ascii") for f in fields.reshape(-1, fields.shape[-1])]
 
 
 def _format_all(v) -> list[str]:
@@ -980,7 +1003,7 @@ def _format_all(v) -> list[str]:
 
 
 class TestE17Fields:
-    """``cli._e17_fields`` against ``format(v, ".16e")``, which defines the text."""
+    """``cli._E17(v).write()`` against ``format(v, ".16e")``, which defines the text."""
 
     def test_every_binary_exponent(self):
         # the smallest, the largest and a random mantissa of every binary
@@ -993,30 +1016,27 @@ class TestE17Fields:
         binades = np.uint64(1) << np.arange(52, dtype=np.uint64)
         bits = np.concatenate([exponents | m for m in mantissas] + [binades, 2 * binades - np.uint64(1)])
         v = np.concatenate([bits.view(np.float64), -bits.view(np.float64)])
-        texts = _texts(cli._e17_fields(v))
+        texts = _texts(v)
         assert texts == _format_all(v)
         assert {int(t.partition("e")[2]) for t in texts} == set(range(cli._E_MIN, cli._E_MAX + 1))
 
     @pytest.mark.parametrize("quote", [False, True])
     def test_writes_into_a_strided_view(self, quote):
-        # fields written in place, in the full width or the narrowest, are
-        # the standalone call's texts, and no byte outside them is touched
+        # fields written in place, in the narrowest width, are the
+        # standalone call's bytes, and no byte outside them is touched
         v = np.array([
             [0.0, -0.0, 5e-324, 1e-14], [1 + 2**-17, 1e300, -1e-300, -2.5], [math.inf, -math.inf, math.nan, 1.0]
         ])
         for sign in (1.0, -1.0):
             texts = cli._E17(sign * v, quote)
-            want = cli._e17_fields(sign * v, quote)
-            for width in (cli._FIELD, texts.width):
-                block = np.full((3, 4, 2, width + 3), 0xFF, np.uint8)
-                texts.write(block[:, :, 1, 2 : 2 + width])
-                got = block[:, :, 1, 2 : 2 + width]
-                texts_in = [bytes(f[f != 0]) for f in got.reshape(-1, width)]
-                assert texts_in == [bytes(f[f != 0]) for f in want.reshape(-1, cli._FIELD)]
-                if width == cli._FIELD:
-                    assert np.array_equal(got, want)
-                block[:, :, 1, 2 : 2 + width] = 0xFF
-                assert (block == 0xFF).all()
+            width = texts.width
+            block = np.full((3, 4, 2, width + 3), 0xFF, np.uint8)
+            texts.write(block[:, :, 1, 2 : 2 + width])
+            assert np.array_equal(block[:, :, 1, 2 : 2 + width], texts.write())
+            quoted = ['"%s"' % t if quote and "." not in t else t for t in _format_all(sign * v)]
+            assert _texts(sign * v, quote) == quoted
+            block[:, :, 1, 2 : 2 + width] = 0xFF
+            assert (block == 0xFF).all()
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1027,29 +1047,29 @@ class TestE17Fields:
         )
     )
     def test_every_double(self, v):
-        fields = cli._e17_fields(v)
-        assert fields.shape == v.shape + (cli._FIELD,)
-        assert _texts(fields) == _format_all(v)
+        texts = cli._E17(v)
+        assert texts.write().shape == v.shape + (texts.width,)
+        assert _texts(v) == _format_all(v)
 
     def test_edge_cells(self):
         v = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
                       -1.7976931348623157e308, 9.9999999999999999e22, 1.0, -1.0])
-        assert _texts(cli._e17_fields(v)) == _format_all(v)
-        assert _texts(cli._e17_fields(v))[:3] == [
+        assert _texts(v) == _format_all(v)
+        assert _texts(v)[:3] == [
             "0.0000000000000000e+00", "-0.0000000000000000e+00", "4.9406564584124654e-324"
         ]
 
     def test_powers_of_ten_and_their_neighbours(self):
         powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
         for v in (powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)):
-            assert _texts(cli._e17_fields(v)) == _format_all(v)
-            assert _texts(cli._e17_fields(-v)) == _format_all(-v)
+            assert _texts(v) == _format_all(v)
+            assert _texts(-v) == _format_all(-v)
 
     def test_round_up_carries_into_the_next_decade(self):
         # the double nearest 1e-14 lies below it, and its 17 digits round up
         # to 10^17: the text is 1.0...e-14, one decade above floor(log10 v)
         assert Fraction(1e-14) < Fraction(1, 10**14)
-        assert _texts(cli._e17_fields(np.array([1e-14]))) == ["1.0000000000000000e-14"]
+        assert _texts(np.array([1e-14])) == ["1.0000000000000000e-14"]
 
     def test_exact_ties_round_half_to_even(self):
         # 1 + 2^-17 = 1.00000762939453125 and 1 + 3*2^-17 = 1.00002288818359375:
@@ -1057,7 +1077,7 @@ class TestE17Fields:
         v = np.array([1 + 2**-17, 1 + 3 * 2**-17])
         for x in v:
             assert (Fraction(float(x)) * 10**16).denominator == 2
-        assert _texts(cli._e17_fields(v)) == ["1.0000076293945312e+00", "1.0000228881835938e+00"]
+        assert _texts(v) == ["1.0000076293945312e+00", "1.0000228881835938e+00"]
 
     def test_format_writes_only_ties_and_non_finite_cells(self, monkeypatch):
         calls = []
@@ -1082,7 +1102,7 @@ class TestE17Fields:
             return (exact * Fraction(10) ** (16 - E)).denominator == 2
 
         want = [x for x in v.tolist() if not math.isfinite(x) or is_tie(x)]
-        assert _texts(cli._e17_fields(v)) == _format_all(v)
+        assert _texts(v) == _format_all(v)
         assert len(want) >= 7
         assert [repr(x) for x in calls] == [repr(x) for x in want]
 

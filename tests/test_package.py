@@ -1,5 +1,8 @@
 """The package namespace: one list of public names, built from the modules."""
 
+import ast
+from pathlib import Path
+
 import morseband
 from morseband import algebra, coherent, errors, model, moments, quadrature, specfun, states, verify
 
@@ -42,3 +45,37 @@ def test_every_public_name_resolves_to_its_module_object():
         for name in module.__all__:
             assert getattr(morseband, name) is getattr(module, name)
     assert set(morseband.__all__) == PUBLIC_NAMES
+
+
+def _identifiers(node: ast.AST) -> set[str]:
+    """The names and attribute names under node, and the names its imports take."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name)
+    return found
+
+
+def test_no_unused_import_or_private_definition():
+    # dead code: a name a module imports and never uses, or a private
+    # top-level function or class that no other statement of the package names
+    src = Path(morseband.__file__).parent
+    modules = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    dead = []
+    for name, tree in modules.items():
+        used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for sub in ast.walk(tree):
+            if isinstance(sub, (ast.Import, ast.ImportFrom)) and getattr(sub, "module", None) != "__future__":
+                bound = {alias.asname or alias.name.partition(".")[0] for alias in sub.names}
+                dead += [f"{name}: import {b}" for b in sorted(bound - used)]
+    statements = [(name, stmt, _identifiers(stmt)) for name, tree in modules.items() for stmt in tree.body]
+    for name, stmt, _ in statements:
+        private = isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_")
+        if private and not stmt.name.startswith("__"):
+            if not any(stmt.name in names for _, other, names in statements if other is not stmt):
+                dead.append(f"{name}: {stmt.name}")
+    assert dead == []

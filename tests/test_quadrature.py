@@ -36,7 +36,7 @@ from morseband import (
     integrate_semi_infinite_u,
     weighted_norm,
 )
-from morseband.quadrature import _gauss_legendre, _grid_gram, _row_blocks, _row_density, _row_weights
+from morseband.quadrature import _gauss_legendre, _row_weights
 
 mpmath.mp.dps = 30
 
@@ -271,8 +271,6 @@ class TestGridInnerProduct:
         for values in (s.modes, s.modes.real.copy()):
             amp = values * root_w[:, None]
             whole = np.sum(amp.real**2 + amp.imag**2, axis=1)
-            for a, b in _row_blocks(nx, 2 * ny):
-                assert np.array_equal(_row_density(values[a:b], root_w[a:b]), whole[a:b])
             for margin in (0, 1, 4, (nx - 1) // 2):
                 density = whole.copy()
                 if margin:
@@ -283,47 +281,9 @@ class TestGridInnerProduct:
 
     def test_grid_mismatch_raises(self):
         a = _flat_state(16, 8, lambda x: x)
-        b = _flat_state(32, 8, lambda x: x)
-        with pytest.raises(GridMismatchError):
-            grid_inner_product(a, b)
-
-    def test_gram_is_the_pairwise_inner_products(self):
-        # one sqrt(w) scaling per state and one conjugate per bra must give
-        # the bits of grid_inner_product on every pair i <= j; the weight
-        # underflows to 0 on the first rows, where the values grow
-        nx, ny = 64, 16
-        rng = np.random.default_rng(5)
-        x = np.linspace(-1.0, 1.0, nx)
-        weight = np.exp(-4.0 * x**2)
-        weight[:6] = 0.0
-        grid = GridSpec(-1.0, 1.0, nx, ny)
-        growth = np.exp(3.0 * (1.0 - x))[:, None]
-        states = [
-            SampledState.from_samples(
-                grid,
-                (rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny))) * growth,
-                weight,
-                1.0,
-            )
-            for _ in range(5)
-        ]
-        # and states holding some mode columns only: the products pair shared indices
-        for k in ([0], [3], [0, 3, 15], [1, 2, 3, 4], [15]):
-            modes = (rng.standard_normal((nx, len(k))) + 1j * rng.standard_normal((nx, len(k)))) * growth
-            states.append(SampledState(grid=grid, modes=modes, k=np.array(k), weight=weight, y_period=1.0))
-        gram = _grid_gram(states)
-        for i, a in enumerate(states):
-            for j, b in enumerate(states):
-                if j >= i:
-                    assert gram[i, j] == grid_inner_product(a, b)
-                else:
-                    assert np.isnan(gram[i, j])
-
-    def test_gram_grid_mismatch_raises(self):
-        a = _flat_state(16, 8, lambda x: x)
         for other in (_flat_state(32, 8, lambda x: x), _flat_state(16, 8, lambda x: x, y_period=2.0)):
             with pytest.raises(GridMismatchError):
-                _grid_gram([a, a, other])
+                grid_inner_product(a, other)
 
 
 class TestDerivatives:
