@@ -27,7 +27,6 @@ __all__ = [
     "energy",
     "spectrum_product",
     "degeneracy_scan",
-    "is_prime",
     "landau_energy",
     "landau_a0",
     "landau_limit_error",
@@ -182,20 +181,6 @@ def _representable(energies):
     if not np.all(np.isfinite(energies)):
         raise RangeError("level energies overflow for these parameters")
     return energies
-
-
-def is_prime(m: int) -> bool:
-    """Trial-division primality, ample for the scan range (products < 1e7)."""
-    if m < 2:
-        return False
-    if m % 2 == 0:
-        return m == 2
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 2
-    return True
 
 
 # Largest n_max whose largest product 4 n_max^2 - 1 is below 1e7.

@@ -35,8 +35,9 @@ from .states import (
     LandauParams,
     SampledState,
     _Field,
+    _grid_axes,
     _landau_asym_field,
-    _landau_sym_field,
+    _landau_sym_factors,
     landau_box,
     wavefunction,
 )
@@ -176,10 +177,15 @@ def moments_closed(q: QuantumNumbers, p: PhysParams) -> MomentSet:
     )
 
 
-def _grid_moments(s: SampledState | _Field, hbar: float) -> MomentSet:
-    """Raw moments of a sampled state, or of a field known only on the
-    grid, by quadrature; the state is normalized by its own computed norm,
-    so small grid-norm drift does not leak into the moments.
+def _grid_moments(
+    s: SampledState | _Field | np.ndarray,
+    hbar: float,
+    grid: GridSpec | None = None,
+    y_period: float | None = None,
+) -> MomentSet:
+    """Raw moments of a sampled state, of a field known only on the grid,
+    or of plain rows, by quadrature; the state is normalized by its own
+    computed norm, so small grid-norm drift does not leak into the moments.
 
     One weighted pass over the rows, block by block: the row sums of
     bra = conj(sqrt(w) psi) against sqrt(w) psi and against the sqrt(w)
@@ -187,20 +193,30 @@ def _grid_moments(s: SampledState | _Field, hbar: float) -> MomentSet:
     three arrays, and no state-sized temporary is built. A state's rows
     are its mode columns and a field's its samples; by Parseval a row's
     sum over the samples is ny times its sum over the mode columns, a
-    constant every normalised moment cancels. Each moment is one array
-    dotted with ``quadrature._row_weights`` times 1, x or x^2. The sqrt(w)
-    scaling keeps every product finite where the weight underflows, as in
-    ``grid_inner_product``; a block whose sqrt(w) is exactly 1 (the flat
-    measure of the Landau fields) is not scaled, since times 1 changes no
+    constant every normalised moment cancels. Plain rows are an nx by m
+    complex array on ``grid``, under the flat measure (w = 1), with the
+    periodic length ``y_period``: the columns of a field's separated form
+    (see ``landau_delta``), whose row sums are those over the samples in
+    exact arithmetic. Each moment is one array dotted with
+    ``quadrature._row_weights`` times 1, x or x^2. The sqrt(w) scaling
+    keeps every product finite where the weight underflows, as in
+    ``grid_inner_product``; a block whose sqrt(w) is exactly 1 (as on the
+    asymmetric Landau field) is not scaled, since times 1 changes no
     finite nonzero value. A non-finite sample or derivative, or a norm
-    that underflows to 0 (a window where the state is dead), raises RangeError.
+    that underflows to 0 (a window where the state is dead), raises
+    RangeError.
     """
-    root_w = np.sqrt(s.weight)[:, None]
-    nx = s.grid.nx
-    source = s.modes if isinstance(s, SampledState) else s
+    if isinstance(s, np.ndarray):
+        source, weight = s, np.ones(grid.nx)
+    else:
+        source = s.modes if isinstance(s, SampledState) else s
+        grid, weight, y_period = s.grid, s.weight, s.y_period
+    root_w = np.sqrt(weight)[:, None]
+    x = _grid_axes(grid, y_period)[0]
+    nx = grid.nx
     density, d1, d2 = np.empty(nx), np.empty(nx, complex), np.empty(nx, complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, b, (psi, *kets) in _x_stencil_blocks(source, _x_step(s.grid), (0, 1, 2)):
+        for a, b, (psi, *kets) in _x_stencil_blocks(source, _x_step(grid), (0, 1, 2)):
             scaled = not np.all(root_w[a:b] == 1.0)
             amp = np.multiply(psi, root_w[a:b], order="C") if scaled else psi
             parts = amp.view(np.float64)
@@ -210,10 +226,10 @@ def _grid_moments(s: SampledState | _Field, hbar: float) -> MomentSet:
                 if scaled:
                     ket *= root_w[a:b]
                 np.einsum("ij,ij->i", bra, ket, out=row[a:b])
-    wx = _row_weights(s)
+    wx = _row_weights(grid, y_period)
     # a moment that overflows is refused by MomentSet, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        xwx = s.x * wx
+        xwx = x * wx
         norm = wx @ density
         if not (0.0 < norm < math.inf and np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
             raise RangeError(
@@ -222,7 +238,7 @@ def _grid_moments(s: SampledState | _Field, hbar: float) -> MomentSet:
             )
         return MomentSet.from_means(
             mean_x=xwx @ density / norm,
-            mean_x2=(s.x * xwx) @ density / norm,
+            mean_x2=(x * xwx) @ density / norm,
             mean_p=-1j * hbar * (wx @ d1) / norm,
             mean_p2=-(hbar**2) * (wx @ d2) / norm,
             mean_xp=-1j * hbar * (xwx @ d1) / norm,
@@ -275,14 +291,20 @@ def landau_delta(lp: LandauParams, p: PhysParams) -> float:
     The state is sampled in the box of :func:`states.landau_box` (24
     cyclotron radii around its centre; the Gaussian envelope is below
     1e-15 at the edge), and the moments are taken under the flat measure
-    the Landau states are normalized in. They are taken straight from the
-    field's rows, a block at a time: the state is never transformed, and
-    no array of its nx by ny samples is built.
+    the Landau states are normalized in, with the grid's x-stencils and
+    Simpson rule, and no array of the state's nx by ny samples is built.
+    An asymmetric-gauge state's rows are read from its field a block at a
+    time. A symmetric-gauge state is taken in its separated form
+    a @ b.T (``states._landau_sym_factors``): with the thin QR b = Q R,
+    Q's columns orthonormal, psi = (a R^T) Q^T, and as the stencils act
+    along x only, each row's sum over its 512 samples of conj(psi) times a
+    stencil of psi is, in exact arithmetic, the sum over the 2n+l+1
+    columns of a R^T, which are the rows reduced.
     """
     if lp.gauge == "asymmetric":
         p_box, grid = landau_box(lp, p, 4096, 8)
-        field = _landau_asym_field(lp, p_box, grid)
-    else:
-        p_box, grid = landau_box(lp, p, 4096, 512)
-        field = _landau_sym_field(lp.n, lp.l, p_box, grid)
-    return _grid_moments(field, p.hbar).delta
+        return _grid_moments(_landau_asym_field(lp, p_box, grid), p.hbar).delta
+    p_box, grid = landau_box(lp, p, 4096, 512)
+    x_factors, y_factors = _landau_sym_factors(lp.n, lp.l, p_box, grid)
+    rows = x_factors @ np.linalg.qr(y_factors, mode="r").T
+    return _grid_moments(rows, p.hbar, grid, p_box.a0).delta

@@ -320,13 +320,12 @@ def _x_step(grid: GridSpec) -> float:
     return (grid.x_max - grid.x_min) / (grid.nx - 1)
 
 
-def _row_weights(state) -> np.ndarray:
+def _row_weights(grid: GridSpec, y_period: float) -> np.ndarray:
     """Weight of each grid row in an integral over the strip: the Simpson
     weights along x times the y period, by which (Parseval) a sum over the
     row's mode columns stands for dy times the sum over its samples. Every
     grid quadrature takes its rule from here."""
-    grid = state.grid
-    return _simpson_weights(grid.nx, _x_step(grid)) * state.y_period
+    return _simpson_weights(grid.nx, _x_step(grid)) * y_period
 
 
 def grid_inner_product(a, b) -> complex:
@@ -352,7 +351,7 @@ def grid_inner_product(a, b) -> complex:
         _, ia, ib = np.intersect1d(a.k, b.k, assume_unique=True, return_indices=True)
     root_w = np.sqrt(a.weight)[:, None]
     products = np.conj(a.modes[:, ia] * root_w) * (b.modes[:, ib] * root_w)
-    return complex(np.sum(_row_weights(a) * np.sum(products, axis=1)))
+    return complex(np.sum(_row_weights(a.grid, a.y_period) * np.sum(products, axis=1)))
 
 
 def _check_shape(values: np.ndarray, s) -> None:
@@ -401,7 +400,7 @@ def _streamed_norm(s, exclude_margin: int, rows) -> float:
         if exclude_margin < 0 or 2 * exclude_margin >= s.grid.nx:
             raise DomainError(f"exclude_margin {exclude_margin!r} incompatible with nx = {s.grid.nx}")
         density[:exclude_margin] = density[s.grid.nx - exclude_margin :] = 0.0
-        total = float(np.sum(_row_weights(s) * density))
+        total = float(np.sum(_row_weights(s.grid, s.y_period) * density))
     if not math.isfinite(total):
         raise RangeError("the weighted norm overflows on this grid; shrink the window on the growing side")
     return math.sqrt(max(total, 0.0))

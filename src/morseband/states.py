@@ -15,7 +15,10 @@ only on the grid (the closed coherent form, both Landau gauges) is
 evaluated a block of rows at a time and transformed into one
 preallocated array of all ny columns. Dense samples are synthesised by
 one inverse FFT where they are read, except for a field known only on
-the grid, whose dense samples are its own evaluation again.
+the grid, whose dense samples are its own evaluation again. The
+symmetric-gauge Landau level also has an exact separated form, 2n+l+1
+products of Hermite-Gauss factors in x and in y, from which the
+flat-field moments are taken.
 """
 
 from __future__ import annotations
@@ -168,7 +171,8 @@ class _Field:
     SampledState where samples are printed or compared (``grid``, ``x``,
     ``y``, ``weight``, ``values``) without paying the transform, and the
     grid moments (``moments._grid_moments``) read its rows a block at a
-    time, so ``landau_delta`` never holds its nx by ny samples."""
+    time, so ``landau_delta`` never holds the asymmetric-gauge state's
+    nx by ny samples."""
 
     grid: GridSpec
     rows: Callable[[int, int], np.ndarray]
@@ -473,6 +477,43 @@ def landau_state_sym(n: int, l: int, p: PhysParams, grid: GridSpec) -> SampledSt
     return _landau_sym_field(n, l, p, grid).state()
 
 
+def _landau_sym_norm(n: int, l: int) -> float:
+    """sqrt(n! / (pi (n + l)!)), the unit-norm prefactor of the (n, l) level
+    in the variables x/s, y/s, s = sqrt(2) r_c."""
+    return math.exp(0.5 * (math.lgamma(n + 1.0) - math.lgamma(n + l + 1.0)) - 0.5 * math.log(math.pi))
+
+
+def _landau_sym_factors(n: int, l: int, p: PhysParams, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The samples of :func:`landau_state_sym` in separated form: they are
+    a @ b.T for the nx by Q+1 complex x-factors a and the ny by Q+1 real
+    y-factors b returned, Q = 2n + l.
+
+    In X = x/s and Y = y/s the level is a 2D oscillator state of Q quanta,
+    so it is exactly a sum of the Q+1 Hermite-Gauss products
+    c_j H_j(X) e^(-X^2/2) H_(Q-j)(Y) e^(-Y^2/2). Both sides are fixed by
+    their top-degree part, (-1)^n/n! (X + iY)^l (X^2 + Y^2)^n on the
+    state's side and 2^Q X^j Y^(Q-j) times c_j on the other, which gives
+    c_j = (-1)^n / (n! 2^Q) sum over l - k + 2m = j of C(l, k) i^k C(n, m)
+    (the Laguerre-Gauss to Hermite-Gauss decomposition; Beijersbergen et
+    al., Opt. Commun. 96 (1993) 123). Column j of a holds c_j H_j(X)
+    e^(-X^2/2) times the state's prefactor, norm/s; column j of b holds
+    H_(Q-j)(Y) e^(-Y^2/2)."""
+    lp = LandauParams(gauge="symmetric", n=n, l=l)
+    x, y = _grid_axes(grid, p.a0)
+    s = math.sqrt(2.0) * lp.cyclotron_radius(p)
+    q = 2 * n + l
+    c = np.zeros(q + 1, dtype=complex)
+    for k in range(l + 1):
+        for m in range(n + 1):
+            c[l - k + 2 * m] += math.comb(l, k) * (1, 1j, -1, -1j)[k % 4] * math.comb(n, m)
+    c *= (-1) ** n / (math.factorial(n) * 2.0**q) * _landau_sym_norm(n, l) / s
+
+    def hermite_gauss(t: np.ndarray, degrees) -> np.ndarray:
+        return np.stack([hermite(j, t) for j in degrees], axis=1) * np.exp(-0.5 * t * t)[:, None]
+
+    return hermite_gauss(x / s, range(q + 1)) * c, hermite_gauss(y / s, range(q, -1, -1))
+
+
 def _landau_sym_field(n: int, l: int, p: PhysParams, grid: GridSpec) -> _Field:
     """The samples of :func:`landau_state_sym`, before the transform."""
     lp = LandauParams(gauge="symmetric", n=n, l=l)
@@ -480,7 +521,7 @@ def _landau_sym_field(n: int, l: int, p: PhysParams, grid: GridSpec) -> _Field:
     r_c = lp.cyclotron_radius(p)
     s = math.sqrt(2.0) * r_c
     x2, y2, iy = x * x, y * y, 1j * y
-    norm = math.exp(0.5 * (math.lgamma(n + 1.0) - math.lgamma(n + l + 1.0)) - 0.5 * math.log(math.pi))
+    norm = _landau_sym_norm(n, l)
 
     def rows(a: int, b: int) -> np.ndarray:
         # norm/s * ((x + iy)/s)^l * exp(-rho2/4r_c^2) * L(rho2/2r_c^2), multiplied

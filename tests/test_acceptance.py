@@ -27,7 +27,6 @@ from morseband import (
     energy,
     grid_inner_product,
     identity_resolution_check,
-    is_prime,
     landau_delta,
     landau_limit_error,
     log_weighted_gamma_integral,
@@ -41,6 +40,7 @@ from morseband import (
     weighted_norm,
 )
 from morseband.cli import main
+from primality import is_prime
 
 import cmath
 

@@ -136,7 +136,7 @@ class TestStateConstruction:
         band = [-(l + N + 1) % grid.ny for N in range(spec.truncation + 1)]
         assert sorted(band) == series.k.tolist() and len(set(band)) == len(band)
         assert closed.k.tolist() == list(range(grid.ny))
-        w = (_row_weights(closed) * closed.weight)[:, None]
+        w = (_row_weights(closed.grid, closed.y_period) * closed.weight)[:, None]
 
         def column_norms(modes):
             return np.sqrt(np.sum(w * np.abs(modes) ** 2, axis=0))

@@ -23,13 +23,13 @@ from morseband import (
     QuantumNumbers,
     degeneracy_scan,
     energy,
-    is_prime,
     landau_a0,
     landau_energy,
     landau_limit_error,
     spectrum_product,
 )
 from morseband import model
+from primality import is_prime
 
 labels = st.tuples(st.integers(0, 60), st.integers(1, 80)).filter(
     lambda t: t[1] > t[0]

@@ -9,6 +9,7 @@ documents what this implementation computes.
 """
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -36,9 +37,11 @@ from morseband import (
     moments_quadrature,
     wavefunction,
 )
+from morseband import moments, states, verify
+from morseband.cli import main
 from morseband.moments import _grid_moments
 from morseband.quadrature import _row_weights
-from morseband.states import _Field, _landau_sym_field, landau_box
+from morseband.states import _Field, _landau_sym_factors, _landau_sym_field, landau_box
 
 mpmath.mp.dps = 30
 
@@ -106,8 +109,8 @@ class TestFusedPassAgainstBrakets:
         ids=["symmetric-1-1", "asymmetric-2"],
     )
     def test_landau_states(self, p, lp):
-        # the same box and grid as landau_delta; the symmetric-gauge state
-        # is not separable in x and y
+        # the same box and grid as landau_delta, which takes the symmetric
+        # state from its separated form and the reference from its samples
         if lp.gauge == "asymmetric":
             p_box, grid = landau_box(lp, p, 4096, 8)
             state = landau_state_asym(lp, p_box, grid)
@@ -132,7 +135,7 @@ def _whole_array_moments(s, hbar: float, values=None) -> MomentSet:
         np.einsum("ij,ij->i", bra, fd_derivative(values, s, "x", order) * root_w)
         for order in (1, 2)
     )
-    wx = _row_weights(s)
+    wx = _row_weights(s.grid, s.y_period)
     xwx = s.x * wx
     norm = wx @ density
     return MomentSet.from_means(
@@ -246,20 +249,72 @@ class TestFieldMoments:
         p_box, grid = landau_box(LandauParams(gauge="symmetric", n=n, l=l), p, 4096, 512)
         got = _grid_moments(_landau_sym_field(n, l, p_box, grid), p.hbar)
         want = _grid_moments(landau_state_sym(n, l, p_box, grid), p.hbar)
-        sx, sp = math.sqrt(want.mean_x2), math.sqrt(abs(want.mean_p2))
-        scales = {"mean_x": sx, "mean_x2": sx * sx, "sigma_xx": sx * sx, "mean_p": sp,
-                  "mean_p2": sp * sp, "sigma_pp": sp * sp, "mean_xp": sx * sp, "sigma_xp": sx * sp,
-                  "delta": (sx * sp) ** 2}
-        for name in FIELDS:
-            assert abs(getattr(got, name) - getattr(want, name)) <= 2e-13 * scales[name], name
+        _assert_moments_close(got, want, 2e-13)
 
     def test_landau_delta_builds_no_state(self, p, monkeypatch):
-        def refuse(self):
-            raise AssertionError("landau_delta transformed its field")
+        def refuse(*args):
+            raise AssertionError("landau_delta built the state or its field")
 
         monkeypatch.setattr(_Field, "state", refuse)
+        # the symmetric route reads the separated form, never the samples
+        monkeypatch.setattr(states, "_landau_sym_field", refuse)
+        monkeypatch.setattr(moments, "_landau_sym_field", refuse, raising=False)
         for lp in (LandauParams(gauge="symmetric", n=1, l=1), LandauParams(gauge="asymmetric", N=1)):
             assert math.isfinite(landau_delta(lp, p))
+
+
+def _assert_moments_close(got: MomentSet, want: MomentSet, bound: float) -> None:
+    """Every moment within bound of its scale: sqrt(<x^2>) and sqrt(|<p^2>|)
+    to the power each moment carries."""
+    sx, sp = math.sqrt(want.mean_x2), math.sqrt(abs(want.mean_p2))
+    scales = {"mean_x": sx, "mean_x2": sx * sx, "sigma_xx": sx * sx, "mean_p": sp,
+              "mean_p2": sp * sp, "sigma_pp": sp * sp, "mean_xp": sx * sp, "sigma_xp": sx * sp,
+              "delta": (sx * sp) ** 2}
+    for name in FIELDS:
+        assert abs(getattr(got, name) - getattr(want, name)) <= bound * scales[name], name
+
+
+# symmetric-gauge labels (n, l), up to 2n + l = 23 quanta
+SEPARATED_LABELS = [(0, 0), (1, 0), (1, 1), (2, 1), (0, 2), (3, 2), (6, 2), (10, 3)]
+
+
+class TestSeparatedLandau:
+    # landau_delta takes a symmetric-gauge state as the 2n+l+1 columns of
+    # its separated form, on the grid of the field route
+
+    @pytest.mark.parametrize("n, l", SEPARATED_LABELS)
+    def test_factors_are_the_field(self, p, n, l):
+        # 4.1e-15 of the peak measured, at (10, 3)
+        p_box, grid = landau_box(LandauParams(gauge="symmetric", n=n, l=l), p, 4096, 512)
+        a, b = _landau_sym_factors(n, l, p_box, grid)
+        assert a.shape == (grid.nx, 2 * n + l + 1) and b.shape == (grid.ny, 2 * n + l + 1)
+        assert b.dtype == np.float64
+        field = _landau_sym_field(n, l, p_box, grid)
+        peak = worst = 0.0
+        for lo in range(0, grid.nx, 512):
+            want = field.rows(lo, lo + 512)
+            peak = max(peak, np.max(np.abs(want)))
+            worst = max(worst, np.max(np.abs(a[lo : lo + 512] @ b.T - want)))
+        assert worst <= 1e-14 * peak
+
+    @pytest.mark.parametrize("n, l", SEPARATED_LABELS)
+    def test_moments_match_the_field_route(self, p, n, l, monkeypatch):
+        # the bound of test_field_route_matches_mode_route; 1.7e-13 measured,
+        # on sigma_pp at (0, 0)
+        lp = LandauParams(gauge="symmetric", n=n, l=l)
+        seen = []
+
+        def spy(rows, *args):
+            seen.append((rows, _grid_moments(rows, *args)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(moments, "_grid_moments", spy)
+        delta = landau_delta(lp, p)
+        [(rows, got)] = seen
+        assert isinstance(rows, np.ndarray) and rows.shape == (4096, 2 * n + l + 1)
+        assert got.delta == delta
+        p_box, grid = landau_box(lp, p, 4096, 512)
+        _assert_moments_close(got, _grid_moments(_landau_sym_field(n, l, p_box, grid), p.hbar), 2e-13)
 
 
 class TestClosedStructure:
@@ -391,17 +446,40 @@ def uncertainty_limit_curve(N: int, l_list) -> list[tuple[int, float]]:
 
 class TestLandauDeltaMemory:
     def test_symmetric_grid_peak(self, p):
-        # 4096x512 complex cells are 32 MiB: the moments read the field's
-        # rows one cache-sized window at a time (2.4 MiB measured, 34.1 MiB
-        # when the field was transformed to a state first); any state-sized
-        # array fails
+        # 4096x512 complex cells are 32 MiB: the moments reduce the 4 columns
+        # of the separated form (1.8 MiB measured, 34.1 MiB when the field
+        # was transformed to a state first); any state-sized array fails
         tracemalloc.start()
         try:
             landau_delta(LandauParams(gauge="symmetric", n=1, l=1), p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 2**20
+        assert peak <= 2 * 2**20
+
+
+class TestMomentsSuite:
+    # sha256 of the report as the field route wrote it, one worker thread
+    PINNED = {
+        ("verify", "--suite", "moments"):
+            "2c4b036f4f3f88cc8b51919b1203dbb1e4d2b7969f0ab6ff6fdf05e6da366f34",
+    }
+
+    @pytest.mark.parametrize("argv", sorted(PINNED))
+    def test_pinned_bytes(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("MORSEBAND_THREADS", "1")
+        assert main(list(argv)) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == self.PINNED[argv]
+
+    def test_symmetric_residuals_stay_below_the_asymmetric_worst(self):
+        # the table reports its worst case, an asymmetric-gauge entry
+        # (2.5e-10); the symmetric ones measure 1.2e-11, 5.3e-11, 8.6e-11
+        cases = list(verify._landau_uncertainty_table())
+        symmetric = [r for r, where in cases if where.startswith("symmetric")]
+        asymmetric = [r for r, where in cases if where.startswith("asymmetric")]
+        assert len(symmetric) == len(asymmetric) == 3
+        assert max(symmetric) < max(asymmetric)
 
 
 class TestLargeLLimit:

@@ -23,7 +23,7 @@ PUBLIC_NAMES = {
     "default_moments_grid", "default_truncation", "degeneracy_scan", "digamma",
     "energy", "fd_derivative", "gauss_laguerre_nodes", "grid_inner_product",
     "hermite", "identity_resolution_check", "integrate_radial",
-    "integrate_semi_infinite_u", "is_prime", "laguerre", "laguerre_deriv",
+    "integrate_semi_infinite_u", "laguerre", "laguerre_deriv",
     "landau_a0", "landau_delta", "landau_energy", "landau_limit_error",
     "landau_state_asym", "landau_state_sym",
     "ln_gamma", "log_weighted_gamma_integral", "measure_weight", "moments_closed",

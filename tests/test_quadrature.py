@@ -276,7 +276,7 @@ class TestGridInnerProduct:
                 if margin:
                     density[:margin] = 0.0
                     density[-margin:] = 0.0
-                want = math.sqrt(max(float(np.sum(_row_weights(s) * density)), 0.0))
+                want = math.sqrt(max(float(np.sum(_row_weights(s.grid, s.y_period) * density)), 0.0))
                 assert weighted_norm(values, s, exclude_margin=margin) == want
 
     def test_grid_mismatch_raises(self):
