@@ -34,7 +34,6 @@ from .specfun import digamma, ln_gamma, trigamma
 from .states import (
     LandauParams,
     SampledState,
-    _Field,
     _grid_axes,
     _landau_asym_field,
     _landau_sym_factors,
@@ -178,47 +177,43 @@ def moments_closed(q: QuantumNumbers, p: PhysParams) -> MomentSet:
 
 
 def _grid_moments(
-    s: SampledState | _Field | np.ndarray,
+    s: SampledState | np.ndarray,
     hbar: float,
     grid: GridSpec | None = None,
     y_period: float | None = None,
 ) -> MomentSet:
-    """Raw moments of a sampled state, of a field known only on the grid,
-    or of plain rows, by quadrature; the state is normalized by its own
-    computed norm, so small grid-norm drift does not leak into the moments.
+    """Raw moments of a sampled state, or of plain rows, by quadrature; the
+    state is normalized by its own computed norm, so small grid-norm drift
+    does not leak into the moments.
 
     One weighted pass over the rows, block by block: the row sums of
     bra = conj(sqrt(w) psi) against sqrt(w) psi and against the sqrt(w)
     scaled x-stencils of order 1 and 2 (``fd_derivative``'s kernel) fill
     three arrays, and no state-sized temporary is built. A state's rows
-    are its mode columns and a field's its samples; by Parseval a row's
-    sum over the samples is ny times its sum over the mode columns, a
-    constant every normalised moment cancels. Plain rows are an nx by m
-    complex array on ``grid``, under the flat measure (w = 1), with the
-    periodic length ``y_period``: the columns of a field's separated form
-    (see ``landau_delta``), whose row sums are those over the samples in
-    exact arithmetic. Each moment is one array dotted with
-    ``quadrature._row_weights`` times 1, x or x^2. The sqrt(w) scaling
-    keeps every product finite where the weight underflows, as in
-    ``grid_inner_product``; a block whose sqrt(w) is exactly 1 (as on the
-    asymmetric Landau field) is not scaled, since times 1 changes no
-    finite nonzero value. A non-finite sample or derivative, or a norm
-    that underflows to 0 (a window where the state is dead), raises
-    RangeError.
+    are its mode columns, always scaled by sqrt(w), which keeps every
+    product finite where the weight underflows, as in
+    ``grid_inner_product``. Plain rows are an nx by m complex array on
+    ``grid`` under the flat measure (w = 1, never scaled), with the
+    periodic length ``y_period``: a field's samples, or the columns of its
+    separated form (see ``landau_delta``). By Parseval a row's sum over
+    the samples is ny times its sum over the mode columns, a constant
+    every normalised moment cancels. Each moment is one array dotted with
+    ``quadrature._row_weights`` times 1, x or x^2. A non-finite sample or
+    derivative, or a norm that underflows to 0 (a window where the state
+    is dead), raises RangeError.
     """
-    if isinstance(s, np.ndarray):
-        source, weight = s, np.ones(grid.nx)
+    scaled = isinstance(s, SampledState)
+    if scaled:
+        source, grid, y_period = s.modes, s.grid, s.y_period
+        root_w = np.sqrt(s.weight)[:, None]
     else:
-        source = s.modes if isinstance(s, SampledState) else s
-        grid, weight, y_period = s.grid, s.weight, s.y_period
-    root_w = np.sqrt(weight)[:, None]
+        source = np.ascontiguousarray(s, dtype=complex)
     x = _grid_axes(grid, y_period)[0]
     nx = grid.nx
     density, d1, d2 = np.empty(nx), np.empty(nx, complex), np.empty(nx, complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, b, (psi, *kets) in _x_stencil_blocks(source, _x_step(grid), (0, 1, 2)):
-            scaled = not np.all(root_w[a:b] == 1.0)
-            amp = np.multiply(psi, root_w[a:b], order="C") if scaled else psi
+        for a, b, kets in _x_stencil_blocks(source, _x_step(grid), (1, 2)):
+            amp = np.multiply(source[a:b], root_w[a:b], order="C") if scaled else source[a:b]
             parts = amp.view(np.float64)
             np.einsum("ij,ij->i", parts, parts, out=density[a:b])
             bra = np.conjugate(amp, out=amp if scaled else None)
@@ -292,19 +287,21 @@ def landau_delta(lp: LandauParams, p: PhysParams) -> float:
     cyclotron radii around its centre; the Gaussian envelope is below
     1e-15 at the edge), and the moments are taken under the flat measure
     the Landau states are normalized in, with the grid's x-stencils and
-    Simpson rule, and no array of the state's nx by ny samples is built.
-    An asymmetric-gauge state's rows are read from its field a block at a
-    time. A symmetric-gauge state is taken in its separated form
-    a @ b.T (``states._landau_sym_factors``): with the thin QR b = Q R,
-    Q's columns orthonormal, psi = (a R^T) Q^T, and as the stencils act
-    along x only, each row's sum over its 512 samples of conj(psi) times a
-    stencil of psi is, in exact arithmetic, the sum over the 2n+l+1
-    columns of a R^T, which are the rows reduced.
+    Simpson rule, on plain rows (``_grid_moments``); no state is built.
+    An asymmetric-gauge state's rows are its 4096 by 8 samples (512 KiB).
+    A symmetric-gauge state's 4096 by 512 samples are never built: it is
+    taken in its separated form a @ b.T (``states._landau_sym_factors``),
+    and with the thin QR b = Q R, Q's columns orthonormal,
+    psi = (a R^T) Q^T; as the stencils act along x only, each row's sum
+    over its 512 samples of conj(psi) times a stencil of psi is, in exact
+    arithmetic, the sum over the 2n+l+1 columns of a R^T, which are the
+    rows reduced.
     """
     if lp.gauge == "asymmetric":
         p_box, grid = landau_box(lp, p, 4096, 8)
-        return _grid_moments(_landau_asym_field(lp, p_box, grid), p.hbar).delta
-    p_box, grid = landau_box(lp, p, 4096, 512)
-    x_factors, y_factors = _landau_sym_factors(lp.n, lp.l, p_box, grid)
-    rows = x_factors @ np.linalg.qr(y_factors, mode="r").T
+        rows = _landau_asym_field(lp, p_box, grid).values
+    else:
+        p_box, grid = landau_box(lp, p, 4096, 512)
+        x_factors, y_factors = _landau_sym_factors(lp.n, lp.l, p_box, grid)
+        rows = x_factors @ np.linalg.qr(y_factors, mode="r").T
     return _grid_moments(rows, p.hbar, grid, p_box.a0).delta

@@ -435,35 +435,14 @@ def _row_blocks(nx: int, width: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [nx]))
 
 
-def _row_windows(source, nx: int, ny: int, blocks):
-    """(lo, window) for each block [a, b) of rows: the source's rows lo..hi-1,
-    lo = a - 3 and hi = b + 3 clipped to the grid, all the block's centred
-    taps and 5-row edge closures read. An array's windows are views; a field
-    (``states._Field``) evaluates each row once and carries the rows one
-    window shares with the next."""
-    held, start = np.empty((0, ny), dtype=complex), 0
-    for a, b in blocks:
-        lo, hi = max(a - 3, 0), min(b + 3, nx)
-        if isinstance(source, np.ndarray):
-            held = source[lo:hi]
-        else:
-            end = start + len(held)
-            fresh = [source.rows(end, hi)] if hi > end else []
-            held = np.concatenate([held[lo - start :], *fresh])
-        start = lo
-        yield lo, held
-
-
-def _x_stencil_blocks(values, h: float, orders: tuple[int, ...]):
-    """Grid derivatives along axis 0 of a row source, streamed in blocks of
-    rows: yield (a, b, derivs), derivs[k] holding rows a..b-1 of the
+def _x_stencil_blocks(values: np.ndarray, h: float, orders: tuple[int, ...]):
+    """Grid derivatives along axis 0 of a complex array, streamed in blocks
+    of rows: yield (a, b, derivs), derivs[k] holding rows a..b-1 of the
     derivative of order orders[k] (centred taps inside, one-sided closures
-    on the two rows at each edge); order 0 gives the source's own rows.
-    The block buffers are reused from block to block.
+    on the two rows at each edge). A block reads the zero-copy view of rows
+    a-3..b+2, clipped to the grid, which holds all its centred taps and
+    5-row edge closures. The block buffers are reused from block to block.
 
-    The source is a complex array, read through zero-copy views, or a field
-    known only through its rows (``states._Field``), whose rows are
-    evaluated once each and never held all at once (see ``_row_windows``).
     The real taps run on float64 views of the complex rows and accumulate
     in place in a cache-sized block with one scratch term. Terms are added
     left to right and scaled by the reciprocal of the divisor, as numpy
@@ -475,11 +454,8 @@ def _x_stencil_blocks(values, h: float, orders: tuple[int, ...]):
     arithmetic (1 v = v, x + (-c) v = x - c v), which takes the first
     derivative in 6 passes over a block and the second in 9.
     """
-    if isinstance(values, np.ndarray):
-        values = np.ascontiguousarray(values, dtype=complex)
-        nx, ny = values.shape
-    else:
-        nx, ny = values.grid.nx, values.grid.ny
+    values = np.ascontiguousarray(values, dtype=complex)
+    nx, ny = values.shape
     blocks = _row_blocks(nx, 2 * ny)
     rows = max(b - a for a, b in blocks)
     term = np.empty((rows, 2 * ny))
@@ -487,8 +463,10 @@ def _x_stencil_blocks(values, h: float, orders: tuple[int, ...]):
         1: (12.0 * h, (_EDGE1_ROW0, _EDGE1_ROW1), -1.0, h),
         2: (12.0 * h * h, (_EDGE2_ROW0, _EDGE2_ROW1), 1.0, h * h),
     }
-    outs = {order: np.empty((rows, ny), dtype=complex) for order in orders if order}
-    for (a, b), (start, window) in zip(blocks, _row_windows(values, nx, ny, blocks)):
+    outs = {order: np.empty((rows, ny), dtype=complex) for order in orders}
+    for a, b in blocks:
+        start = max(a - 3, 0)
+        window = values[start : min(b + 3, nx)]
         v = window.view(np.float64)
         lo = max(a, 2)
         hi = max(lo, min(b, nx - 2))
@@ -508,7 +486,7 @@ def _x_stencil_blocks(values, h: float, orders: tuple[int, ...]):
                     out[i - a] = np.tensordot(row, window[:5], axes=(0, 0)) / scale
                 if a <= nx - 1 - i < b:
                     out[nx - 1 - i - a] = flip * np.tensordot(row[::-1], window[-5:], axes=(0, 0)) / scale
-        yield a, b, [outs[order][: b - a] if order else window[a - start : b - start] for order in orders]
+        yield a, b, [outs[order][: b - a] for order in orders]
 
 
 def _y_multiplier(k: np.ndarray, ny: int, y_period: float, order: int) -> np.ndarray:

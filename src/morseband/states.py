@@ -169,10 +169,8 @@ class _Field:
     giving rows a..b-1, with its measure weight: the closed coherent form
     and both Landau gauges before their transform. It reads like a
     SampledState where samples are printed or compared (``grid``, ``x``,
-    ``y``, ``weight``, ``values``) without paying the transform, and the
-    grid moments (``moments._grid_moments``) read its rows a block at a
-    time, so ``landau_delta`` never holds the asymmetric-gauge state's
-    nx by ny samples."""
+    ``y``, ``weight``, ``values``) without paying the transform, and
+    ``state`` transforms it."""
 
     grid: GridSpec
     rows: Callable[[int, int], np.ndarray]

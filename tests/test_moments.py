@@ -151,24 +151,35 @@ def _whole_array_moments(s, hbar: float, values=None) -> MomentSet:
 class TestStreamedMoments:
     # blocks hold 32768 floats, so 1024 rows at ny = 16, and at least two
     # rows (three in a ragged last block) once ny > 8192; the streamed
-    # pass must give the whole-array bits. Random values on a flat weight
-    # let every row of every block reach the raw means, which are compared
-    # before MomentSet.from_means (a random state fails its realness check).
+    # pass must give the whole-array bits, on a state scaled by sqrt(w) of
+    # a graded weight and on plain rows under the flat measure. Random
+    # values let every row of every block reach the raw means, which are
+    # compared before MomentSet.from_means (a random state fails its
+    # realness check).
+    SHAPES = {
+        "ragged-last-block": (3000, 16),
+        "one-block": (600, 16),
+        "two-row-blocks": (16, 16400),
+        "three-row-last-block": (17, 16400),
+    }
+
     @pytest.mark.parametrize(
-        "nx, ny",
-        [(3000, 16), (600, 16), (16, 16400), (17, 16400)],
-        ids=["ragged-last-block", "one-block", "two-row-blocks", "three-row-last-block"],
+        "shape, rows",
+        [(shape, False) for shape in SHAPES] + [(shape, True) for shape in SHAPES],
+        ids=list(SHAPES) + [f"rows-{shape}" for shape in SHAPES],
     )
-    def test_random_state_bits(self, nx, ny, monkeypatch):
+    def test_random_state_bits(self, shape, rows, monkeypatch):
         monkeypatch.setattr(MomentSet, "from_means", classmethod(lambda cls, **means: means))
+        nx, ny = self.SHAPES[shape]
         rng = np.random.default_rng(nx + ny)
-        s = SampledState.from_samples(
-            GridSpec(-1.0, 1.0, nx, ny),
-            rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny)),
-            np.ones(nx),
-            1.0,
-        )
-        assert _grid_moments(s, 1.0) == _whole_array_moments(s, 1.0)
+        samples = rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny))
+        grid = GridSpec(-1.0, 1.0, nx, ny)
+        if rows:
+            s = SampledState.from_samples(grid, samples, np.ones(nx), 1.0)
+            assert _grid_moments(samples, 1.0, grid, 1.0) == _whole_array_moments(s, 1.0, samples)
+        else:
+            s = SampledState.from_samples(grid, samples, np.linspace(0.5, 2.0, nx), 1.0)
+            assert _grid_moments(s, 1.0) == _whole_array_moments(s, 1.0)
 
     def test_eigenstate_bits(self, p):
         q = QuantumNumbers(1, 3)
@@ -182,62 +193,16 @@ class TestStreamedMoments:
         assert _grid_moments(s, p.hbar) == _whole_array_moments(s, p.hbar)
 
 
-def _dense_field_moments(field, hbar: float) -> MomentSet:
-    """``_whole_array_moments`` on every sample of a field known only on its
-    grid, the samples standing where mode columns stand."""
-    values = field.values
-    like = SampledState.from_samples(field.grid, values, field.weight, field.y_period)
-    return _whole_array_moments(like, hbar, values)
-
-
 class TestFieldMoments:
-    # a field's rows reach the moments kernel a window at a time, the rows
-    # its taps and edge closures share with the next block carried over;
-    # the same block shapes as TestStreamedMoments, including the 2- and
-    # 3-row last blocks at ny = 16400, where an edge closure's 5 rows reach
-    # past the block into the carried rows
-    @pytest.mark.parametrize(
-        "nx, ny",
-        [(3000, 16), (600, 16), (16, 16400), (17, 16400)],
-        ids=["ragged-last-block", "one-block", "two-row-last-block", "three-row-last-block"],
-    )
-    def test_random_field_bits(self, nx, ny, monkeypatch):
-        self._check_random_field(nx, ny, np.linspace(0.5, 2.0, nx), monkeypatch)
-
-    @pytest.mark.parametrize(
-        "nx, ny, graded",
-        [(3000, 16, 0), (17, 16400, 0), (3000, 16, 1000)],
-        ids=["flat", "flat-two-blocks", "flat-then-graded"],
-    )
-    def test_random_flat_field_bits(self, nx, ny, graded, monkeypatch):
-        # a block whose sqrt(w) is exactly 1 is not scaled; on a weight flat
-        # in its first rows only, some blocks are scaled and some are not
-        weight = np.ones(nx)
-        weight[nx - graded :] = np.linspace(0.5, 2.0, graded)
-        self._check_random_field(nx, ny, weight, monkeypatch)
-
-    @staticmethod
-    def _check_random_field(nx, ny, weight, monkeypatch):
-        monkeypatch.setattr(MomentSet, "from_means", classmethod(lambda cls, **means: means))
-        rng = np.random.default_rng(nx + ny)
-        samples = rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny))
-        calls = []
-
-        def rows(a, b):
-            calls.append((a, b))
-            return samples[a:b].copy()
-
-        field = _Field(GridSpec(-1.0, 1.0, nx, ny), rows, weight, 1.0)
-        got = _grid_moments(field, 1.0)
-        # each row is evaluated exactly once, in order
-        assert [a for a, _ in calls] == [0] + [b for _, b in calls[:-1]] and calls[-1][1] == nx
-        assert got == _dense_field_moments(field, 1.0)
-
+    # a flat-field state's samples reach the moments as plain rows, which
+    # are never scaled by sqrt(w)
     def test_landau_field_bits(self, p):
         lp = LandauParams(gauge="symmetric", n=2, l=1)
         p_box, grid = landau_box(lp, p, 1024, 512)
-        field = _landau_sym_field(lp.n, lp.l, p_box, grid)
-        assert _grid_moments(field, p.hbar) == _dense_field_moments(field, p.hbar)
+        s = landau_state_sym(lp.n, lp.l, p_box, grid)
+        # the state's values are the field's own samples, evaluated again
+        values = s.values
+        assert _grid_moments(values, p.hbar, grid, p_box.a0) == _whole_array_moments(s, p.hbar, values)
 
     @pytest.mark.parametrize("n, l", [(0, 0), (1, 0), (1, 1), (2, 1)])
     def test_field_route_matches_mode_route(self, p, n, l):
@@ -247,7 +212,7 @@ class TestFieldMoments:
         # and delta at (0, 0), where a long-double referee on the same
         # samples puts the field route 5.3e-14 off and the mode route 9.1e-14
         p_box, grid = landau_box(LandauParams(gauge="symmetric", n=n, l=l), p, 4096, 512)
-        got = _grid_moments(_landau_sym_field(n, l, p_box, grid), p.hbar)
+        got = _grid_moments(_landau_sym_field(n, l, p_box, grid).values, p.hbar, grid, p_box.a0)
         want = _grid_moments(landau_state_sym(n, l, p_box, grid), p.hbar)
         _assert_moments_close(got, want, 2e-13)
 
@@ -280,7 +245,7 @@ SEPARATED_LABELS = [(0, 0), (1, 0), (1, 1), (2, 1), (0, 2), (3, 2), (6, 2), (10,
 
 class TestSeparatedLandau:
     # landau_delta takes a symmetric-gauge state as the 2n+l+1 columns of
-    # its separated form, on the grid of the field route
+    # its separated form, on the grid its 4096 by 512 samples would take
 
     @pytest.mark.parametrize("n, l", SEPARATED_LABELS)
     def test_factors_are_the_field(self, p, n, l):
@@ -314,7 +279,8 @@ class TestSeparatedLandau:
         assert isinstance(rows, np.ndarray) and rows.shape == (4096, 2 * n + l + 1)
         assert got.delta == delta
         p_box, grid = landau_box(lp, p, 4096, 512)
-        _assert_moments_close(got, _grid_moments(_landau_sym_field(n, l, p_box, grid), p.hbar), 2e-13)
+        samples = _landau_sym_field(n, l, p_box, grid).values
+        _assert_moments_close(got, _grid_moments(samples, p.hbar, grid, p_box.a0), 2e-13)
 
 
 class TestClosedStructure:
@@ -459,7 +425,8 @@ class TestLandauDeltaMemory:
 
 
 class TestMomentsSuite:
-    # sha256 of the report as the field route wrote it, one worker thread
+    # sha256 of the report at one worker thread; a new route to the
+    # flat-field moments must keep these bytes
     PINNED = {
         ("verify", "--suite", "moments"):
             "2c4b036f4f3f88cc8b51919b1203dbb1e4d2b7969f0ab6ff6fdf05e6da366f34",

@@ -36,7 +36,14 @@ from morseband import (
     integrate_semi_infinite_u,
     weighted_norm,
 )
-from morseband.quadrature import _gauss_legendre, _row_weights
+from morseband.quadrature import (
+    _EDGE1_ROW0,
+    _EDGE1_ROW1,
+    _EDGE2_ROW0,
+    _EDGE2_ROW1,
+    _gauss_legendre,
+    _row_weights,
+)
 
 mpmath.mp.dps = 30
 
@@ -365,17 +372,29 @@ class TestDerivatives:
             parts[cells] = np.broadcast_to(fill, parts.shape)[cells]
         v = parts.view(complex)
         h = (s.grid.x_max - s.grid.x_min) / (nx - 1)
+        full = {order: fd_derivative(v, s, "x", order) for order in (1, 2)}
         for u, bits in ((parts, True), (v, False)):
             d1 = (1.0 * u[:-4] + -8.0 * u[1:-3] + 8.0 * u[3:-1] + -1.0 * u[4:]) * (1.0 / (12.0 * h))
             d2 = (
                 -1.0 * u[:-4] + 16.0 * u[1:-3] + -30.0 * u[2:-2] + 16.0 * u[3:-1] + -1.0 * u[4:]
             ) * (1.0 / (12.0 * h * h))
             for order, want in ((1, d1), (2, d2)):
-                got = fd_derivative(v, s, "x", order)[2:-2].view(u.dtype)
+                got = full[order][2:-2].view(u.dtype)
                 if bits:
                     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
                 else:
                     assert np.array_equal(got, want)
+        # rows 0, 1, nx-2 and nx-1 (in a two-row first block and a three-row
+        # last one at ny = 16400) take the one-sided closures on the first
+        # and last 5 rows of the whole array, bit for bit; the far edge runs
+        # each closure backwards, with the sign of the derivative's order
+        for order, closures, scale in ((1, (_EDGE1_ROW0, _EDGE1_ROW1), h), (2, (_EDGE2_ROW0, _EDGE2_ROW1), h * h)):
+            flip = (-1.0) ** order
+            for i, row in enumerate(closures):
+                head = np.tensordot(row, v[:5], axes=(0, 0)) / scale
+                tail = flip * np.tensordot(row[::-1], v[-5:], axes=(0, 0)) / scale
+                for got, want in ((full[order][i], head), (full[order][nx - 1 - i], tail)):
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_y_derivative_is_spectrally_exact_on_harmonics(self):
         for m in (1, 5, 15):
