@@ -194,6 +194,32 @@ class TestStreamedMoments:
 
 
 class TestFieldMoments:
+    # a field on a graded weight reaches the moments through its state:
+    # rows(a, b) feeds the transform a block at a time, and the state's
+    # streamed moments are the whole-array bits, on the block shapes of
+    # TestStreamedMoments
+    @pytest.mark.parametrize(
+        "nx, ny",
+        [(3000, 16), (600, 16), (16, 16400), (17, 16400)],
+        ids=["ragged-last-block", "one-block", "two-row-last-block", "three-row-last-block"],
+    )
+    def test_random_field_bits(self, nx, ny, monkeypatch):
+        monkeypatch.setattr(MomentSet, "from_means", classmethod(lambda cls, **means: means))
+        rng = np.random.default_rng(nx + ny)
+        samples = rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny))
+        calls = []
+
+        def rows(a, b):
+            calls.append((a, b))
+            return samples[a:b].copy()
+
+        grid, weight = GridSpec(-1.0, 1.0, nx, ny), np.linspace(0.5, 2.0, nx)
+        s = _Field(grid, rows, weight, 1.0).state()
+        # each row is evaluated exactly once, in order
+        assert [a for a, _ in calls] == [0] + [b for _, b in calls[:-1]] and calls[-1][1] == nx
+        assert np.array_equal(s.modes, SampledState.from_samples(grid, samples, weight, 1.0).modes)
+        assert _grid_moments(s, 1.0) == _whole_array_moments(s, 1.0)
+
     # a flat-field state's samples reach the moments as plain rows, which
     # are never scaled by sqrt(w)
     def test_landau_field_bits(self, p):
