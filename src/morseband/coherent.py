@@ -24,7 +24,7 @@ from scipy import special
 
 from .errors import DomainError
 from .model import PhysParams, QuantumNumbers
-from .quadrature import GridSpec, IntegrationResult, integrate_radial
+from .quadrature import GridSpec, IntegrationResult, integrate_semi_infinite_u
 from .specfun import bessel_i, bessel_k
 from .states import SampledState, _Field, _grid_axes, measure_weight, wavefunction
 
@@ -235,19 +235,30 @@ def bg_measure_density(l: int, r: float) -> float:
 
 
 def radial_identity_integral(l: int, N: int) -> IntegrationResult:
-    """int_0^inf r^(2l+2N+2) K_{2l+1}(2r) dr, which the closed spectrum
-    of moments fixes at G(N+1) G(2l+N+2) / 4."""
+    """int_0^inf r^p K_nu(2r) dr with p = 2l+2N+2 and nu = 2l+1, which the
+    closed spectrum of moments fixes at G(N+1) G(2l+N+2) / 4.
+
+    With u = 2r the integral is 2^-(p+1) int_0^inf u^(2N+1) e^-u
+    [u^nu e^u K_nu(u)] du, a Gamma-weighted integral of a bracket that is
+    smooth and finite on (0, inf), so :func:`integrate_semi_infinite_u`
+    computes it; the value and error estimate are scaled by 2^-(p+1).
+
+    Measured on l <= 60, N <= 8 against mpmath: every returned value is
+    within 4e-15 relative, and every l <= 15 returns. The refusals are
+
+    * RangeError where K_nu overflows at the engine's left cut
+      u = e^(-38/(2N+2)): from l = 16 at N = 0, l = 27 at N = 1, 34 at
+      N = 2, 40 at N = 3, and 44, 47, 50, 52, 54 at N = 4 .. 8.
+    * ConvergenceError at l >= 42 for N >= 4, below those cells: u^nu
+      overflows at the right cut u = e^8.5, and the engine refuses the
+      non-finite sum.
+    """
     if l < 0 or N < 0:
         raise DomainError(f"need l >= 0 and N >= 0, got l={l!r}, N={N!r}")
-    power = 2 * l + 2 * N + 2
     nu = 2.0 * l + 1.0
-
-    def integrand(r: np.ndarray) -> np.ndarray:
-        # r^p K(2r) = exp(p ln r - 2r) * (scaled K), assembled in logs
-        return np.exp(power * np.log(r) - 2.0 * r) * bessel_k(nu, 2.0 * r, scaled=True)
-
-    r_max = 20.0 + 3.0 * power
-    return integrate_radial(integrand, r_max)
+    res = integrate_semi_infinite_u(lambda u: u**nu * bessel_k(nu, u, scaled=True), 2 * N + 1)
+    scale = 2.0 ** -(2 * l + 2 * N + 3)
+    return replace(res, value=res.value * scale, error_estimate=res.error_estimate * scale)
 
 
 def identity_resolution_check(l: int, n_max: int) -> np.ndarray:

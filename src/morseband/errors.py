@@ -10,7 +10,6 @@ __all__ = [
     "RangeError",
     "AccuracyLossError",
     "ConvergenceError",
-    "TailDominanceError",
     "GridMismatchError",
     "ConfigError",
     "CrossCheckError",
@@ -35,10 +34,6 @@ class AccuracyLossError(MorsebandError, ArithmeticError):
 
 class ConvergenceError(MorsebandError, ArithmeticError):
     """Successive quadrature refinements failed to agree within tolerance."""
-
-
-class TailDominanceError(MorsebandError, ArithmeticError):
-    """The estimated truncated tail of an integral exceeds its error budget."""
 
 
 class GridMismatchError(MorsebandError, ValueError):

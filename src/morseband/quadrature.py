@@ -1,23 +1,25 @@
 """Integration engines and grid primitives.
 
-Three integral families appear in the model, each with its own engine:
+Two integral engines serve the model, beside the strip grid:
 
-* semi-infinite Gamma-weighted integrals ``int_0^inf u^a e^-u f(u) du``,
-  where ``f`` may carry logarithm powers. Gauss-Laguerre rules stall on
-  the logarithmic factors (measured: 2.5e-3 relative error at order 256
-  on ``f = ln u``), so the engine substitutes ``u = e^t`` and applies the
-  trapezoid rule to the resulting analytic, double-exponentially decaying
-  integrand, which converges spectrally.
-* radial integrals over ``[0, r_max]`` with exponentially decaying tails,
-  by composite Gauss-Legendre panels plus an explicit tail bound.
-* inner products of states on the model's strip grid: composite
-  Simpson along the unbounded direction, plain summation along the
-  periodic one (the trapezoid rule is spectrally accurate for periodic
-  smooth integrands, and every integrand here dies out in x well inside
-  the window). States are held as y-Fourier mode columns (see
-  ``states.SampledState``), so the y sum is taken by Parseval: dy times
-  the sum over a row's ny samples is y_period times the sum over its
-  mode columns, and columns of different DFT indices are orthogonal.
+* Gauss-Laguerre rules (``gauss_laguerre_nodes``) for smooth integrands
+  against the weight ``u^alpha e^-u``.
+* the trapezoid rule on ``u = e^t`` (``integrate_semi_infinite_u``) for
+  ``int_0^inf u^a e^-u f(u) du``, where ``f`` may carry logarithm powers
+  or, in the coherent states' radial identity integrals, a factor
+  u^nu e^u K_nu(u). Gauss-Laguerre rules stall on the logarithmic
+  factors (measured: 2.5e-3 relative error at order 256 on
+  ``f = ln u``); the substituted integrand is analytic and decays
+  double-exponentially, so the trapezoid rule converges spectrally.
+
+The strip grid takes inner products of states: composite Simpson along
+the unbounded direction, plain summation along the periodic one (the
+trapezoid rule is spectrally accurate for periodic smooth integrands,
+and every integrand here dies out in x well inside the window). States
+are held as y-Fourier mode columns (see ``states.SampledState``), so the
+y sum is taken by Parseval: dy times the sum over a row's ny samples is
+y_period times the sum over its mode columns, and columns of different
+DFT indices are orthogonal.
 
 Grid derivatives live here too, acting on mode columns: spectral
 differentiation along the periodic axis is a multiplication of each
@@ -33,15 +35,9 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import eval_genlaguerre, eval_legendre, gamma
+from scipy.special import eval_genlaguerre, gamma
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    GridMismatchError,
-    RangeError,
-    TailDominanceError,
-)
+from .errors import ConvergenceError, DomainError, GridMismatchError, RangeError
 
 __all__ = [
     "IntegrationResult",
@@ -49,7 +45,6 @@ __all__ = [
     "FD_MARGIN",
     "gauss_laguerre_nodes",
     "integrate_semi_infinite_u",
-    "integrate_radial",
     "grid_inner_product",
     "weighted_norm",
     "fd_derivative",
@@ -98,47 +93,20 @@ class GridSpec:
             raise DomainError(f"the x step {h!r} of [{self.x_min!r}, {self.x_max!r}] is too small")
 
 
-def _golub_welsch(mu0: float, diagonal: np.ndarray, off_diagonal: np.ndarray, f, df, symmetrize: bool):
-    """Nodes and weights of the n-point Gauss rule of the orthogonal
-    polynomials f(m, x) (derivative df(m, x)), whose three-term recurrence
-    has the n by n Jacobi matrix of the given diagonal and off-diagonal
-    (entries k = 0..n-1 and k = 1..n-1), and whose weight has total mass mu0.
-
-    Golub & Welsch, Math. Comp. 23 (1969) 221: the nodes are the Jacobi
-    matrix's eigenvalues (``numpy.linalg.eigvalsh``), then, as scipy's
-    ``roots_*`` do, one Newton step on each node and weights 1/(f(n-1) f'(n))
-    with both factors log-normalised, scaled to sum to mu0; ``symmetrize``
-    averages a rule symmetric about 0 with its mirror image. The result is
-    bit-identical to scipy's ``roots_genlaguerre`` and ``roots_legendre``
-    for orders 2..256, without importing ``scipy.linalg``.
-    """
-    n = len(diagonal)
-    jacobi = np.diag(diagonal)
-    below = np.arange(1, n)
-    jacobi[below, below - 1] = off_diagonal  # eigvalsh reads the lower triangle
-    x = np.linalg.eigvalsh(jacobi)
-    dy = df(n, x)
-    x -= f(n, x) / dy
-    fm = f(n - 1, x)
-    log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
-    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
-    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
-    w = 1.0 / (fm * dy)
-    if symmetrize:
-        w = (w + w[::-1]) / 2
-        x = (x - x[::-1]) / 2
-    w *= mu0 / w.sum()
-    return x, w
-
-
 @lru_cache(maxsize=128)
 def gauss_laguerre_nodes(order: int, alpha: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the generalized Gauss-Laguerre rule.
 
     Exact for ``u^k`` against the weight ``u^alpha e^-u`` up to degree
-    ``2*order - 1``, from ``_golub_welsch``. Orders above 256 are refused:
-    the solver degrades there (measured: every weight NaN at order 400,
-    alpha 0 and 14.5, as with scipy's ``roots_genlaguerre``).
+    ``2*order - 1``. Golub & Welsch, Math. Comp. 23 (1969) 221: the nodes
+    are the eigenvalues of the rule's Jacobi matrix
+    (``numpy.linalg.eigvalsh``), then, as scipy's ``roots_genlaguerre``
+    does, one Newton step on each node and weights 1/(L_(n-1) L_n') with
+    both factors log-normalised, scaled to sum to Gamma(alpha + 1). The
+    result is bit-identical to scipy's for orders 1..256, without
+    importing ``scipy.linalg``. Orders above 256 are refused: the solver
+    degrades there (measured: every weight NaN at order 400, alpha 0 and
+    14.5, as with scipy's ``roots_genlaguerre``).
     Returned arrays are frozen; copy before mutating.
     """
     if not 1 <= order <= 256:
@@ -150,42 +118,22 @@ def gauss_laguerre_nodes(order: int, alpha: float = 0.0) -> tuple[np.ndarray, np
         nodes, weights = np.array([alpha + 1.0]), np.array([mu0])
     else:
         k = np.arange(order, dtype=float)
-        nodes, weights = _golub_welsch(
-            mu0,
-            2 * k + alpha + 1,
-            -np.sqrt(k[1:] * (k[1:] + alpha)),
-            lambda m, u: eval_genlaguerre(m, alpha, u),
-            lambda m, u: (
-                m * eval_genlaguerre(m, alpha, u) - (m + alpha) * eval_genlaguerre(m - 1, alpha, u)
-            ) / u,
-            symmetrize=False,
-        )
+        jacobi = np.diag(2 * k + alpha + 1)
+        below = np.arange(1, order)
+        jacobi[below, below - 1] = -np.sqrt(k[1:] * (k[1:] + alpha))  # eigvalsh reads the lower triangle
+        nodes = np.linalg.eigvalsh(jacobi)
+        top, prev = eval_genlaguerre(order, alpha, nodes), eval_genlaguerre(order - 1, alpha, nodes)
+        dy = (order * top - (order + alpha) * prev) / nodes
+        nodes -= top / dy
+        fm = eval_genlaguerre(order - 1, alpha, nodes)
+        log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
+        fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+        dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+        weights = 1.0 / (fm * dy)
+        weights *= mu0 / weights.sum()
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
-
-
-@lru_cache(maxsize=8)
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Gauss-Legendre rule of an order >= 2 on [-1, 1], from
-    ``_golub_welsch``; the arrays are frozen."""
-    k = np.arange(1, order, dtype=float)
-    nodes, weights = _golub_welsch(
-        2.0,
-        np.zeros(order),
-        k * np.sqrt(1.0 / (4 * k * k - 1)),
-        eval_legendre,
-        lambda m, x: (-m * x * eval_legendre(m, x) + m * eval_legendre(m - 1, x)) / (1 - x**2),
-        symmetrize=True,
-    )
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-def _eval_vector(f: Callable, u: np.ndarray) -> np.ndarray:
-    """Evaluate a vectorized f on an array; a constant result is broadcast."""
-    return np.broadcast_to(np.asarray(f(u)), u.shape)
 
 
 def integrate_semi_infinite_u(f: Callable, weight_exponent: float) -> IntegrationResult:
@@ -215,7 +163,7 @@ def integrate_semi_infinite_u(f: Callable, weight_exponent: float) -> Integratio
         t = np.linspace(t_lo, t_hi, n)
         u = np.exp(t)
         with np.errstate(over="ignore", invalid="ignore"):
-            g = _eval_vector(f, u) * np.exp((a + 1.0) * t - u)
+            g = np.asarray(f(u)) * np.exp((a + 1.0) * t - u)
         h = (t_hi - t_lo) / (n - 1)
         total = complex(h * (np.sum(g) - 0.5 * (g[0] + g[-1])))
         if not (math.isfinite(total.real) and math.isfinite(total.imag)):
@@ -237,63 +185,6 @@ def integrate_semi_infinite_u(f: Callable, weight_exponent: float) -> Integratio
     if value.imag == 0.0:
         value = complex(value.real, 0.0)
     return IntegrationResult(value=value, error_estimate=error, evaluations=evaluations)
-
-
-def _panel_sum(f: Callable, r_max: float, panels: int, nodes: np.ndarray, weights: np.ndarray) -> tuple[complex, int]:
-    width = r_max / panels
-    total = 0.0 + 0.0j
-    count = 0
-    for p in range(panels):
-        left = p * width
-        r = left + (nodes + 1.0) * (width / 2.0)
-        vals = _eval_vector(f, r)
-        total += (width / 2.0) * complex(np.sum(weights * vals))
-        count += r.size
-    return total, count
-
-
-def integrate_radial(f: Callable, r_max: float) -> IntegrationResult:
-    """Integrate f over [0, r_max], checking that the discarded tail is dead.
-
-    Composite 32-point Gauss-Legendre panels, doubled until the value
-    moves by less than 1e-12 relative (at most three doublings). The tail
-    beyond r_max is bounded by fitting a local exponential decay rate to
-    f near r_max; if that bound is not negligible against the integral,
-    TailDominanceError reports that r_max was chosen too small.
-    """
-    if not r_max > 0.0:
-        raise DomainError(f"integrate_radial requires r_max > 0, got {r_max!r}")
-    nodes, weights = _gauss_legendre(32)
-    panels = max(8, int(math.ceil(r_max / 5.0)))
-    value, evaluations = _panel_sum(f, r_max, panels, nodes, weights)
-    delta = math.inf
-    for _ in range(3):
-        panels *= 2
-        refined, count = _panel_sum(f, r_max, panels, nodes, weights)
-        evaluations += count
-        delta = abs(refined - value)
-        value = refined
-        if delta <= 1e-12 * max(abs(value), _TINY):
-            break
-    # local decay rate near the cut: f ~ C e^(-kappa r) gives a tail bound
-    # |f(r_max)| / kappa
-    edge = complex(np.asarray(f(np.asarray([r_max])), dtype=complex).ravel()[-1])
-    inner = complex(np.asarray(f(np.asarray([0.98 * r_max])), dtype=complex).ravel()[-1])
-    evaluations += 2
-    if edge == 0.0:
-        tail = 0.0
-    elif abs(inner) > abs(edge):
-        kappa = math.log(abs(inner) / abs(edge)) / (0.02 * r_max)
-        tail = abs(edge) / kappa
-    else:
-        tail = abs(edge) * r_max
-    scale = max(abs(value), _TINY)
-    if tail > 1e-10 * scale:
-        raise TailDominanceError(
-            f"tail bound {tail:.2e} beyond r_max = {r_max} is not negligible "
-            f"against the integral magnitude {scale:.2e}; enlarge r_max"
-        )
-    return IntegrationResult(value=value, error_estimate=delta + tail, evaluations=evaluations)
 
 
 def _simpson_weights(nx: int, h: float) -> np.ndarray:
@@ -320,12 +211,16 @@ def _x_step(grid: GridSpec) -> float:
     return (grid.x_max - grid.x_min) / (grid.nx - 1)
 
 
+@lru_cache(maxsize=16)
 def _row_weights(grid: GridSpec, y_period: float) -> np.ndarray:
     """Weight of each grid row in an integral over the strip: the Simpson
     weights along x times the y period, by which (Parseval) a sum over the
     row's mode columns stands for dy times the sum over its samples. Every
-    grid quadrature takes its rule from here."""
-    return _simpson_weights(grid.nx, _x_step(grid)) * y_period
+    grid quadrature takes its rule from here. Built once per grid and
+    period; the array is frozen."""
+    weights = _simpson_weights(grid.nx, _x_step(grid)) * y_period
+    weights.setflags(write=False)
+    return weights
 
 
 def grid_inner_product(a, b) -> complex:

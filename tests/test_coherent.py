@@ -26,6 +26,7 @@ from morseband import (
     CoherentSpec,
     DomainError,
     GridSpec,
+    MorsebandError,
     QuantumNumbers,
     RangeError,
     apply_Lminus,
@@ -336,6 +337,24 @@ class TestIdentityResolution:
                 want = 0.25 * math.exp(math.lgamma(N + 1.0) + math.lgamma(2 * l + N + 2.0))
                 got = radial_identity_integral(l, N).value
                 assert abs(got - want) <= 1e-8 * want
+
+    @given(l=st.integers(0, 60), N=st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_random_cells_return_the_gamma_value_or_refuse(self, l, N):
+        # a cell returns within 1e-12 of the mpmath value or is refused
+        # (K_nu or u^nu overflowing at a cut), never with a warning; every
+        # l <= 8 returns
+        want = mpmath.gamma(N + 1) * mpmath.gamma(2 * l + N + 2) / 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = radial_identity_integral(l, N)
+            except MorsebandError:
+                assert l > 8
+                return
+        assert got.value.imag == 0.0
+        assert abs((mpmath.mpf(got.value.real) - want) / want) <= 1e-12
+        assert got.error_estimate <= 1e-8 * float(want)
 
     def test_deviation_matrix(self):
         for l in (0, 1, 2):

@@ -15,14 +15,14 @@ PUBLIC_NAMES = {
     "DegeneracyReport", "DegeneracyTable", "DomainError", "FD_MARGIN", "GridMismatchError", "GridSpec",
     "IntegrationResult", "LandauParams", "MomentSet", "MorsebandError",
     "PhysParams", "QuantumNumbers", "RangeError", "SUITE_NAMES",
-    "SampledState", "TailDominanceError", "__version__", "algebra_grid", "apply_L3",
+    "SampledState", "__version__", "algebra_grid", "apply_L3",
     "apply_Lminus", "apply_Lplus", "apply_casimir", "apply_hamiltonian",
     "assoc_bessel", "assoc_bessel_rodrigues", "bessel_i", "bessel_j", "bessel_k",
     "bg_coefficients", "bg_measure_density", "bg_state_closed", "bg_state_series",
     "commutator_residual", "default_coherent_grid", "default_grid",
     "default_moments_grid", "default_truncation", "degeneracy_scan", "digamma",
     "energy", "fd_derivative", "gauss_laguerre_nodes", "grid_inner_product",
-    "hermite", "identity_resolution_check", "integrate_radial",
+    "hermite", "identity_resolution_check",
     "integrate_semi_infinite_u", "laguerre", "laguerre_deriv",
     "landau_a0", "landau_delta", "landau_energy", "landau_limit_error",
     "landau_state_asym", "landau_state_sym",
@@ -60,9 +60,23 @@ def _identifiers(node: ast.AST) -> set[str]:
     return found
 
 
+def _private_definitions(stmt: ast.stmt) -> list[str]:
+    """The private names a top-level statement defines: a function, a class,
+    or a constant assigned by ``_NAME = ...`` (tuple targets included)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
 def test_no_unused_import_or_private_definition():
     # dead code: a name a module imports and never uses, or a private
-    # top-level function or class that no other statement of the package names
+    # top-level function, class or constant that no other statement of the
+    # package names
     src = Path(morseband.__file__).parent
     modules = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     dead = []
@@ -74,8 +88,7 @@ def test_no_unused_import_or_private_definition():
                 dead += [f"{name}: import {b}" for b in sorted(bound - used)]
     statements = [(name, stmt, _identifiers(stmt)) for name, tree in modules.items() for stmt in tree.body]
     for name, stmt, _ in statements:
-        private = isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_")
-        if private and not stmt.name.startswith("__"):
-            if not any(stmt.name in names for _, other, names in statements if other is not stmt):
-                dead.append(f"{name}: {stmt.name}")
+        for private in _private_definitions(stmt):
+            if not any(private in names for _, other, names in statements if other is not stmt):
+                dead.append(f"{name}: {private}")
     assert dead == []

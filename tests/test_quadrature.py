@@ -17,7 +17,7 @@ import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
-from scipy.special import logsumexp, roots_genlaguerre, roots_legendre
+from scipy.special import logsumexp, roots_genlaguerre
 
 import morseband
 from morseband import (
@@ -28,11 +28,9 @@ from morseband import (
     IntegrationResult,
     RangeError,
     SampledState,
-    TailDominanceError,
     fd_derivative,
     gauss_laguerre_nodes,
     grid_inner_product,
-    integrate_radial,
     integrate_semi_infinite_u,
     weighted_norm,
 )
@@ -41,7 +39,6 @@ from morseband.quadrature import (
     _EDGE1_ROW1,
     _EDGE2_ROW0,
     _EDGE2_ROW1,
-    _gauss_legendre,
     _row_weights,
 )
 
@@ -85,11 +82,6 @@ class TestGaussLaguerre:
         for order in range(1, 257):
             for got, want in zip(gauss_laguerre_nodes(order, alpha), roots_genlaguerre(order, alpha)):
                 assert np.array_equal(got.view(np.uint64), np.asarray(want).view(np.uint64)), order
-
-    def test_legendre_rules_are_scipys_bits(self):
-        for order in range(2, 257):
-            for got, want in zip(_gauss_legendre(order), roots_legendre(order)):
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), order
 
     def test_specfun_suite_does_not_import_scipy_linalg(self):
         src = os.path.dirname(os.path.dirname(morseband.__file__))
@@ -149,34 +141,11 @@ class TestSemiInfinite:
         with pytest.raises(DomainError):
             integrate_semi_infinite_u(np.log, -1.0)
 
-
-class TestRadial:
-    def test_exponential_moment(self):
-        res = integrate_radial(lambda r: r**3 * np.exp(-2.0 * r), 30.0)
-        assert abs(res.value - 3.0 / 8.0) <= 1e-12
-
-    def test_gaussian(self):
-        res = integrate_radial(lambda r: r * np.exp(-(r**2)), 12.0)
-        assert abs(res.value - 0.5) <= 1e-12
-
-    def test_complex_integrand(self):
-        res = integrate_radial(lambda r: np.exp((1j - 1.0) * r), 60.0)
-        want = 1.0 / (1.0 - 1j)
-        assert abs(res.value - want) <= 1e-12
-
-    def test_slow_tail_refuses(self):
-        with pytest.raises(TailDominanceError):
-            integrate_radial(lambda r: 1.0 / (1.0 + r**2), 50.0)
-
-    def test_guard(self):
-        with pytest.raises(DomainError):
-            integrate_radial(lambda r: r, 0.0)
-
     def test_integrand_must_accept_arrays(self):
         # an integrand written for scalars is an error, not a slow path
-        for f in (lambda r: r if r > 0 else 0.0, lambda r: 1.0 if r < 5.0 else 0.0):
+        for f in (lambda u: u if u > 0 else 0.0, lambda u: 1.0 if u < 5.0 else 0.0):
             with pytest.raises(ValueError):
-                integrate_radial(f, 10.0)
+                integrate_semi_infinite_u(f, 0.0)
 
 
 def _flat_state(nx: int, ny: int, fx, x_min=0.0, x_max=1.0, y_period=1.0) -> SampledState:
