@@ -269,8 +269,12 @@ def identity_resolution_check(l: int, n_max: int) -> np.ndarray:
     N = N', killing every off-diagonal entry), so the returned deviation
     is diagonal: M_NN = 4 R / (G(N+1) G(2l+N+2)) - 1 with R the radial
     integral; the normalizing Bessel factor of the coefficients cancels
-    against the measure density identically.
+    against the measure density identically. Supported for 0 <= l <= 15,
+    where every radial integral with N <= 8 returns, and 0 <= n_max <= 8;
+    anything else raises DomainError.
     """
+    if l < 0 or l > 15:
+        raise DomainError(f"identity_resolution_check supports 0 <= l <= 15, got {l!r}")
     if n_max < 0 or n_max > 8:
         raise DomainError(f"identity_resolution_check supports 0 <= n_max <= 8, got {n_max!r}")
     deviation = np.zeros((n_max + 1, n_max + 1))

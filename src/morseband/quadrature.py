@@ -1,16 +1,13 @@
 """Integration engines and grid primitives.
 
-Two integral engines serve the model, beside the strip grid:
-
-* Gauss-Laguerre rules (``gauss_laguerre_nodes``) for smooth integrands
-  against the weight ``u^alpha e^-u``.
-* the trapezoid rule on ``u = e^t`` (``integrate_semi_infinite_u``) for
-  ``int_0^inf u^a e^-u f(u) du``, where ``f`` may carry logarithm powers
-  or, in the coherent states' radial identity integrals, a factor
-  u^nu e^u K_nu(u). Gauss-Laguerre rules stall on the logarithmic
-  factors (measured: 2.5e-3 relative error at order 256 on
-  ``f = ln u``); the substituted integrand is analytic and decays
-  double-exponentially, so the trapezoid rule converges spectrally.
+One half-line engine serves the model, beside the strip grid: the
+trapezoid rule on ``u = e^t`` (``integrate_semi_infinite_u``) for
+``int_0^inf u^a e^-u f(u) du``, where ``f`` may carry logarithm powers
+or, in the coherent states' radial identity integrals, a factor
+u^nu e^u K_nu(u). Gauss-Laguerre rules stall on the logarithmic factors
+(measured: 2.5e-3 relative error at order 256 on ``f = ln u``); the
+substituted integrand is analytic and decays double-exponentially, so
+the trapezoid rule converges spectrally.
 
 The strip grid takes inner products of states: composite Simpson along
 the unbounded direction, plain summation along the periodic one (the
@@ -35,7 +32,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gamma
 
 from .errors import ConvergenceError, DomainError, GridMismatchError, RangeError
 
@@ -43,7 +39,6 @@ __all__ = [
     "IntegrationResult",
     "GridSpec",
     "FD_MARGIN",
-    "gauss_laguerre_nodes",
     "integrate_semi_infinite_u",
     "grid_inner_product",
     "weighted_norm",
@@ -93,49 +88,6 @@ class GridSpec:
             raise DomainError(f"the x step {h!r} of [{self.x_min!r}, {self.x_max!r}] is too small")
 
 
-@lru_cache(maxsize=128)
-def gauss_laguerre_nodes(order: int, alpha: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the generalized Gauss-Laguerre rule.
-
-    Exact for ``u^k`` against the weight ``u^alpha e^-u`` up to degree
-    ``2*order - 1``. Golub & Welsch, Math. Comp. 23 (1969) 221: the nodes
-    are the eigenvalues of the rule's Jacobi matrix
-    (``numpy.linalg.eigvalsh``), then, as scipy's ``roots_genlaguerre``
-    does, one Newton step on each node and weights 1/(L_(n-1) L_n') with
-    both factors log-normalised, scaled to sum to Gamma(alpha + 1). The
-    result is bit-identical to scipy's for orders 1..256, without
-    importing ``scipy.linalg``. Orders above 256 are refused: the solver
-    degrades there (measured: every weight NaN at order 400, alpha 0 and
-    14.5, as with scipy's ``roots_genlaguerre``).
-    Returned arrays are frozen; copy before mutating.
-    """
-    if not 1 <= order <= 256:
-        raise DomainError(f"gauss_laguerre_nodes supports orders 1..256, got {order!r}")
-    if not alpha > -1.0:
-        raise DomainError(f"gauss_laguerre_nodes requires alpha > -1, got {alpha!r}")
-    mu0 = gamma(alpha + 1.0)
-    if order == 1:
-        nodes, weights = np.array([alpha + 1.0]), np.array([mu0])
-    else:
-        k = np.arange(order, dtype=float)
-        jacobi = np.diag(2 * k + alpha + 1)
-        below = np.arange(1, order)
-        jacobi[below, below - 1] = -np.sqrt(k[1:] * (k[1:] + alpha))  # eigvalsh reads the lower triangle
-        nodes = np.linalg.eigvalsh(jacobi)
-        top, prev = eval_genlaguerre(order, alpha, nodes), eval_genlaguerre(order - 1, alpha, nodes)
-        dy = (order * top - (order + alpha) * prev) / nodes
-        nodes -= top / dy
-        fm = eval_genlaguerre(order - 1, alpha, nodes)
-        log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
-        fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
-        dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
-        weights = 1.0 / (fm * dy)
-        weights *= mu0 / weights.sum()
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
 def integrate_semi_infinite_u(f: Callable, weight_exponent: float) -> IntegrationResult:
     """Compute ``int_0^inf u^weight_exponent e^-u f(u) du``.
 
@@ -143,8 +95,10 @@ def integrate_semi_infinite_u(f: Callable, weight_exponent: float) -> Integratio
     integrand ``e^((a+1) t - e^t) f(e^t)`` over the line, which decays
     double-exponentially on the right and exponentially on the left, so
     the trapezoid rule converges spectrally even when ``f`` carries
-    ``(ln u)^j`` factors. Three nested refinements are evaluated; the
-    error estimate is the difference of the last two.
+    ``(ln u)^j`` factors. ``f`` is evaluated once, on the 1921 nodes of
+    the finest grid; three nested trapezoid sums are taken over every
+    fourth, every second and every node, and the error estimate is the
+    difference of the last two.
 
     ``f`` is called on numpy arrays and may return complex values.
     ``weight_exponent`` must exceed -1.
@@ -156,15 +110,15 @@ def integrate_semi_infinite_u(f: Callable, weight_exponent: float) -> Integratio
     # right endpoint where e^(-e^t) has annihilated any polynomial factor
     t_lo = -38.0 / (a + 1.0)
     t_hi = 8.5
-    evaluations = 0
+    evaluations = 1921
+    t = np.linspace(t_lo, t_hi, evaluations)
+    u = np.exp(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_all = np.asarray(f(u)) * np.exp((a + 1.0) * t - u)
     values = []
-    n = 481
-    for _ in range(3):
-        t = np.linspace(t_lo, t_hi, n)
-        u = np.exp(t)
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = np.asarray(f(u)) * np.exp((a + 1.0) * t - u)
-        h = (t_hi - t_lo) / (n - 1)
+    for stride in (4, 2, 1):
+        g = g_all[::stride]
+        h = (t_hi - t_lo) / (len(g) - 1)
         total = complex(h * (np.sum(g) - 0.5 * (g[0] + g[-1])))
         if not (math.isfinite(total.real) and math.isfinite(total.imag)):
             raise ConvergenceError(
@@ -172,8 +126,6 @@ def integrate_semi_infinite_u(f: Callable, weight_exponent: float) -> Integratio
                 "cannot integrate it".format(math.exp(t_hi))
             )
         values.append(total)
-        evaluations += n
-        n = 2 * n - 1
     scale = max(abs(values[2]), _TINY)
     error = abs(values[2] - values[1])
     if error > 1e-8 * scale:

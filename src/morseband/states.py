@@ -522,28 +522,10 @@ def _landau_sym_field(n: int, l: int, p: PhysParams, grid: GridSpec) -> _Field:
     norm = _landau_sym_norm(n, l)
 
     def rows(a: int, b: int) -> np.ndarray:
-        # norm/s * ((x + iy)/s)^l * exp(-rho2/4r_c^2) * L(rho2/2r_c^2), multiplied
-        # left to right in place: the same roundings as the expression. The
-        # real factors stay complex multiplies: numpy's complex * real takes
-        # (ar r - ai 0, ar 0 + ai r), whose signs of zero export prints, and
-        # scaling .real and .imag apart gives other ones. Only steps whose
-        # bits are known are skipped: ^0 is 1 + 0j, ^1 returns a nonzero base
-        # as it is (the one zero base, x = y = 0, is +0 + 0j either way), and
-        # at n = l = 0 the block after the Gaussian is (c, +0), which times
-        # L_0 = 1 leaves alone (at l = 1 an underflowed cell with x, y < 0
-        # holds -0 that the multiply would turn into +0).
-        if l == 0:
-            block = np.full((b - a, len(y)), norm / s * (1.0 + 0.0j))
-        else:
-            block = np.add(x[a:b, None], iy)
-            block /= s
-            if l > 1:
-                block **= l
-            np.multiply(norm / s, block, out=block)
         rho2 = x2[a:b, None] + y2
-        block *= np.exp(-rho2 / (4.0 * r_c * r_c))
-        if n or l:
-            block *= laguerre(n, float(l), rho2 / (2.0 * r_c * r_c))
-        return block
+        return (
+            norm / s * ((x[a:b, None] + iy) / s) ** l * np.exp(-rho2 / (4.0 * r_c * r_c))
+            * laguerre(n, float(l), rho2 / (2.0 * r_c * r_c))
+        )
 
     return _Field(grid, rows, np.ones(grid.nx), p.a0)

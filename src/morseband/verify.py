@@ -47,7 +47,7 @@ from .coherent import (
 from .errors import ConfigError
 from .model import PhysParams, QuantumNumbers
 from .moments import landau_delta, moments_closed, moments_quadrature
-from .quadrature import FD_MARGIN, fd_derivative, gauss_laguerre_nodes, grid_inner_product
+from .quadrature import FD_MARGIN, fd_derivative, grid_inner_product
 from .specfun import (
     bessel_i,
     bessel_j,
@@ -157,10 +157,11 @@ def _polygamma_consistency():
 
 
 def _laguerre_orthogonality():
+    # exact to degree 47 for the weight e^-u, above the 27 of u^7 L_10 L_10
+    nodes, weights = np.polynomial.laguerre.laggauss(24)
     for alpha in (1.0, 3.0, 7.0):
-        nodes, weights = gauss_laguerre_nodes(24, alpha)
         table = np.stack([laguerre(m, alpha, nodes) for m in range(11)])
-        gram = (table * weights) @ table.T
+        gram = (table * (weights * nodes**alpha)) @ table.T
         norms = np.array(
             [math.exp(ln_gamma(m + alpha + 1.0) - ln_gamma(m + 1.0)) for m in range(11)]
         )

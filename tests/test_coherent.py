@@ -363,6 +363,15 @@ class TestIdentityResolution:
             off = dev - np.diag(np.diag(dev))
             assert np.all(off == 0.0)
 
+    def test_family_is_checked_at_entry(self):
+        # every radial integral up to N = 8 returns at l = 15; from l = 16
+        # the check refuses at entry instead of deep inside a radial integral
+        dev = identity_resolution_check(15, 8)
+        assert np.max(np.abs(dev)) <= 1e-13
+        for l in (16, -1):
+            with pytest.raises(DomainError, match="0 <= l <= 15"):
+                identity_resolution_check(l, 0)
+
     def test_guards(self):
         with pytest.raises(DomainError):
             identity_resolution_check(0, 9)

@@ -21,7 +21,7 @@ PUBLIC_NAMES = {
     "bg_coefficients", "bg_measure_density", "bg_state_closed", "bg_state_series",
     "commutator_residual", "default_coherent_grid", "default_grid",
     "default_moments_grid", "default_truncation", "degeneracy_scan", "digamma",
-    "energy", "fd_derivative", "gauss_laguerre_nodes", "grid_inner_product",
+    "energy", "fd_derivative", "grid_inner_product",
     "hermite", "identity_resolution_check",
     "integrate_semi_infinite_u", "laguerre", "laguerre_deriv",
     "landau_a0", "landau_delta", "landau_energy", "landau_limit_error",
@@ -92,3 +92,15 @@ def test_no_unused_import_or_private_definition():
             if not any(private in names for _, other, names in statements if other is not stmt):
                 dead.append(f"{name}: {private}")
     assert dead == []
+
+
+def test_quadrature_imports_nothing_from_scipy():
+    # the engines are numpy only; the scipy importers stay few and named
+    path = Path(quadrature.__file__)
+    imported = []
+    for sub in ast.walk(ast.parse(path.read_text())):
+        if isinstance(sub, ast.Import):
+            imported += [alias.name for alias in sub.names]
+        elif isinstance(sub, ast.ImportFrom):
+            imported.append(sub.module or "")
+    assert [name for name in imported if name.partition(".")[0] == "scipy"] == []

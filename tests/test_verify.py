@@ -4,9 +4,13 @@ bound directions, and the one table that declares every check."""
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import morseband
 from morseband import ConfigError, verify
 from morseband.cli import main
 
@@ -86,6 +90,28 @@ class TestWorstCase:
         assert by_name["bessel_recurrence"]["measured"] == "nan"
         assert by_name["bessel_recurrence"]["passed"] is False
         assert report["passed"] is False
+
+
+class TestSpecfunChecks:
+    def test_laguerre_orthogonality_catches_a_wrong_alpha(self, monkeypatch):
+        # the check's Gauss rule is numpy's, not built from the polynomials
+        # it tests: shifting their alpha breaks the orthogonality it measures
+        laguerre = verify.laguerre
+        monkeypatch.setattr(verify, "laguerre", lambda m, alpha, x: laguerre(m, alpha + 1.0, x))
+        result = verify._CHECKS["laguerre_orthogonality"](1e-9)
+        assert result.passed is False
+        assert result.measured > 1e-3
+
+    def test_specfun_suite_does_not_import_scipy_linalg(self):
+        src = os.path.dirname(os.path.dirname(morseband.__file__))
+        code = (
+            "import contextlib, io, sys; from morseband import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['verify', '--suite', 'specfun'])\n"
+            "sys.exit(code or 3 * ('scipy.linalg' in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
 class TestTables:
