@@ -475,9 +475,12 @@ def _digit_texts() -> tuple[np.ndarray, ...]:
     (zero-padded) whose first three bytes the digits overwrite."""
     heads = (b"%s%d." % (sign, d) for sign in (b"", b"\0", b"-") for d in range(10))
     heads = np.frombuffer(b"".join(h.ljust(4, b"\0") for h in heads), np.uint32)
-    quads = [b"%04d" % i for i in range(10**4)]
-    firsts = np.frombuffer(b"".join(q + b"\0\0\0\0" for q in quads), np.uint64)
-    seconds = np.frombuffer(b"".join(b"\0\0\0\0" + q for q in quads), np.uint64)
+    quads = (np.arange(10**4)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    pad = np.zeros_like(quads)
+    firsts = np.hstack([quads, pad]).view(np.uint64)[:, 0]
+    seconds = np.hstack([pad, quads]).view(np.uint64)[:, 0]
+    for words in (firsts, seconds):
+        words.setflags(write=False)
     tails = [b"e%+03d" % E for E in range(_E_MIN, _E_MAX + 1)]
     short = np.frombuffer(b"".join(t[:4] for t in tails), np.uint32)
     long = np.frombuffer(b"".join(b"\0\0\0" + t.ljust(5, b"\0") for t in tails), np.uint64)

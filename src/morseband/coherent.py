@@ -26,7 +26,7 @@ from .errors import DomainError
 from .model import PhysParams, QuantumNumbers
 from .quadrature import GridSpec, IntegrationResult, integrate_semi_infinite_u
 from .specfun import bessel_i, bessel_k
-from .states import SampledState, _Field, _grid_axes, measure_weight, wavefunction
+from .states import SampledState, _Field, _frame, _grid_axes, wavefunction
 
 __all__ = [
     "CoherentSpec",
@@ -177,8 +177,7 @@ def _closed_field(spec: CoherentSpec, p: PhysParams, grid: GridSpec) -> _Field |
     itself at Z = 0, else the samples of :func:`_closed_rows`."""
     if spec.Z == 0:
         return replace(wavefunction(QuantumNumbers(spec.l, spec.l + 1), p, grid), labels=None)
-    x = _grid_axes(grid, p.a0)[0]
-    return _Field(grid, _closed_rows(spec, p, grid), measure_weight(x, p), p.a0)
+    return _Field(grid, _closed_rows(spec, p, grid), _frame(grid, p)[1], p.a0)
 
 
 def _closed_rows(spec: CoherentSpec, p: PhysParams, grid: GridSpec):

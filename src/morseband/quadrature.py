@@ -16,7 +16,9 @@ and every integrand here dies out in x well inside the window). States
 are held as y-Fourier mode columns (see ``states.SampledState``), so the
 y sum is taken by Parseval: dy times the sum over a row's ny samples is
 y_period times the sum over its mode columns, and columns of different
-DFT indices are orthogonal.
+DFT indices are orthogonal. The row weights are built once per grid and
+period and frozen, as ``states`` builds a grid's axes and measure weight
+once per grid and parameters.
 
 Grid derivatives live here too, acting on mode columns: spectral
 differentiation along the periodic axis is a multiplication of each
@@ -185,13 +187,15 @@ def grid_inner_product(a, b) -> complex:
     0 * inf. Only the mode columns both states hold meet in the product
     (columns of distinct DFT indices are orthogonal over the period), and
     each row's sum over them is weighted by ``_row_weights``, in a fixed
-    order, so repeated calls are bit-identical.
+    order, so repeated calls are bit-identical. States built on one grid
+    and parameters hold the one frozen weight array of ``states._frame``,
+    which needs no comparison element by element.
     """
     if a.grid != b.grid:
         raise GridMismatchError(f"states sampled on different grids: {a.grid} vs {b.grid}")
     if a.y_period != b.y_period:
         raise GridMismatchError("states carry different periodic lengths")
-    if not np.array_equal(a.weight, b.weight):
+    if a.weight is not b.weight and not np.array_equal(a.weight, b.weight):
         raise GridMismatchError("states carry different measure weights")
     ia = ib = slice(None)
     if not np.array_equal(a.k, b.k):

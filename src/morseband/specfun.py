@@ -96,7 +96,7 @@ def digamma(x: float) -> float:
 def trigamma(x: float) -> float:
     """First derivative of digamma; equals the Hurwitz zeta value zeta(2, x)."""
     _positive(x, "trigamma")
-    return _finite(float(special.polygamma(1, x)), f"trigamma({x})")
+    return _finite(float(special.zeta(2.0, x)), f"trigamma({x})")
 
 
 def laguerre(m: int, alpha: float, u):
@@ -144,18 +144,27 @@ def bessel_j(nu: float, z: complex) -> complex:
     return _finite(complex(special.jv(nu, complex(z))), f"J_{nu}({z})")
 
 
-def bessel_i(nu: float, x: float, scaled: bool = False) -> float:
+def bessel_i(nu: float, x, scaled: bool = False):
     """Modified Bessel function of the first kind, I_nu(x), real nu >= 0
-    and x >= 0. ``scaled=True`` returns e^-x I_nu(x), which stays
-    representable where I_nu(x) itself overflows and raises RangeError.
+    and x >= 0.
+
+    ``x`` may be a float or a numpy array; the result broadcasts
+    elementwise. ``scaled=True`` returns e^-x I_nu(x), which stays
+    representable where I_nu(x) itself overflows. Raises DomainError for
+    any x that is not finite and non-negative, and RangeError when any
+    value overflows.
     """
     if not (nu >= 0.0 and math.isfinite(nu)):
         raise DomainError(f"bessel_i requires finite nu >= 0, got {nu!r}")
-    if not (x >= 0.0 and math.isfinite(x)):
+    if not np.all((np.asarray(x) >= 0.0) & np.isfinite(x)):
         raise DomainError(f"bessel_i requires finite x >= 0, got {x!r}")
-    if scaled:
-        return _finite(float(special.ive(nu, x)), f"e^-x I_{nu}(x) at x = {x}")
-    return _finite(float(special.iv(nu, x)), f"I_{nu}({x}) (request the scaled variant)")
+    value = special.ive(nu, x) if scaled else special.iv(nu, x)
+    if not np.all(np.isfinite(value)):
+        # I_nu increases in x, so an overflow shows first at the largest x
+        at = x if np.ndim(x) == 0 else float(np.max(x))
+        what = f"e^-x I_{nu}(x) at x = {at}" if scaled else f"I_{nu}({at}) (request the scaled variant)"
+        raise RangeError(f"{what} is not a finite double")
+    return value if np.ndim(value) else float(value)
 
 
 def bessel_k(nu: float, x, scaled: bool = False):

@@ -19,6 +19,12 @@ the grid, whose dense samples are its own evaluation again. The
 symmetric-gauge Landau level also has an exact separated form, 2n+l+1
 products of Hermite-Gauss factors in x and in y, from which the
 flat-field moments are taken.
+
+A grid's axes, and the profile variable xi = e^(kappa x) and measure
+weight of a grid and parameters, are built once per key and frozen,
+like ``quadrature._row_weights``: every state, field and moment pass on
+that grid reads the same arrays. The caches are bounded and hold only
+these pure functions of their keys, never a state.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -214,10 +221,36 @@ def default_grid(p: PhysParams) -> GridSpec:
 
 
 def _grid_axes(grid: GridSpec, y_period: float) -> tuple[np.ndarray, np.ndarray]:
-    """The x and y axes of a grid whose periodic length is y_period."""
+    """The x and y axes of a grid whose periodic length is y_period, frozen,
+    built once per grid and period."""
+    # -0.0 == 0.0 as a key, yet linspace keeps a zero edge's sign, which
+    # the printed x column shows: the edges' signs are part of the key
+    return _signed_axes(grid, y_period, math.copysign(1.0, grid.x_min), math.copysign(1.0, grid.x_max))
+
+
+@lru_cache(maxsize=16)
+def _signed_axes(grid: GridSpec, y_period: float, *edge_signs: float) -> tuple[np.ndarray, np.ndarray]:
     x = np.linspace(grid.x_min, grid.x_max, grid.nx)
     y = -0.5 * y_period + np.arange(grid.ny) * (y_period / grid.ny)
+    x.setflags(write=False)
+    y.setflags(write=False)
     return x, y
+
+
+@lru_cache(maxsize=16)
+def _frame(grid: GridSpec, p: PhysParams) -> tuple[np.ndarray, np.ndarray]:
+    """xi = e^(kappa x) and the measure weight on the grid's x axis, frozen,
+    built once per grid and parameters. Neither depends on the sign of a
+    zero x, so the key needs no edge signs. xi may overflow to inf or
+    underflow to 0 at the window's edges; :func:`wavefunction` refuses
+    such a window."""
+    x = _grid_axes(grid, p.a0)[0]
+    with np.errstate(over="ignore"):
+        xi = np.exp(p.kappa * x)
+    weight = measure_weight(x, p)
+    xi.setflags(write=False)
+    weight.setflags(write=False)
+    return xi, weight
 
 
 def measure_weight(x, p: PhysParams):
@@ -318,9 +351,7 @@ def wavefunction(q: QuantumNumbers, p: PhysParams, grid: GridSpec) -> SampledSta
     one mode column -n mod ny, whose coefficient carries the phase
     e^(-i n kappa y[0]) = (-1)^n of y[0] = -a0/2.
     """
-    x = _grid_axes(grid, p.a0)[0]
-    with np.errstate(over="ignore"):
-        xi = np.exp(p.kappa * x)
+    xi, weight = _frame(grid, p)
     if not np.all(xi > 0.0):
         # xi underflows to 0 one step past where beta/xi overflows: the same
         # growing-side window, not a domain error of the profile
@@ -337,7 +368,7 @@ def wavefunction(q: QuantumNumbers, p: PhysParams, grid: GridSpec) -> SampledSta
         grid=grid,
         modes=column[:, None],
         k=np.array([-q.n % grid.ny]),
-        weight=measure_weight(x, p),
+        weight=weight,
         y_period=p.a0,
         labels=q,
     )

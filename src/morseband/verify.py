@@ -108,22 +108,31 @@ _POLYGAMMA_STEP = 1e-4
 # ---------------------------------------------------------------- specfun
 
 
+def _orders(f, count: int, points: tuple[float, ...]) -> list[list[float]]:
+    """f(m, x) for the orders or degrees m = 0 .. count-1, one call per m
+    on the whole point tuple: row m holds the values at the points."""
+    table = np.empty((count, len(points)))
+    for m in range(count):
+        table[m] = f(float(m), np.array(points))
+    return table.tolist()
+
+
 def _bessel_recurrence():
+    xs = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0)
+    i = _orders(bessel_i, 17, xs)
     for nu in range(1, 16):
-        for x in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0):
-            lower_order = bessel_i(nu - 1.0, x)
-            resid = abs(
-                lower_order - bessel_i(nu + 1.0, x) - (2.0 * nu / x) * bessel_i(float(nu), x)
-            ) / abs(lower_order)
+        for j, x in enumerate(xs):
+            lower_order = i[nu - 1][j]
+            resid = abs(lower_order - i[nu + 1][j] - (2.0 * nu / x) * i[nu][j]) / abs(lower_order)
             yield resid, f"nu={nu}, x={x:g}"
 
 
 def _bessel_wronskian():
+    xs = (0.1, 0.3, 1.0, 1.9, 2.0, 3.7, 10.0, 25.0, 50.0)
+    i, k = _orders(bessel_i, 17, xs), _orders(bessel_k, 17, xs)
     for nu in range(16):
-        for x in (0.1, 0.3, 1.0, 1.9, 2.0, 3.7, 10.0, 25.0, 50.0):
-            lhs = bessel_i(float(nu), x) * bessel_k(nu + 1.0, x) + bessel_i(
-                nu + 1.0, x
-            ) * bessel_k(float(nu), x)
+        for j, x in enumerate(xs):
+            lhs = i[nu][j] * k[nu + 1][j] + i[nu + 1][j] * k[nu][j]
             yield x * abs(lhs - 1.0 / x), f"nu={nu}, x={x:g}"
 
 
@@ -133,12 +142,14 @@ def _generating_identity():
     form rests on."""
     points = (0.5, 1.5, 3.0, 5.0)
     for alpha in (1, 3, 5):
-        for u in points:
+        table = _orders(lambda N, u: laguerre(N, float(alpha), u), 40, points)
+        ln_norms = [ln_gamma(N + alpha + 1.0) for N in range(40)]
+        for j, u in enumerate(points):
             for v in points:
                 total = 0.0
                 for N in range(40):
-                    coeff = math.exp(N * math.log(v) - ln_gamma(N + alpha + 1.0))
-                    total += coeff * float(laguerre(N, float(alpha), u))
+                    coeff = math.exp(N * math.log(v) - ln_norms[N])
+                    total += coeff * table[N][j]
                 target = (
                     math.exp(v)
                     * (u * v) ** (-0.5 * alpha)

@@ -342,10 +342,22 @@ class TestDeterminism:
         code, _ = run(tmp_path, "verify", "--suite", "states")
         assert code == 2
 
-    def test_requests_in_one_process_are_fresh_runs(self, monkeypatch):
+    def test_requests_in_one_process_are_fresh_runs(self, monkeypatch, tmp_path):
         # main builds its parser once per process: each request after the
         # first must still print and exit as a fresh process does, with no
-        # option value, appended --tol list or default left over
+        # option value, appended --tol list or default left over; nor may a
+        # grid's cached axes or frame leak into a request on another window,
+        # other parameters, or a window edge of -0.0 where one had 0.0
+        window = "x_min=-4.0\nx_max=40.0\nnx=4096\nny=16\n"
+        configs = {
+            "window": window,
+            "window_b0": "B0=1.5\n" + window,
+            "zero_edge": "x_min=-12.0\nx_max=0.0\nnx=16\nny=16\n",
+            "negative_zero_edge": "x_min=-12.0\nx_max=-0.0\nnx=16\nny=16\n",
+        }
+        for name, text in configs.items():
+            (tmp_path / f"{name}.cfg").write_text(text)
+        cfg = {name: str(tmp_path / f"{name}.cfg") for name in configs}
         argvs = [
             ["--tol", "bessel_recurrence=1e-30", "--tol", "polygamma_consistency=1e-3",
              "verify", "--suite", "specfun"],
@@ -358,7 +370,13 @@ class TestDeterminism:
             ["--tol", "orthodoxy=1e-8", "verify", "--suite", "specfun"],
             ["--format", "json", "landau-limit", "--N", "1", "--l-schedule", "10,100"],
             ["landau-limit"],
+            ["uncertainty", "--l-max", "1"],
+            ["--config", cfg["window"], "uncertainty", "--l-max", "1"],
+            ["--config", cfg["window_b0"], "uncertainty", "--l-max", "1"],
+            ["verify", "--suite", "states"],
         ]
+        for kind in (["eigen"], ["landau-sym", "--n", "0", "--l", "1"]):
+            argvs += [["--config", cfg[edge], "export", "--kind", *kind] for edge in ("zero_edge", "negative_zero_edge")]
         # argparse wraps its usage text to the terminal's width
         monkeypatch.setenv("COLUMNS", "80")
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(morseband.__file__))}
@@ -1107,10 +1125,11 @@ class TestE17Fields:
         assert [repr(x) for x in calls] == [repr(x) for x in want]
 
     def test_no_table_is_built_at_import(self):
-        # neither the writer's tables nor the parser: importing the module stays cheap
+        # neither the writer's tables, the parser, nor a grid's axes or
+        # frame: importing the module stays cheap
         src = os.path.dirname(os.path.dirname(morseband.__file__))
-        cached = ("_pow10_table", "_digit_texts", "_build_parser")
-        built = " + ".join(f"c.{name}.cache_info().currsize" for name in cached)
-        code = f"import morseband.cli as c, sys; sys.exit({built})"
+        cached = ("c._pow10_table", "c._digit_texts", "c._build_parser", "s._signed_axes", "s._frame")
+        built = " + ".join(f"{name}.cache_info().currsize" for name in cached)
+        code = f"import morseband.cli as c, morseband.states as s, sys; sys.exit({built})"
         env = {**os.environ, "PYTHONPATH": src}
         assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

@@ -104,3 +104,23 @@ def test_quadrature_imports_nothing_from_scipy():
         elif isinstance(sub, ast.ImportFrom):
             imported.append(sub.module or "")
     assert [name for name in imported if name.partition(".")[0] == "scipy"] == []
+
+
+def _callers(name: str) -> list[tuple[str, str]]:
+    """(module, top-level definition) of every call the package makes to
+    ``name``, bare or as an attribute, module by module."""
+    src = Path(morseband.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            for sub in ast.walk(stmt):
+                if isinstance(sub, ast.Call) and name in _identifiers(sub.func):
+                    found.append((path.name, getattr(stmt, "name", "")))
+    return found
+
+
+def test_one_way_to_build_grid_axes_and_the_measure():
+    # the strip grid's axes and its measure weight are built in one place
+    # each, and every state, field and moment pass reads them from there
+    assert _callers("measure_weight") == [("states.py", "_frame")]
+    assert _callers("linspace") == [("quadrature.py", "integrate_semi_infinite_u"), ("states.py", "_signed_axes")]

@@ -220,9 +220,20 @@ class TestGridInnerProduct:
 
     def test_grid_mismatch_raises(self):
         a = _flat_state(16, 8, lambda x: x)
-        for other in (_flat_state(32, 8, lambda x: x), _flat_state(16, 8, lambda x: x, y_period=2.0)):
+        reweighted = dataclasses.replace(a, weight=np.where(np.arange(16) == 3, 2.0, 1.0))
+        for other in (
+            _flat_state(32, 8, lambda x: x),
+            _flat_state(16, 8, lambda x: x, y_period=2.0),
+            reweighted,
+        ):
             with pytest.raises(GridMismatchError):
                 grid_inner_product(a, other)
+
+    def test_equal_weights_in_distinct_objects_are_one_measure(self):
+        a = _flat_state(16, 8, lambda x: x)
+        b = dataclasses.replace(a, weight=a.weight.copy())
+        assert b.weight is not a.weight
+        assert grid_inner_product(a, b) == grid_inner_product(a, a)
 
 
 class TestDerivatives:

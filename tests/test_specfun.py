@@ -175,11 +175,22 @@ class TestBesselI:
         want = mpf(mpmath.besseli(0, 2000) * mpmath.e ** mpmath.mpf(-2000))
         assert abs(bessel_i(0.0, 2000.0, scaled=True) - want) <= 1e-12 * want
 
+    def test_array_argument_matches_scalar_calls(self):
+        x = np.array([0.0, 0.1, 2.0, 50.0, 700.0])
+        for scaled in (False, True):
+            got = bessel_i(5.0, x, scaled=scaled)
+            want = np.array([bessel_i(5.0, float(v), scaled=scaled) for v in x])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_guards(self):
         with pytest.raises(DomainError):
             bessel_i(-1.0, 1.0)
         with pytest.raises(DomainError):
             bessel_i(0.0, -0.5)
+        with pytest.raises(DomainError):
+            bessel_i(0.0, np.array([1.0, -0.5]))
+        with pytest.raises(RangeError):
+            bessel_i(0.0, np.array([1.0, 720.0]))
 
 
 class TestBesselK:
@@ -274,6 +285,8 @@ class TestNonFiniteArguments:
             (bessel_k, (0, math.inf), {}, DomainError),
             (bessel_k, (0, math.inf), {"scaled": True}, DomainError),
             (bessel_k, (0, np.array([1.0, math.nan])), {}, DomainError),
+            (bessel_i, (0.0, np.array([1.0, math.inf])), {"scaled": True}, DomainError),
+            (bessel_i, (0.0, np.array([math.nan, 1.0])), {}, DomainError),
         ],
     )
     def test_refused(self, fn, args, kwargs, error):

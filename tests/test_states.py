@@ -35,6 +35,8 @@ from morseband import (
     ode_residual,
     wavefunction,
 )
+from morseband import coherent, states
+from morseband.coherent import CoherentSpec
 from morseband.states import landau_box
 
 
@@ -307,3 +309,56 @@ class TestLandauStates:
         grid = GridSpec(-1.0, 1.0, 16, 8)
         with pytest.raises(DomainError):
             landau_state_asym(LandauParams(gauge="symmetric", n=0, l=0), p, grid)
+
+
+class TestFrame:
+    # a grid's axes, and xi and the measure weight of a grid and parameters,
+    # are built once per key and frozen; every build reads the same arrays
+
+    def test_arrays_are_frozen_and_shared(self, p):
+        grid = default_grid(p)
+        for arr in (*states._grid_axes(grid, p.a0), *states._frame(grid, p)):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        a = wavefunction(QuantumNumbers(0, 1), p, grid)
+        b = wavefunction(QuantumNumbers(1, 3), p, grid)
+        assert a.weight is b.weight
+        assert a.x is b.x and a.y is b.y
+
+    def test_a_zero_edge_keeps_its_sign(self, p):
+        # -0.0 == 0.0 as a key, but linspace keeps the edge's sign
+        for edge in (0.0, -0.0, 0.0):
+            x = states._grid_axes(GridSpec(-12.0, edge, 16, 8), p.a0)[0]
+            assert math.copysign(1.0, x[-1]) == math.copysign(1.0, edge)
+
+    def test_builds_are_those_of_directly_computed_arrays(self, p, monkeypatch):
+        # each build twice through the caches, and once from axes and a
+        # weight computed directly, bit for bit
+        grid = GridSpec(p.x_weight_mode - 3.0, p.x_weight_mode + 9.0, 97, 16)
+        lp = LandauParams(gauge="asymmetric", N=2, k_y=0.7)
+        p_box, box = landau_box(lp, p, 96, 16)
+        builds = {
+            "eigen": lambda: wavefunction(QuantumNumbers(1, 3), p, grid),
+            "coherent": lambda: coherent._closed_field(CoherentSpec(1, 1.2 - 0.4j), p, grid),
+            "landau-asym": lambda: states._landau_asym_field(lp, p_box, box),
+            "landau-sym": lambda: states._landau_sym_field(2, 1, p_box, box),
+        }
+
+        def bits(s):
+            return [a.view(np.uint64).tobytes() for a in (s.values, s.x, s.y, s.weight)]
+
+        cached = {name: [bits(build()), bits(build())] for name, build in builds.items()}
+
+        def axes(grid, y_period):
+            x = np.linspace(grid.x_min, grid.x_max, grid.nx)
+            return x, -0.5 * y_period + np.arange(grid.ny) * (y_period / grid.ny)
+
+        def frame(grid, p):
+            x = np.linspace(grid.x_min, grid.x_max, grid.nx)
+            return np.exp(p.kappa * x), measure_weight(x, p)
+
+        for module in (states, coherent):
+            monkeypatch.setattr(module, "_grid_axes", axes)
+            monkeypatch.setattr(module, "_frame", frame)
+        for name, build in builds.items():
+            assert cached[name] == [bits(build())] * 2, name

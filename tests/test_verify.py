@@ -2,6 +2,7 @@
 bound directions, and the one table that declares every check."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -112,6 +113,26 @@ class TestSpecfunChecks:
         )
         env = {**os.environ, "PYTHONPATH": src}
         assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
+
+class TestPinnedReports:
+    # sha256 of the reports at one worker thread as the scalar-call checks
+    # and the per-call grid axes and weights wrote them
+    PINNED = {
+        ("verify", "--suite", "specfun"):
+            "d20082bcb7dcba9ddef059b90be5c612989d9585cfab108dfd97ed521ff4eb39",
+        ("verify", "--suite", "states"):
+            "947bc223145e1616921f11f5048292db172345f590198fae1b645d2596240a22",
+        ("uncertainty", "--l-max", "3"):
+            "e87f34f4990219d2b5f74954df593a847011493d9b564d2f2b0bc2e9f064a369",
+    }
+
+    @pytest.mark.parametrize("argv", sorted(PINNED))
+    def test_pinned_bytes(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("MORSEBAND_THREADS", "1")
+        assert main(list(argv)) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == self.PINNED[argv]
 
 
 class TestTables:
