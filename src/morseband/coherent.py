@@ -5,12 +5,13 @@ levels (l, l+N+1) with coefficients fixed by the lowering-operator
 eigenvalue property. Two independent evaluations are provided:
 
 * the defining series over eigenstates, and
-* a closed form in J_{2l+1}(2s)/s^(2l+1) with s^2 = beta Z e^(-kappa(x+iy)).
+* a closed form in J_{2l+1}(2s)/s^(2l+1) with s^2 = t = beta Z e^(-kappa(x+iy)).
 
 For the integer order a = 2l+1 that ratio is even in s (J_a(-z) =
-(-1)^a J_a(z)), so any s chosen consistently gives the exact value: the
-closed form carries no branch cut, and the series stays the defining
-object.
+(-1)^a J_a(z)): it is an entire function of t, so the closed form carries
+no branch cut, and the series over eigenstates stays the defining object.
+The closed form sums that function as its power series in t where
+|t| <= 1, and takes it from scipy's exponentially scaled J beyond.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ __all__ = [
 ]
 
 _OMITTED_COEFF_LIMIT = 1e-14
+# Terms of the closed form's Bessel series kept where |t| <= 1: at l = 0 the
+# first omitted one, 1/(12! 13!), is below 2^-60, and smaller at larger l.
+_SERIES_TERMS = 12
 # Largest supported |Z|: at 2|Z| <= 700 the normalization's I_{2l+1}(2|Z|)
 # is still a finite double even unscaled (I_1 overflows near 713).
 _Z_MAX = 350.0
@@ -161,12 +165,13 @@ def bg_state_closed(spec: CoherentSpec, p: PhysParams, grid: GridSpec) -> Sample
 
     With a = 2l+1 and s = sqrt(beta Z) e^(-kappa(x+iy)/2), the state is
     C e^(Z e^(-i kappa y) - (l+1) kappa (x+iy)) (beta |Z|)^(a/2) J_a(2s) / s^a,
-    C = sqrt(2 pi a / I_a(2|Z|)) / a0. The samples of :func:`_closed_rows`
-    are transformed a block of rows at a time to the state's ny mode
-    columns, and the state's ``values`` are those samples evaluated again.
-    At Z = 0 the state reduces to the bottom level (l, l+1) exactly. A
-    window reaching so far to the growing side that the state overflows
-    raises RangeError.
+    C = sqrt(2 pi a / I_a(2|Z|)) / a0. J_a(2s)/s^a is summed as its power
+    series in t = s^2 where |t| <= 1 and taken from scipy's ``jve``
+    beyond (:func:`_closed_rows`). The samples are transformed a block of
+    rows at a time to the state's ny mode columns, and the state's
+    ``values`` are those samples evaluated again. At Z = 0 the state
+    reduces to the bottom level (l, l+1) exactly. A window reaching so far
+    to the growing side that the state overflows raises RangeError.
     """
     field = _closed_field(spec, p, grid)
     return field.state() if isinstance(field, _Field) else field
@@ -177,40 +182,84 @@ def _closed_field(spec: CoherentSpec, p: PhysParams, grid: GridSpec) -> _Field |
     itself at Z = 0, else the samples of :func:`_closed_rows`."""
     if spec.Z == 0:
         return replace(wavefunction(QuantumNumbers(spec.l, spec.l + 1), p, grid), labels=None)
-    return _Field(grid, _closed_rows(spec, p, grid), _frame(grid, p)[1], p.a0)
+    return _Field(grid, _closed_rows(spec, p, grid), _frame(grid, p).weight, p.a0)
 
 
 def _closed_rows(spec: CoherentSpec, p: PhysParams, grid: GridSpec):
     """The closed form's samples on the grid, as a function of (a, b)
-    giving rows a..b-1, for Z != 0. J_a(2s)/s^a is even in s, so either
-    square root gives the exact value as long as s^a is the a-th power of
-    the s that enters J: no branch decision survives into the numerics.
-    Every factor but the exponentially scaled Bessel value
-    jve(a, 2s) = J_a(2s) e^(-|Im 2s|) is summed as one exponent before a
-    single exp. A sample that overflows comes out non-finite; call under
-    ``np.errstate(over="ignore", invalid="ignore")`` to hear no warning."""
+    giving rows a..b-1, for Z != 0.
+
+    With t = s^2 = beta Z e^(-kappa(x+iy)), J_a(2s)/s^a is the entire
+    function F(t) = sum_k (-t)^k / (k! (a+k)!) (DLMF 10.2.2): no branch
+    decision survives into the numerics. |t| = beta |Z| e^(-kappa x)
+    falls along x, and the rows split once, at one row index:
+
+    * where |t| <= 1, F(t) = G(t)/a! with G(t) = sum_k (-t)^k / (k! (a+1)_k)
+      summed by Horner over its first ``_SERIES_TERMS`` terms, and every
+      other factor, -ln a! included, summed as one exponent
+      ln C + (l+1/2) ln(beta |Z|) - ln a! - (l+1) kappa (x+iy) + Z e^(-i kappa y)
+      before a single exp. J_a(2s) has no zero there, and the terms
+      cancel by at most e^2;
+    * where |t| > 1, on scipy's exponentially scaled value
+      jve(a, 2s) = J_a(2s) e^(-|Im 2s|), with s^-a (s the root that
+      enters J, so either root gives the exact value), e^|Im 2s| and every
+      other factor summed as one exponent before a single exp.
+
+    Each sample depends on its row's side of the split alone, so a row
+    reads the same whichever block asks for it. A sample that overflows
+    comes out non-finite; call under ``np.errstate(over="ignore",
+    invalid="ignore")`` to hear no warning."""
     l, z = spec.l, spec.Z
+    order = 2 * l + 1
     x, y = _grid_axes(grid, p.a0)
     kappa = p.kappa
     root = cmath.sqrt(p.beta * z)  # s at x = y = 0
-    # ln C + (l + 1/2) ln(beta |Z|) - a ln(root): the moduli cancel
-    ln_front = (
-        0.5 * math.log(2.0 * math.pi * (2 * l + 1))
-        - math.log(p.a0)
-        - 0.5 * _ln_bessel_norm(l, abs(z))
-        - 1j * (2 * l + 1) * cmath.phase(root)
-    )
-    y_phase = np.exp(-0.5j * kappa * y)
-    y_exponent = z * np.exp(-1j * kappa * y) - 0.5j * kappa * y
+    ln_c = 0.5 * math.log(2.0 * math.pi * order) - math.log(p.a0) - 0.5 * _ln_bessel_norm(l, abs(z))
+    ln_beta_z = math.log(p.beta) + math.log(abs(z))
+    # rows split..nx-1 have kappa x >= ln(beta |Z|), that is |t| <= 1
+    split = int(np.count_nonzero(kappa * x < ln_beta_z))
+    y_wave = np.exp(-1j * kappa * y)
 
-    def rows(a: int, b: int) -> np.ndarray:
+    # (l + 1/2) ln(beta |Z|) - a ln(root): the moduli cancel
+    ln_front = ln_c - 1j * order * cmath.phase(root)
+    y_phase = np.exp(-0.5j * kappa * y)
+    y_exponent = z * y_wave - 0.5j * kappa * y
+
+    def bessel_rows(a: int, b: int) -> np.ndarray:
         xs = x[a:b]
         two_s = np.multiply.outer(2.0 * root * np.exp(-0.5 * kappa * xs), y_phase)
         values = np.add.outer(ln_front - 0.5 * kappa * xs, y_exponent)
         values += np.abs(two_s.imag)
         np.exp(values, out=values)
-        values *= special.jve(2 * l + 1, two_s, out=two_s)
+        values *= special.jve(order, two_s, out=two_s)
         return values
+
+    ln_series = ln_c + (l + 0.5) * ln_beta_z - math.lgamma(order + 1.0)
+    y_series = z * y_wave - 1j * (l + 1) * kappa * y
+    # G's coefficients 1/(k! (a+1)_k) of (-t)^k
+    coeffs = [1.0]
+    for k in range(1, _SERIES_TERMS):
+        coeffs.append(coeffs[-1] / (k * (order + k)))
+
+    def series_rows(a: int, b: int) -> np.ndarray:
+        xs = x[a:b]
+        minus_t = np.multiply.outer(-p.beta * z * np.exp(-kappa * xs), y_wave)
+        g = minus_t * coeffs[-1]
+        g += coeffs[-2]
+        for c in coeffs[-3::-1]:
+            g *= minus_t
+            g += c
+        values = np.add.outer(ln_series - (l + 1) * kappa * xs, y_series)
+        np.exp(values, out=values)
+        values *= g
+        return values
+
+    def rows(a: int, b: int) -> np.ndarray:
+        if b <= split:
+            return bessel_rows(a, b)
+        if a >= split:
+            return series_rows(a, b)
+        return np.concatenate((bessel_rows(a, split), series_rows(split, b)))
 
     return rows
 

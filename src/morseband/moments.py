@@ -198,9 +198,10 @@ def _grid_moments(
     separated form (see ``landau_delta``). By Parseval a row's sum over
     the samples is ny times its sum over the mode columns, a constant
     every normalised moment cancels. Each moment is one array dotted with
-    ``quadrature._row_weights`` times 1, x or x^2. A non-finite sample or
-    derivative, or a norm that underflows to 0 (a window where the state
-    is dead), raises RangeError.
+    ``quadrature._row_weights`` times 1, x or x^2, by ``einsum``: a BLAS
+    dot splits a long sum across its threads, so its bits would follow
+    the thread count. A non-finite sample or derivative, or a norm that
+    underflows to 0 (a window where the state is dead), raises RangeError.
     """
     scaled = isinstance(s, SampledState)
     if scaled:
@@ -222,21 +223,25 @@ def _grid_moments(
                     ket *= root_w[a:b]
                 np.einsum("ij,ij->i", bra, ket, out=row[a:b])
     wx = _row_weights(grid, y_period)
+
+    def dot(u: np.ndarray, v: np.ndarray):
+        return np.einsum("i,i->", u, v)
+
     # a moment that overflows is refused by MomentSet, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         xwx = x * wx
-        norm = wx @ density
+        norm = dot(wx, density)
         if not (0.0 < norm < math.inf and np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
             raise RangeError(
                 "the state's weighted norm underflows, or its momentum integrands "
                 "overflow, on this grid; move the window toward the weight mode"
             )
         return MomentSet.from_means(
-            mean_x=xwx @ density / norm,
-            mean_x2=(x * xwx) @ density / norm,
-            mean_p=-1j * hbar * (wx @ d1) / norm,
-            mean_p2=-(hbar**2) * (wx @ d2) / norm,
-            mean_xp=-1j * hbar * (xwx @ d1) / norm,
+            mean_x=dot(xwx, density) / norm,
+            mean_x2=dot(x * xwx, density) / norm,
+            mean_p=-1j * hbar * dot(wx, d1) / norm,
+            mean_p2=-(hbar**2) * dot(wx, d2) / norm,
+            mean_xp=-1j * hbar * dot(xwx, d1) / norm,
             hbar=hbar,
         )
 

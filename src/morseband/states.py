@@ -20,20 +20,24 @@ symmetric-gauge Landau level also has an exact separated form, 2n+l+1
 products of Hermite-Gauss factors in x and in y, from which the
 flat-field moments are taken.
 
-A grid's axes, and the profile variable xi = e^(kappa x) and measure
-weight of a grid and parameters, are built once per key and frozen,
+A grid's axes, and the frame of a grid and parameters (the measure
+weight, the profile's argument u = beta/xi and ln xi, and whether the
+window admits the profile at all), are built once per key and frozen,
 like ``quadrature._row_weights``: every state, field and moment pass on
-that grid reads the same arrays. The caches are bounded and hold only
-these pure functions of their keys, never a state.
+that grid reads the same arrays, and a level's profile is computed from
+them with no per-level check. The caches are bounded and hold only these
+pure functions of their keys, never a state.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,7 +120,7 @@ class SampledState:
             )
         if self.weight.shape != (self.grid.nx,):
             raise DomainError("weight must be sampled along x only")
-        if np.any(self.weight < 0.0) or not np.all(np.isfinite(self.weight)):
+        if not (_CHECKED_WEIGHTS.get(id(self.weight)) is self.weight or _weight_ok(self.weight)):
             raise DomainError("weight samples must be finite and non-negative")
         if not np.all(np.isfinite(self.modes)):
             raise _amplitude_overflow()
@@ -152,6 +156,15 @@ class SampledState:
             out = np.fft.ifft(full, axis=1, norm="forward")
         out.setflags(write=False)
         return out
+
+
+def _weight_ok(weight: np.ndarray) -> bool:
+    return not np.any(weight < 0.0) and bool(np.all(np.isfinite(weight)))
+
+
+# The frames' weights that were _weight_ok when their frame was built, by
+# identity: a state on one of them is not scanned again.
+_CHECKED_WEIGHTS: "weakref.WeakValueDictionary[int, np.ndarray]" = weakref.WeakValueDictionary()
 
 
 def _amplitude_overflow() -> RangeError:
@@ -237,20 +250,51 @@ def _signed_axes(grid: GridSpec, y_period: float, *edge_signs: float) -> tuple[n
     return x, y
 
 
+_ARGUMENT_OVERFLOW = "profile argument beta/xi overflows on this grid; shrink the window on the growing side"
+
+
+class _Frame(NamedTuple):
+    """What a grid and parameters fix of every state on them, frozen: the
+    measure weight on the grid's x axis, and the profile's argument
+    u = beta/xi and ln xi, xi = e^(kappa x). Where xi or u is not a finite
+    positive double on the window, u and ln_xi are None and ``refusal``
+    is the message :func:`wavefunction` raises RangeError with."""
+
+    weight: np.ndarray
+    u: np.ndarray | None
+    ln_xi: np.ndarray | None
+    refusal: str | None
+
+
 @lru_cache(maxsize=16)
-def _frame(grid: GridSpec, p: PhysParams) -> tuple[np.ndarray, np.ndarray]:
-    """xi = e^(kappa x) and the measure weight on the grid's x axis, frozen,
-    built once per grid and parameters. Neither depends on the sign of a
-    zero x, so the key needs no edge signs. xi may overflow to inf or
-    underflow to 0 at the window's edges; :func:`wavefunction` refuses
-    such a window."""
+def _frame(grid: GridSpec, p: PhysParams) -> _Frame:
+    """The frame of a grid and parameters, built once per key. Nothing in
+    it depends on the sign of a zero x, so the key needs no edge signs.
+    ``SampledState``'s weight check runs on the weight here, once; a
+    weight that fails it is left for every state on it to refuse."""
     x = _grid_axes(grid, p.a0)[0]
+    weight = measure_weight(x, p)
+    weight.setflags(write=False)
+    if _weight_ok(weight):
+        _CHECKED_WEIGHTS[id(weight)] = weight
     with np.errstate(over="ignore"):
         xi = np.exp(p.kappa * x)
-    weight = measure_weight(x, p)
-    xi.setflags(write=False)
-    weight.setflags(write=False)
-    return xi, weight
+    if not np.all(xi > 0.0):
+        # xi underflows to 0 one step past where beta/xi overflows: the same
+        # growing-side window, not a domain error of the profile
+        return _Frame(weight, None, None, _ARGUMENT_OVERFLOW)
+    if not np.all(np.isfinite(xi)):
+        return _Frame(
+            weight, None, None, "xi = e^(kappa x) overflows on this grid; shrink the window on the decaying side"
+        )
+    with np.errstate(over="ignore"):
+        u = p.beta / xi
+    if not np.all(np.isfinite(u)):
+        return _Frame(weight, None, None, _ARGUMENT_OVERFLOW)
+    ln_xi = np.log(xi)
+    u.setflags(write=False)
+    ln_xi.setflags(write=False)
+    return _Frame(weight, u, ln_xi, None)
 
 
 def measure_weight(x, p: PhysParams):
@@ -266,13 +310,6 @@ def measure_weight(x, p: PhysParams):
     with np.errstate(over="ignore"):
         out = np.exp(kx - p.beta * np.exp(-kx))
     return float(out) if np.isscalar(x) else out
-
-
-def _argument_overflow() -> RangeError:
-    return RangeError(
-        "profile argument beta/xi overflows on this grid; shrink the window "
-        "on the growing side"
-    )
 
 
 def assoc_bessel(l: int, n: int, beta: float, xi):
@@ -292,18 +329,24 @@ def assoc_bessel(l: int, n: int, beta: float, xi):
     with np.errstate(over="ignore"):
         u = beta / xi_arr
     if not np.all(np.isfinite(u)):
-        raise _argument_overflow()
+        raise RangeError(_ARGUMENT_OVERFLOW)
+    value = _profile(l, n, beta, u, np.log(xi_arr))
+    return float(value) if np.isscalar(xi) else value
+
+
+def _profile(l: int, n: int, beta: float, u, ln_xi):
+    """The profile of :func:`assoc_bessel` from u = beta/xi and ln xi, one
+    formula for it and for :func:`wavefunction`, which reads both from
+    the frame. Far on the growing side the profile overflows to inf (or
+    inf * 0 = nan); wavefunction refuses such a state with RangeError."""
     ln_pref = (
         l * math.log(beta)
         + 0.5 * (math.lgamma(n - l) - math.lgamma(n + l + 1))
-        - (l + 1.0) * np.log(xi_arr)
+        - (l + 1.0) * ln_xi
     )
     poly = laguerre(n - l - 1, 2.0 * l + 1.0, u)
-    # far on the growing side the profile overflows to inf (or inf * 0 =
-    # nan); wavefunction refuses such a state with RangeError
     with np.errstate(over="ignore", invalid="ignore"):
-        value = np.exp(ln_pref) * poly
-    return float(value) if np.isscalar(xi) else value
+        return np.exp(ln_pref) * poly
 
 
 def assoc_bessel_rodrigues(l: int, n: int, beta: float, xi: float) -> float:
@@ -351,14 +394,10 @@ def wavefunction(q: QuantumNumbers, p: PhysParams, grid: GridSpec) -> SampledSta
     one mode column -n mod ny, whose coefficient carries the phase
     e^(-i n kappa y[0]) = (-1)^n of y[0] = -a0/2.
     """
-    xi, weight = _frame(grid, p)
-    if not np.all(xi > 0.0):
-        # xi underflows to 0 one step past where beta/xi overflows: the same
-        # growing-side window, not a domain error of the profile
-        raise _argument_overflow()
-    if not np.all(np.isfinite(xi)):
-        raise RangeError("xi = e^(kappa x) overflows on this grid; shrink the window on the decaying side")
-    profile = assoc_bessel(q.l, q.n, p.beta, xi)
+    fr = _frame(grid, p)
+    if fr.refusal is not None:
+        raise RangeError(fr.refusal)
+    profile = _profile(q.l, q.n, p.beta, fr.u, fr.ln_xi)
     amp = math.sqrt(-p.e * p.B0 / (math.pi * p.hbar * p.c) * (2 * q.l + 1))
     # an overflowing profile gives inf (or inf * 0 = nan) cells, which
     # SampledState refuses with RangeError
@@ -368,7 +407,7 @@ def wavefunction(q: QuantumNumbers, p: PhysParams, grid: GridSpec) -> SampledSta
         grid=grid,
         modes=column[:, None],
         k=np.array([-q.n % grid.ny]),
-        weight=weight,
+        weight=fr.weight,
         y_period=p.a0,
         labels=q,
     )

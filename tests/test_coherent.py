@@ -13,6 +13,7 @@ grid.
 """
 
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -44,6 +45,8 @@ from morseband import (
     wavefunction,
     weighted_norm,
 )
+from morseband import states
+from morseband.coherent import _closed_rows
 from morseband.quadrature import _row_weights
 
 import mpmath
@@ -301,6 +304,57 @@ class TestClosedFormReferee:
             warnings.simplefilter("error")
             with pytest.raises(RangeError, match="shrink the window on the growing side"):
                 bg_state_closed(CoherentSpec(1, 1.8 * cmath.exp(0.25j * math.pi)), p, grid)
+
+
+_SERIES_L = (0, 1, 3, 20, 60)
+_SERIES_Z = (1e-6, 0.7 + 0.3j, 9.5j, -8.41 + 0.18j, 40.0, 350.0)
+
+
+def _series_rows(p, grid, Z) -> np.ndarray:
+    """The rows where |t| = beta |Z| e^(-kappa x) <= 1, whose Bessel factor
+    the closed form sums as its power series in t."""
+    x = np.linspace(grid.x_min, grid.x_max, grid.nx)
+    return np.flatnonzero(p.beta * abs(Z) * np.exp(-p.kappa * x) <= 1.0)
+
+
+class TestSeriesRows:
+    @pytest.mark.parametrize(
+        "l, Z",
+        # at l = 60, |Z| = 1e-6 is refused: I_121(2|Z|) underflows
+        [(l, Z) for l in _SERIES_L for Z in _SERIES_Z if (l, Z) != (60, 1e-6)],
+    )
+    def test_cells_against_mpmath(self, p, l, Z):
+        # Eight rows from the split, where |t| is about 1, to the last row
+        # with a sample that is a normal double, and four such samples in
+        # each. Measured at most 1.9e-13 over these cases, at (60, 350),
+        # where the exponent's terms reach hundreds; the bound is fixed at
+        # 5e-13.
+        grid = default_coherent_grid(p)
+        series = _series_rows(p, grid, Z)
+        assert series[-1] == grid.nx - 1 and (series[0] > 0 or abs(Z) < 1e-3)
+        values = _closed_rows(CoherentSpec(l, Z), p, grid)(series[0], grid.nx)
+        normal = np.abs(values) >= np.finfo(float).tiny
+        rows = np.flatnonzero(np.any(normal, axis=1))
+        assert rows[0] == 0 and rows.size >= 64
+        x, y = states._grid_axes(grid, p.a0)
+        with mpmath.workdps(40):
+            for r in rows[np.linspace(0, rows.size - 1, 8).astype(int)]:
+                columns = np.flatnonzero(normal[r])
+                for j in columns[np.linspace(0, columns.size - 1, 4).astype(int)]:
+                    want, _ = _referee(p, l, Z, x[series[0] + r], y[j])
+                    assert abs(values[r, j] - want) <= 5e-13 * abs(want), (r, j)
+
+    @pytest.mark.parametrize("ny", [128, 8])
+    @pytest.mark.parametrize("l, Z", [(0, 0.7 + 0.3j), (1, -8.414789 + 0.184726j), (3, 40.0)])
+    def test_rows_do_not_depend_on_the_block(self, p, ny, l, Z):
+        # the default coherent grid, and the coherent command's ny = 8
+        grid = dataclasses.replace(default_coherent_grid(p), ny=ny)
+        rows = _closed_rows(CoherentSpec(l, Z), p, grid)
+        whole = rows(0, grid.nx)
+        split = _series_rows(p, grid, Z)[0]
+        assert 0 < split < grid.nx - 300
+        for a, b in [(split - 1, split + 1), (split - 5, split + 300), (0, split + 2), (split - 2, grid.nx)]:
+            assert np.array_equal(rows(a, b).view(np.uint64), whole[a:b].view(np.uint64)), (a, b)
 
 
 class TestMeasure:

@@ -317,7 +317,8 @@ class TestFrame:
 
     def test_arrays_are_frozen_and_shared(self, p):
         grid = default_grid(p)
-        for arr in (*states._grid_axes(grid, p.a0), *states._frame(grid, p)):
+        fr = states._frame(grid, p)
+        for arr in (*states._grid_axes(grid, p.a0), fr.weight, fr.u, fr.ln_xi):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
         a = wavefunction(QuantumNumbers(0, 1), p, grid)
@@ -330,6 +331,31 @@ class TestFrame:
         for edge in (0.0, -0.0, 0.0):
             x = states._grid_axes(GridSpec(-12.0, edge, 16, 8), p.a0)[0]
             assert math.copysign(1.0, x[-1]) == math.copysign(1.0, edge)
+
+    def test_the_weight_is_checked_once_per_frame(self, p, monkeypatch):
+        calls = []
+        weight_ok = states._weight_ok
+        monkeypatch.setattr(states, "_weight_ok", lambda w: calls.append(w.size) or weight_ok(w))
+        # a key no other test builds, so its frame is built here
+        grid = GridSpec(p.x_weight_mode - 2.0, p.x_weight_mode + 7.0, 131, 8)
+        for n in (1, 2, 3):
+            wavefunction(QuantumNumbers(0, n), p, grid)
+        assert calls == [131]
+        # a weight that is no frame's is checked on every state, and refused
+        with pytest.raises(DomainError, match="finite and non-negative"):
+            states.SampledState(grid, np.ones((131, 1)), np.array([0]), -np.ones(131), p.a0)
+        assert calls == [131, 131]
+
+    def test_the_profile_is_assoc_bessels(self, p):
+        # wavefunction reads u and ln xi from the frame; assoc_bessel
+        # computes them from xi; the profile is the same bits
+        grid = default_grid(p)
+        xi = np.exp(p.kappa * states._grid_axes(grid, p.a0)[0])
+        for q in (QuantumNumbers(0, 1), QuantumNumbers(2, 5), QuantumNumbers(7, 9)):
+            amp = math.sqrt(-p.e * p.B0 / (math.pi * p.hbar * p.c) * (2 * q.l + 1))
+            want = (amp * assoc_bessel(q.l, q.n, p.beta, xi)) * (-1.0 if q.n % 2 else 1.0)
+            got = wavefunction(q, p, grid).modes[:, 0]
+            assert np.array_equal(got.real.view(np.uint64), want.view(np.uint64)) and not np.any(got.imag)
 
     def test_builds_are_those_of_directly_computed_arrays(self, p, monkeypatch):
         # each build twice through the caches, and once from axes and a
@@ -355,7 +381,8 @@ class TestFrame:
 
         def frame(grid, p):
             x = np.linspace(grid.x_min, grid.x_max, grid.nx)
-            return np.exp(p.kappa * x), measure_weight(x, p)
+            xi = np.exp(p.kappa * x)
+            return states._Frame(measure_weight(x, p), p.beta / xi, np.log(xi), None)
 
         for module in (states, coherent):
             monkeypatch.setattr(module, "_grid_axes", axes)

@@ -117,14 +117,16 @@ class TestSpecfunChecks:
 
 class TestPinnedReports:
     # sha256 of the reports at one worker thread as the scalar-call checks
-    # and the per-call grid axes and weights wrote them
+    # and the per-call grid axes and weights wrote them; uncertainty's as
+    # the einsum dots of the moments write it, the same bits at every BLAS
+    # thread count
     PINNED = {
         ("verify", "--suite", "specfun"):
             "d20082bcb7dcba9ddef059b90be5c612989d9585cfab108dfd97ed521ff4eb39",
         ("verify", "--suite", "states"):
             "947bc223145e1616921f11f5048292db172345f590198fae1b645d2596240a22",
         ("uncertainty", "--l-max", "3"):
-            "e87f34f4990219d2b5f74954df593a847011493d9b564d2f2b0bc2e9f064a369",
+            "a1f691f804f1144a0677234d2fbff75e7617f7bda6411876d5e47dbf13fc3fcc",
     }
 
     @pytest.mark.parametrize("argv", sorted(PINNED))
@@ -133,6 +135,23 @@ class TestPinnedReports:
         assert main(list(argv)) == 0
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == self.PINNED[argv]
+
+    def test_uncertainty_is_independent_of_the_blas_thread_count(self):
+        # a BLAS dot splits a long sum across its threads; the moments must not
+        src = os.path.dirname(os.path.dirname(morseband.__file__))
+        outs = []
+        for threads in ("1", "2"):
+            env = {
+                **os.environ,
+                "PYTHONPATH": src,
+                "OPENBLAS_NUM_THREADS": threads,
+                "OMP_NUM_THREADS": threads,
+            }
+            argv = [sys.executable, "-m", "morseband", "uncertainty", "--l-max", "3"]
+            run = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            outs.append(run.stdout)
+        assert outs[0] == outs[1]
 
 
 class TestTables:
