@@ -334,7 +334,7 @@ def _cmd_coherent(args: argparse.Namespace, cfg: RunConfig) -> int:
     s = _closed_field(spec, cfg.params, dataclasses.replace(grid, ny=8))
     density = _printed_density(s.values[:, 0])
     r = np.arange(1, 101) / 10.0
-    measure = np.array([bg_measure_density(args.l, v) for v in r.tolist()])
+    measure = bg_measure_density(args.l, r)
     _table_output(
         cfg,
         "coherent",

@@ -46,7 +46,7 @@ from morseband import (
     weighted_norm,
 )
 from morseband import states
-from morseband.coherent import _closed_rows
+from morseband.coherent import _MILLER_START_MAX, _closed_rows, _row_plan
 from morseband.quadrature import _row_weights
 
 import mpmath
@@ -347,26 +347,82 @@ class TestSeriesRows:
     @pytest.mark.parametrize("ny", [128, 8])
     @pytest.mark.parametrize("l, Z", [(0, 0.7 + 0.3j), (1, -8.414789 + 0.184726j), (3, 40.0)])
     def test_rows_do_not_depend_on_the_block(self, p, ny, l, Z):
-        # the default coherent grid, and the coherent command's ny = 8
+        # the default coherent grid, and the coherent command's ny = 8;
+        # blocks straddle each change of rule: jve to the recurrence, the
+        # recurrence to the series, and each change of start index or of
+        # series term count
         grid = dataclasses.replace(default_coherent_grid(p), ny=ny)
         rows = _closed_rows(CoherentSpec(l, Z), p, grid)
         whole = rows(0, grid.nx)
         split = _series_rows(p, grid, Z)[0]
         assert 0 < split < grid.nx - 300
-        for a, b in [(split - 1, split + 1), (split - 5, split + 300), (0, split + 2), (split - 2, grid.nx)]:
+        plan = _plan(p, grid, l, Z)
+        edges = 1 + np.flatnonzero(plan[1:] != plan[:-1])
+        assert split in edges and (plan[0] == 0) == (abs(Z) > 5.0)
+        blocks = [(0, split + 2), (split - 2, grid.nx)]
+        for e in edges.tolist():
+            blocks += [(e - 1, e + 1), (max(0, e - 5), e + 300)]
+        for a, b in blocks:
             assert np.array_equal(rows(a, b).view(np.uint64), whole[a:b].view(np.uint64)), (a, b)
+
+
+def _plan(p, grid, l, Z) -> np.ndarray:
+    """Each row's rule in the closed form: K > 0 series terms, -N for the
+    recurrence started at N, 0 for jve."""
+    x = np.linspace(grid.x_min, grid.x_max, grid.nx)
+    return _row_plan(2 * l + 1, math.log(p.beta * abs(Z)) - p.kappa * x)
+
+
+class TestRecurrenceRows:
+    @pytest.mark.parametrize("l, Z", [(l, Z) for l in _SERIES_L[:4] for Z in _SERIES_Z[1:]])
+    def test_cells_against_mpmath(self, p, l, Z):
+        # Eight rows across the band of rows with 1 < |t| that take J_a from
+        # Miller's recurrence, and six samples that are normal doubles in
+        # each, spread over y, so over arg w, where the normaliser's sign
+        # matters. Measured at most 1.3e-13 over these cases, at
+        # |Z| = 350, as scipy's jve gives on the same cells; the bound is
+        # 5e-13 times 1 + |2s J_a'/J_a|, the Bessel argument's condition,
+        # which grows near the zeros of J_a.
+        grid = default_coherent_grid(p)
+        band = np.flatnonzero(_plan(p, grid, l, Z) < 0)
+        assert band.size >= 400 and np.all(np.diff(band) == 1)
+        values = _closed_rows(CoherentSpec(l, Z), p, grid)(band[0], band[-1] + 1)
+        normal = np.abs(values) >= np.finfo(float).tiny
+        rows = np.flatnonzero(np.any(normal, axis=1))
+        assert rows.size == band.size
+        x, y = states._grid_axes(grid, p.a0)
+        with mpmath.workdps(40):
+            for r in rows[np.linspace(0, rows.size - 1, 8).astype(int)]:
+                columns = np.flatnonzero(normal[r])
+                for j in columns[np.linspace(0, columns.size - 1, 6).astype(int)]:
+                    want, cond = _referee(p, l, Z, x[band[0] + r], y[j])
+                    assert abs(values[r, j] - want) <= 5e-13 * (1.0 + cond) * abs(want), (r, j)
+
+    def test_the_cut_counts_the_order(self, p):
+        # the start index is at least a + 12, rounded up to a multiple of 16:
+        # up to a = 51 (l = 25) rows with 1 < |t| reach the recurrence, from
+        # a = 53 none; at |Z| = 1e-6 every row has |t| <= 1
+        grid = default_coherent_grid(p)
+        for l, Z, band in ((25, 0.7 + 0.3j, True), (26, 0.7 + 0.3j, False), (60, 350.0, False), (0, 1e-6, False)):
+            plan = _plan(p, grid, l, Z)
+            assert np.any(plan < 0) == band, (l, Z)
+            assert np.all(-plan[plan < 0] <= _MILLER_START_MAX)
 
 
 class TestMeasure:
     def test_density_against_mpmath(self):
-        for l in (0, 1, 2):
+        # up to l = 60, where K_121(0.2) alone overflows a double; measured
+        # at most 3.6e-16, each element of an array call as its scalar call
+        radii = np.array([0.1, 0.5, 3.0, 20.0, 300.0])
+        for l in (0, 1, 2, 5, 20, 58, 60):
             nu = 2 * l + 1
-            for r in (0.5, 3.0, 20.0):
+            got = bg_measure_density(l, radii)
+            for r, value in zip(radii.tolist(), got.tolist()):
                 want = float(
                     2.0 / mpmath.pi * mpmath.besseli(nu, 2 * r) * mpmath.besselk(nu, 2 * r) * r
                 )
-                got = bg_measure_density(l, r)
-                assert abs(got - want) <= 1e-12 * want
+                assert abs(value - want) <= 1e-14 * want, (l, r)
+                assert bg_measure_density(l, r) == value
 
     def test_large_radius_plateau(self):
         for l in (0, 1, 2):
@@ -380,6 +436,8 @@ class TestMeasure:
             bg_measure_density(0, 0.0)
         with pytest.raises(DomainError):
             bg_measure_density(-1, 1.0)
+        with pytest.raises(DomainError):
+            bg_measure_density(0, np.array([1.0, 351.0]))
 
 
 class TestIdentityResolution:
