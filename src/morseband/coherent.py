@@ -50,10 +50,13 @@ _OMITTED_COEFF_LIMIT = 1e-14
 # first omitted one, 1/(12! 13!), is below 2^-60, and smaller at larger l.
 _SERIES_TERMS = 12
 # Largest start index of Miller's recurrence for J_a(w) on a row; rows whose
-# start exceeds it take scipy's jve. Measured at 128 cells a row, the
-# recurrence costs about 100 + 3N ns a cell, and jve 250-300 ns in its own
-# power series (|w|^2/4 <= a + 1) and 450-2000 ns beyond. So N <= 64, that
-# is a <= 52 and |w| <= 29.6, takes no row that jve computes much faster.
+# start exceeds it take scipy's jve. N <= 64 holds for a <= 52 and
+# |w| + 8|w|^(1/3) + 10 <= 64, that is |w| <= 29.3. The cut is conservative,
+# not a measured crossover: at 128 cells a row the recurrence costs about
+# 100 + 3N ns a cell, and jve 250-300 ns in its own power series
+# (|w|^2/4 <= a + 1) and 450-2000 ns beyond, so outside jve's series region
+# the recurrence would stay cheaper well past N = 64, up to the N = 270 that
+# the overflow bound below allows.
 _MILLER_START_MAX = 64
 # f_N of the recurrence, with f_(N+1) = 0. On a row |w| > 2, so
 # |f_(n-1)| <= (2n/|w|) |f_n| + |f_(n+1)| bounds every |f_n| by
@@ -61,10 +64,6 @@ _MILLER_START_MAX = 64
 # e^|Im w| f_N / |J_N(w)| is at least f_N (|J_N(w)| <= e^|Im w|): nothing
 # overflows or underflows, and N could grow to 270 before a sum overflowed.
 _MILLER_SEED = 1e-250
-# Orders above nu at which the measure density's backward recurrence for
-# I_(nu+1)/I_nu starts: its error falls like I_n/K_n, by about
-# e^(-192^2/700) = e^-53 at the largest argument 2|Z| = 700.
-_MEASURE_TAIL = 192
 # Largest supported |Z|: at 2|Z| <= 700 the normalization's I_{2l+1}(2|Z|)
 # is still a finite double even unscaled (I_1 overflows near 713).
 _Z_MAX = 350.0
@@ -375,37 +374,26 @@ def _bessel_miller(order: int, w: np.ndarray, start: int) -> tuple[np.ndarray, n
 
 def bg_measure_density(l: int, r):
     """Radial density of the identity-resolving measure, (2/pi)
-    I_nu(2r) K_nu(2r) r with nu = 2l+1; the angular part is flat. ``r``
-    may be a float or a numpy array; the result broadcasts elementwise.
+    I_{2l+1}(2r) K_{2l+1}(2r) r; the angular part is flat. ``r`` may be a
+    float or a numpy array; the result is elementwise, each element the
+    bits of its scalar call.
 
-    With x = 2r, the Wronskian I_nu K_(nu+1) + I_(nu+1) K_nu = 1/x (DLMF
-    10.28.2) gives I_nu K_nu = 1/(P + Q), P = x I_(nu+1)/I_nu and
-    Q = x K_(nu+1)/K_nu, which lie in [0, x] and [2nu, 2nu + x], so
-    nothing overflows at any l. Q runs forward from
-    x K_1/K_0 by Q_n = x^2/Q_(n-1) + 2n, the direction K dominates; P runs
-    backward by P_n = x^2 / (2(n+1) + P_(n+1)) from P = 0 at order
-    nu + ``_MEASURE_TAIL``, the direction I is minimal, a fixed start, so
-    each element reads the same in any array. Measured against mpmath to
-    4e-16 relative at l <= 200, r in [1e-300, 350]. Tends to 1/(2 pi) as
-    r grows. Supported for r from the smallest normal double to 350, the
-    range of |Z| that :class:`CoherentSpec` accepts; any other r raises
-    DomainError.
+    Computed from exponentially scaled Bessel factors, whose e^(+-2r)
+    prefactors cancel exactly. The scaled K_{2l+1}(2r) still grows like
+    (2l)!/2 r^(-2l-1) as r falls, and overflows where the product does
+    not: from l = 58 at r = 0.1, which raises RangeError. Tends to
+    1/(2 pi) as r grows. Supported for 0 < r <= 350, the range of |Z|
+    that :class:`CoherentSpec` accepts; any other r raises DomainError.
     """
     if l < 0:
         raise DomainError(f"l must be >= 0, got {l!r}")
     r_array = np.asarray(r, dtype=float)
-    if not np.all((r_array >= np.finfo(float).tiny) & (r_array <= _Z_MAX)):
-        raise DomainError(f"bg_measure_density requires 0 < r <= {_Z_MAX} with r a normal double, got {r!r}")
-    nu = 2 * l + 1
+    if not np.all((r_array > 0.0) & (r_array <= _Z_MAX)):
+        raise DomainError(f"bg_measure_density requires 0 < r <= {_Z_MAX}, got {r!r}")
+    nu = 2.0 * l + 1.0
     x = 2.0 * r_array
-    x2 = x * x
-    q = x * bessel_k(1, x, scaled=True) / bessel_k(0, x, scaled=True)
-    for n in range(1, nu + 1):
-        q = x2 / q + 2.0 * n
-    p = np.zeros_like(x)
-    for n in range(nu + _MEASURE_TAIL - 1, nu - 1, -1):
-        p = x2 / (2.0 * (n + 1) + p)
-    density = x / (math.pi * (p + q))
+    product = bessel_i(nu, x, scaled=True) * bessel_k(nu, x, scaled=True)
+    density = (2.0 / math.pi) * product * r_array
     return density if density.ndim else float(density)
 
 

@@ -753,14 +753,6 @@ class TestReportCommands:
         assert abs(2.0 * math.pi * measure[-1]["measure_density"] - 1.0) <= 0.05
         assert report["state"]
 
-    @pytest.mark.parametrize("l", [58, 60])
-    def test_coherent_at_large_family_and_eigenvalue(self, tmp_path, l):
-        # the measure column's K_nu(2r) alone overflows at r = 0.1 from l = 58
-        code, blob = run(tmp_path, "--format", "json", "coherent", "--l", str(l), "--z-re", "350")
-        assert code == 0
-        measure = json.loads(blob)["measure"]
-        assert all(0.0 < row["measure_density"] < 1.0 / (2.0 * math.pi) for row in measure)
-
     def test_uncertainty_table_values(self, tmp_path):
         _, blob = run(tmp_path, "--format", "json", "uncertainty", "--l-max", "1")
         rows = json.loads(blob)["rows"]

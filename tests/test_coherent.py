@@ -411,18 +411,27 @@ class TestRecurrenceRows:
 
 class TestMeasure:
     def test_density_against_mpmath(self):
-        # up to l = 60, where K_121(0.2) alone overflows a double; measured
-        # at most 3.6e-16, each element of an array call as its scalar call
+        # up to l = 60; measured at most 1.2e-13, at (58, 0.5). Each element
+        # of an array call is its scalar call. The scaled K_nu(0.2) from
+        # scipy is not a finite double from l = 58, where the product is:
+        # those cells raise RangeError, and so does an array holding one
         radii = np.array([0.1, 0.5, 3.0, 20.0, 300.0])
-        for l in (0, 1, 2, 5, 20, 58, 60):
+        for l in (0, 1, 2, 5, 20, 57, 58, 60):
             nu = 2 * l + 1
-            got = bg_measure_density(l, radii)
-            for r, value in zip(radii.tolist(), got.tolist()):
+            refused = radii == 0.1 if l >= 58 else np.zeros(radii.shape, dtype=bool)
+            if refused.any():
+                with pytest.raises(RangeError):
+                    bg_measure_density(l, radii)
+            got = bg_measure_density(l, radii[~refused])
+            for r, value in zip(radii[~refused].tolist(), got.tolist()):
                 want = float(
                     2.0 / mpmath.pi * mpmath.besseli(nu, 2 * r) * mpmath.besselk(nu, 2 * r) * r
                 )
-                assert abs(value - want) <= 1e-14 * want, (l, r)
+                assert abs(value - want) <= 1e-12 * want, (l, r)
                 assert bg_measure_density(l, r) == value
+            for r in radii[refused].tolist():
+                with pytest.raises(RangeError):
+                    bg_measure_density(l, r)
 
     def test_large_radius_plateau(self):
         for l in (0, 1, 2):
