@@ -21,9 +21,10 @@ down or up, times the constant phase e^(-+i kappa y[0]) = -1 of
 y[0] = -a0/2. So L3 keeps a state's indices, L+ lowers each by one and
 L- raises it by one (an eigenstate's one column stays one column), the
 x-stencils of ``quadrature`` act on the columns, and no FFT is taken.
-The generators act on one cache-sized block of rows at a time, so an
-image built block by block is bit-identical to one built on the whole
-array. Every residual is ``_relative_defect``, which forms
+L+ and L- each build one image per x-stencil pass, one cache-sized
+block of rows at a time, so an image built block by block is
+bit-identical to one built on the whole array; L3 needs no stencil.
+Every residual is ``_relative_defect``, which forms
 image - coeff reference a block of rows at a time; ``ladder-check``
 measures its raise and lower defects and its Casimir and Hamiltonian
 residuals through it, as the operators applied on their own do.
@@ -116,8 +117,8 @@ def _l3(v, fr: _Frame) -> _Modes:
     return _Modes(fr.three * (v.modes * fr.dy[v.k]), v.k)
 
 
-# DFT index step of each generator's image: e^(+i kappa y) in L- raises it
-_STEPS = {"-": 1, "+": -1, "3": 0}
+# DFT index step of each ladder generator's image: e^(+i kappa y) in L- raises it
+_STEPS = {"-": 1, "+": -1}
 
 
 def _shifted(k: np.ndarray, step: int, ny: int) -> tuple[np.ndarray, np.ndarray | slice]:
@@ -128,33 +129,27 @@ def _shifted(k: np.ndarray, step: int, ny: int) -> tuple[np.ndarray, np.ndarray 
     return moved[order], slice(None) if np.array_equal(order, np.arange(k.size)) else order
 
 
-def _images(v, fr: _Frame, names: str) -> list[_Modes]:
-    """Images of the mode columns v under the generators named by the
-    characters of names ("-" for L-, "+" for L+, "3" for L3), in that
-    order. One streamed pass over the row blocks takes dx v and dy v once
-    per block and shares them among the images."""
+def _image(v, fr: _Frame, name: str) -> _Modes:
+    """The image of the mode columns v under L- (name "-") or L+ (name
+    "+"), on their indices moved by the generator's step. One streamed
+    pass over the row blocks takes dx v and dy v once per block."""
+    k, order = _shifted(v.k, _STEPS[name], fr.ny)
     dy_k = fr.dy[v.k]
-    targets = [_shifted(v.k, _STEPS[name], fr.ny) for name in names]
-    outs = [np.empty(v.modes.shape, dtype=complex) for _ in names]
+    out = np.empty(v.modes.shape, dtype=complex)
     for a, b, (dx,) in _x_stencil_blocks(v.modes, fr.h, (1,)):
         rows = v.modes[a:b]
-        dy = rows * dy_k
-        for name, (_, order), out in zip(names, targets, outs):
-            if name == "-":
-                image = fr.step * (dx + 1j * dy)
-            elif name == "+":
-                image = fr.step * (-dx + 1j * dy + fr.field[a:b] * rows)
-            else:
-                image = fr.three * dy
-            out[a:b] = image[:, order]
-    return [_Modes(out, k) for out, (k, _) in zip(outs, targets)]
+        if name == "-":
+            image = fr.step * (dx + 1j * (rows * dy_k))
+        else:
+            image = fr.step * (-dx + 1j * (rows * dy_k) + fr.field[a:b] * rows)
+        out[a:b] = image[:, order]
+    return _Modes(out, k)
 
 
 def _quadratic_images(v, fr: _Frame) -> tuple[_Modes, _Modes]:
     """(L+ L- v, L3 v): the two images both quadratic operators are
     built from, each on the indices of v."""
-    lowered, l3 = _images(v, fr, "-3")
-    return _images(lowered, fr, "+")[0], l3
+    return _image(_image(v, fr, "-"), fr, "+"), _l3(v, fr)
 
 
 def _hamiltonian(v, fr: _Frame, images=None) -> _Modes:
@@ -188,7 +183,7 @@ def apply_Lplus(s: SampledState, p: PhysParams) -> SampledState:
     sqrt((n+l)(n-l-1)) times the level (l, n). Returns the image as an
     unlabeled state on the grid of s, each mode index one lower.
     """
-    image = _images(s, _frame(s, p), "+")[0]
+    image = _image(s, _frame(s, p), "+")
     return dataclasses.replace(s, modes=image.modes, k=image.k, labels=None)
 
 
@@ -199,7 +194,7 @@ def apply_Lminus(s: SampledState, p: PhysParams) -> SampledState:
     Returns the image as an unlabeled state on the grid of s, each mode
     index one higher.
     """
-    image = _images(s, _frame(s, p), "-")[0]
+    image = _image(s, _frame(s, p), "-")
     return dataclasses.replace(s, modes=image.modes, k=image.k, labels=None)
 
 
@@ -323,11 +318,11 @@ def _ladder_table(p: PhysParams, grid: GridSpec, n_max: int) -> list[tuple]:
                     rows[n - 1, l][2] = _relative_defect(raised, s, s, coeff, coeff, m, norm)
                 if n > n_max:
                     break
-                lowered, raised, l3 = _images(s, fr, "-+3")
+                lowered, raised = _image(s, fr, "-"), _image(s, fr, "+")
                 # the bottom state's L- v (coeff 0) is measured against 0 v over ||v||
                 reference, reference_norm = below or (s, norm)
                 lower = _relative_defect(lowered, reference, s, coeff, max(coeff, 1.0), m, reference_norm)
-                images = _images(lowered, fr, "+")[0], l3
+                images = _image(lowered, fr, "+"), _l3(s, fr)
                 casimir = _eigen_defect(_casimir(s, fr, images), s, -float(l * (l + 1)), norm)
                 hamiltonian = _eigen_defect(_hamiltonian(s, fr, images), s, energy(s.labels, p), norm)
                 rows[n, l] = [l, n, None, lower, casimir, hamiltonian]
@@ -350,20 +345,19 @@ def commutator_residual(s: SampledState, p: PhysParams, pair: str) -> float:
       symmetry, so this one is genuinely nonzero)
 
     The operators are composed on mode columns; no intermediate state
-    is built, and each array is differentiated once: the images of one
-    array share its derivative blocks.
+    is built.
     """
     fr = _frame(s, p)
     # the defect's mode indices are those of s unless it ends one index down
     reference, scale, margin, k = s, 1.0, _COMPOSED_MARGIN, s.k
     if pair == "ladder":
-        lowered, raised, l3 = _images(s, fr, "-+3")
-        defect = _images(lowered, fr, "+")[0].modes - _images(raised, fr, "-")[0].modes + 2.0 * l3.modes
+        lpm, l3 = _quadratic_images(s, fr)
+        defect = lpm.modes - _image(_image(s, fr, "+"), fr, "-").modes + 2.0 * l3.modes
     elif pair in ("three_plus", "three_minus"):
         name = "+" if pair == "three_plus" else "-"
         sign = -1.0 if pair == "three_plus" else 1.0
-        stepped, l3 = _images(s, fr, name + "3")
-        defect = _l3(stepped, fr).modes - _images(l3, fr, name)[0].modes + sign * stepped.modes
+        stepped = _image(s, fr, name)
+        defect = _l3(stepped, fr).modes - _image(_l3(s, fr), fr, name).modes + sign * stepped.modes
         k = stepped.k
     elif pair == "h_three":
         images = _quadratic_images(s, fr)
@@ -378,9 +372,9 @@ def commutator_residual(s: SampledState, p: PhysParams, pair: str) -> float:
         l = s.labels.l
         scale = energy(s.labels, p) * max(float(l * (l + 1)), 1.0)
     elif pair == "h_plus":
-        lowered, l3, raised = _images(s, fr, "-3+")
-        reference = _hamiltonian(s, fr, (_images(lowered, fr, "+")[0], l3))
-        defect = _hamiltonian(raised, fr).modes - _images(reference, fr, "+")[0].modes
+        raised = _image(s, fr, "+")
+        reference = _hamiltonian(s, fr)
+        defect = _hamiltonian(raised, fr).modes - _image(reference, fr, "+").modes
         margin = 3 * FD_MARGIN
         k = raised.k
     else:

@@ -334,9 +334,9 @@ def _x_stencil_blocks(values: np.ndarray, h: float, orders: tuple[int, ...]):
             body *= 1.0 / divisor
             for i, row in enumerate(head):
                 if a <= i < b:
-                    out[i - a] = np.tensordot(row, window[:5], axes=(0, 0)) / scale
+                    out[i - a] = row @ window[:5] / scale
                 if a <= nx - 1 - i < b:
-                    out[nx - 1 - i - a] = flip * np.tensordot(row[::-1], window[-5:], axes=(0, 0)) / scale
+                    out[nx - 1 - i - a] = flip * (row[::-1] @ window[-5:]) / scale
         yield a, b, [outs[order][: b - a] for order in orders]
 
 

@@ -11,14 +11,13 @@ A sampled state is stored as its y-Fourier modes: one x-column per DFT
 index along y. The plane wave e^(-i n kappa y) of the level (l, n) is the
 single index -n mod ny, so an eigenstate is one column, and a coherent
 state's series is its coefficient-times-profile columns. A field known
-only on the grid (the closed coherent form, both Landau gauges) is
-evaluated a block of rows at a time and transformed into one
-preallocated array of all ny columns. Dense samples are synthesised by
-one inverse FFT where they are read, except for a field known only on
-the grid, whose dense samples are its own evaluation again. The
-symmetric-gauge Landau level also has an exact separated form, 2n+l+1
-products of Hermite-Gauss factors in x and in y, from which the
-flat-field moments are taken.
+only by its samples (the closed coherent form, both Landau gauges, the
+samples of ``SampledState.from_samples``) is evaluated and transformed a
+block of rows at a time into one array of all ny columns, and its dense
+samples are that evaluation again; any other state's are synthesised by
+one inverse FFT where they are read. The symmetric-gauge Landau level
+also has an exact separated form, 2n+l+1 products of Hermite-Gauss
+factors in x and in y, from which the flat-field moments are taken.
 
 A grid's axes, and the frame of a grid and parameters (the measure
 weight, the profile's argument u = beta/xi and ln xi, and whether the
@@ -72,8 +71,8 @@ class SampledState:
     aliasing follows the DFT index. Only the columns a state needs are
     kept: one for an eigenstate, all ny for a field transformed from
     samples (:meth:`from_samples`) or known only on the grid. ``values``
-    synthesises the dense samples by one inverse FFT, or evaluates such a
-    field again.
+    synthesises the dense samples by one inverse FFT, or, for a state
+    transformed from a field, evaluates that field again.
 
     ``x`` and ``y`` are the grid's axes, with y[0] = -y_period/2.
     ``weight[i]`` samples the measure along x (mathematically positive
@@ -91,8 +90,8 @@ class SampledState:
     labels: QuantumNumbers | None = None
     x: np.ndarray = field(init=False, repr=False)
     y: np.ndarray = field(init=False, repr=False)
-    # the field known only on the grid that this state was transformed
-    # from; a state derived through ``replace`` has none
+    # the field known only on the grid (or the samples) that this state was
+    # transformed from; a state derived through ``replace`` has none
     _source: "_Field | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -130,22 +129,23 @@ class SampledState:
     @classmethod
     def from_samples(cls, grid: GridSpec, values, weight: np.ndarray, y_period: float) -> "SampledState":
         """The state whose dense samples on the grid are ``values`` (nx by
-        ny), transformed to all ny mode columns. Non-finite samples raise
-        RangeError."""
-        values = np.asarray(values)
+        ny), transformed to all ny mode columns; its ``values`` are a frozen
+        copy of them. Non-finite samples raise RangeError."""
+        values = np.array(values)
         if values.shape != (grid.nx, grid.ny):
             raise DomainError(f"values shape {values.shape} does not match grid {(grid.nx, grid.ny)}")
-        return _transformed(grid, lambda a, b: values[a:b], weight, y_period)
+        values.setflags(write=False)
+        return _Field(grid, lambda a, b: values[a:b], weight, y_period).state()
 
     @property
     def values(self) -> np.ndarray:
         """The dense samples ``values[i, j]`` at ``(x[i], y[j])``, read-only.
-        A state transformed from a field known only on the grid (the closed
-        coherent form, both Landau gauges) evaluates that field again, so
-        each sample is the field's own. Any other state's are synthesised
-        by one inverse FFT along y, each exact to rounding of the largest
-        sample of its row; one that overflows is not finite. Each read
-        computes them anew."""
+        A state transformed from samples (:meth:`from_samples`, the closed
+        coherent form, both Landau gauges) reads those samples again, so
+        each is the field's own. Any other state's are synthesised by one
+        inverse FFT along y, each exact to rounding of the largest sample
+        of its row; one that overflows is not finite. Each read computes
+        them anew."""
         if self._source is not None:
             out = self._source.values
             out.setflags(write=False)
@@ -171,26 +171,14 @@ def _amplitude_overflow() -> RangeError:
     return RangeError("state amplitudes overflow on this grid; shrink the window on the growing side")
 
 
-def _transformed(grid: GridSpec, rows, weight: np.ndarray, y_period: float) -> SampledState:
-    """The state whose samples rows(a, b) gives a block of rows at a time.
-    Each block's y-FFT fills its rows of one preallocated array of all ny
-    mode columns, so no second state-sized array exists. A sample that is
-    not finite, or a mode that overflows, raises RangeError."""
-    modes = np.empty((grid.nx, grid.ny), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a, b in _row_blocks(grid.nx, 2 * grid.ny):
-            modes[a:b] = np.fft.fft(rows(a, b), axis=1, norm="forward")
-    return SampledState(grid=grid, modes=modes, k=np.arange(grid.ny), weight=weight, y_period=y_period)
-
-
 @dataclass(frozen=True, eq=False)
 class _Field:
     """A complex field known only through its samples on a grid, rows(a, b)
-    giving rows a..b-1, with its measure weight: the closed coherent form
-    and both Landau gauges before their transform. It reads like a
-    SampledState where samples are printed or compared (``grid``, ``x``,
-    ``y``, ``weight``, ``values``) without paying the transform, and
-    ``state`` transforms it."""
+    giving rows a..b-1, with its measure weight: the closed coherent form,
+    both Landau gauges and ``SampledState.from_samples``'s samples before
+    their transform. It reads like a SampledState where samples are printed
+    or compared (``grid``, ``x``, ``y``, ``weight``, ``values``) without
+    paying the transform, and ``state`` transforms it."""
 
     grid: GridSpec
     rows: Callable[[int, int], np.ndarray]
@@ -219,9 +207,15 @@ class _Field:
         return values
 
     def state(self) -> SampledState:
-        """The field transformed to its ny mode columns; the state's
-        ``values`` are this field's own samples."""
-        s = _transformed(self.grid, self.rows, self.weight, self.y_period)
+        """The field transformed to its ny mode columns, each block of rows'
+        y-FFT filling its rows of one array; the state's ``values`` are this
+        field's own samples. A sample or mode that is not finite raises
+        RangeError."""
+        modes = np.empty((self.grid.nx, self.grid.ny), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, b in _row_blocks(self.grid.nx, 2 * self.grid.ny):
+                modes[a:b] = np.fft.fft(self.rows(a, b), axis=1, norm="forward")
+        s = SampledState(self.grid, modes, np.arange(self.grid.ny), self.weight, self.y_period)
         object.__setattr__(s, "_source", self)
         return s
 
@@ -473,6 +467,8 @@ class LandauParams:
     k_y: float = 0.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.k_y):
+            raise DomainError(f"k_y must be finite, got {self.k_y!r}")
         if self.gauge == "asymmetric":
             if self.N is None or self.N < 0:
                 raise DomainError(f"asymmetric gauge needs N >= 0, got {self.N!r}")
@@ -530,9 +526,16 @@ def landau_box(lp: LandauParams, p: PhysParams, nx: int, ny: int) -> tuple[PhysP
     with a0 = 24 r_c, so the periodic length is 24 cyclotron radii, and
     an nx by ny window of +-12 r_c along x, centred on the guiding
     centre in the asymmetric gauge and on the origin in the symmetric
-    one. The Gaussian envelope is below 1e-15 at its edges."""
+    one. The Gaussian envelope is below 1e-15 at its edges. A k_y whose
+    guiding centre is so far out that the box's nx x samples are not
+    distinct doubles raises DomainError."""
     r_c = lp.cyclotron_radius(p)
     centre = lp.guiding_centre(p) if lp.gauge == "asymmetric" else 0.0
+    if not 24.0 * r_c > (nx - 1) * math.ulp(abs(centre) + 12.0 * r_c):
+        raise DomainError(
+            f"k_y = {lp.k_y!r} puts the guiding centre at {centre!r}, too far out for {nx} distinct x "
+            "samples in +-12 r_c"
+        )
     grid = GridSpec(centre - 12.0 * r_c, centre + 12.0 * r_c, nx, ny)
     return replace(p, a0=24.0 * r_c), grid
 

@@ -177,8 +177,8 @@ def _laguerre_orthogonality():
             [math.exp(ln_gamma(m + alpha + 1.0) - ln_gamma(m + 1.0)) for m in range(11)]
         )
         deviation = np.abs(gram - np.diag(norms)) / np.sqrt(np.outer(norms, norms))
-        idx = np.unravel_index(int(np.argmax(deviation)), deviation.shape)
-        yield float(deviation[idx]), f"alpha={alpha:g}, m={idx[0]}, m'={idx[1]}"
+        for (m, m_prime), resid in np.ndenumerate(deviation):
+            yield float(resid), f"alpha={alpha:g}, m={m}, m'={m_prime}"
 
 
 # ----------------------------------------------------------------- states

@@ -208,6 +208,18 @@ class TestExitCodes:
             code, blob = run(tmp_path, *argv, "--l", "3", "--z-re", "1e-50")
             assert code == 2 and blob == b""
 
+    @pytest.mark.parametrize("ky", ["nan", "inf", "1e200", "-1e15"])
+    def test_a_ky_with_no_box_is_two_and_named(self, tmp_path, capsys, ky):
+        # the message names k_y, not the window its guiding centre would give
+        argv = ["export", "--kind", "landau-asym", "--ky", ky]
+        code, blob = run(tmp_path, *argv)
+        assert code == 2 and blob == b""
+        assert not (tmp_path / "out.txt").exists()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "k_y" in captured.err and "x_min" not in captured.err
+
     def test_n_max_beyond_scan_range_is_two(self, tmp_path):
         # at n = 1582 the largest product 4n^2 - 1 passes 1e7; the scan
         # is refused before it starts, so this returns at once

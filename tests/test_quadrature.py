@@ -391,3 +391,15 @@ class TestContainers:
         for k in ([0, 0], [1, 0], [-1, 2], [7, 8], [0.0, 1.0], [0, 1, 2]):
             with pytest.raises(DomainError):
                 SampledState(grid=grid, modes=modes[:, :2], k=np.array(k), weight=np.ones(16), y_period=1.0)
+
+    def test_from_samples_values_are_its_own_samples(self):
+        # the state keeps a frozen copy of the samples and prints those, not
+        # the inverse FFT of its modes; a later write by the caller is not seen
+        rng = np.random.default_rng(7)
+        samples = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
+        kept = samples.copy()
+        s = SampledState.from_samples(GridSpec(0.0, 1.0, 16, 8), samples, np.ones(16), 1.0)
+        samples[3, 5] = 7.0
+        assert np.array_equal(s.values.view(np.uint64), kept.view(np.uint64))
+        assert not s.values.flags.writeable
+        assert np.array_equal(s.modes, np.fft.fft(kept, axis=1, norm="forward"))

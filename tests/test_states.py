@@ -305,6 +305,21 @@ class TestLandauStates:
         with pytest.raises(DomainError):
             lp.guiding_centre(PhysParams.natural())
 
+    @pytest.mark.parametrize("k_y", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_ky_is_refused(self, k_y):
+        for labels in ({"gauge": "asymmetric", "N": 0}, {"gauge": "symmetric", "n": 0, "l": 0}):
+            with pytest.raises(DomainError, match="k_y"):
+                LandauParams(**labels, k_y=k_y)
+
+    def test_a_guiding_centre_with_no_distinct_samples_is_refused(self, p):
+        # r_c = 1 here: at x0 = 1e15 the doubles are 0.125 apart, wider than
+        # the step 0.023 of 1024 samples over 24; at 1e13 they are 0.002 apart
+        for k_y in (1e200, -1e200, 1e15):
+            with pytest.raises(DomainError, match="k_y"):
+                landau_box(LandauParams(gauge="asymmetric", N=0, k_y=k_y), p, 1024, 8)
+        _, grid = landau_box(LandauParams(gauge="asymmetric", N=0, k_y=1e13), p, 1024, 8)
+        assert np.all(np.diff(np.linspace(grid.x_min, grid.x_max, grid.nx)) > 0.0)
+
     def test_gauge_mismatch_raises(self, p):
         grid = GridSpec(-1.0, 1.0, 16, 8)
         with pytest.raises(DomainError):

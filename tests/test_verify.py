@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import morseband
@@ -103,6 +104,28 @@ class TestSpecfunChecks:
         assert result.passed is False
         assert result.measured > 1e-3
 
+    @pytest.mark.parametrize("shift", [0.0, 1.0])
+    def test_laguerre_cases_are_every_gram_entry_in_order(self, monkeypatch, shift):
+        # one case per (alpha, m, m'), row by row, so the reducer's first
+        # maximum is numpy's argmax over the stacked deviations; a shifted
+        # alpha moves the worst entry off the diagonal
+        laguerre = verify.laguerre
+        monkeypatch.setattr(verify, "laguerre", lambda m, alpha, x: laguerre(m, alpha + shift, x))
+        cases = list(verify._laguerre_orthogonality())
+        alphas, degrees = (1.0, 3.0, 7.0), range(11)
+        wheres = [f"alpha={a:g}, m={m}, m'={mp}" for a in alphas for m in degrees for mp in degrees]
+        assert [where for _, where in cases] == wheres
+        nodes, weights = np.polynomial.laguerre.laggauss(24)
+        deviations = []
+        for alpha in alphas:
+            table = np.stack([laguerre(m, alpha + shift, nodes) for m in degrees])
+            gram = (table * (weights * nodes**alpha)) @ table.T
+            norms = np.array([math.exp(verify.ln_gamma(m + alpha + 1.0) - verify.ln_gamma(m + 1.0)) for m in degrees])
+            deviations.append(np.abs(gram - np.diag(norms)) / np.sqrt(np.outer(norms, norms)))
+        worst = int(np.argmax(np.stack(deviations)))
+        assert verify._worst_case(cases)[1] == wheres[worst]
+        assert (shift == 0.0) == (worst // 11 % 11 == worst % 11)
+
     def test_specfun_suite_does_not_import_scipy_linalg(self):
         src = os.path.dirname(os.path.dirname(morseband.__file__))
         code = (
@@ -119,12 +142,15 @@ class TestPinnedReports:
     # sha256 of the reports at one worker thread as the scalar-call checks
     # and the per-call grid axes and weights wrote them; uncertainty's as
     # the einsum dots of the moments write it, the same bits at every BLAS
-    # thread count
+    # thread count; algebra's fixes the bits of the commutator residuals,
+    # which no other test does
     PINNED = {
         ("verify", "--suite", "specfun"):
             "d20082bcb7dcba9ddef059b90be5c612989d9585cfab108dfd97ed521ff4eb39",
         ("verify", "--suite", "states"):
             "947bc223145e1616921f11f5048292db172345f590198fae1b645d2596240a22",
+        ("verify", "--suite", "algebra"):
+            "d3291867e94054da3943849d47196795deb07624611aab58330471602bae14e4",
         ("uncertainty", "--l-max", "3"):
             "a1f691f804f1144a0677234d2fbff75e7617f7bda6411876d5e47dbf13fc3fcc",
     }
