@@ -23,6 +23,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import re
 import sys
 from collections.abc import Iterable, Iterator
@@ -435,32 +436,40 @@ _E_MIN, _E_MAX = -324, 308
 _FIELD = 24  # the widest finite text of format(v, ".16e"): "-d.dddddddddddddddde-ddd"
 _TIE_MARGIN = 2.0**-32
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for 53-bit doubles
-_BLOCK_LINES = 2048
+_BLOCK_LINES = 4096
 
 
 @functools.cache
-def _pow10_table() -> np.ndarray:
+def _pow10_table() -> tuple[np.ndarray, np.ndarray]:
     """10^(16-E) = (hi + lo) 2^exp for E in [_E_MIN, _E_MAX], hi in [1, 2):
     one row per E of hi, its Veltkamp halves (26 bits each) for the exact
-    product in ``_scaled_digits``, lo, and exp + 1023.
+    product in ``_scaled_digits``, and lo; and each exp, as int32.
 
-    Built with Python integers: each true division of two ints is
-    correctly rounded, so hi is 10^(16-E) 2^-exp rounded to a double and
-    lo is the remainder rounded to a double.
+    10^(16-E) is 5^k 2^k for k = 16 - E, and Python's int-to-float
+    conversion and int true division are correctly rounded. For k >= 0, hi
+    is 5^k rounded to a double and lo the remainder rounded to a double.
+    For k < 0, 5^k = 1/q, and with s such that 2^s / q lies in (2^52, 2^53)
+    hi is 2^s / q rounded to a double, an integer, and lo is (2^s - hi q) / q
+    rounded to a double. Both are then scaled by one power of two.
     """
-    rows = []
-    for E in range(_E_MIN, _E_MAX + 1):
-        num, den = (10 ** (16 - E), 1) if E <= 16 else (1, 10 ** (E - 16))
-        shift = den.bit_length() - num.bit_length()
-        if num << max(shift, 0) < den << max(-shift, 0):
-            shift += 1
-        num, den = (num << shift, den) if shift >= 0 else (num, den << -shift)
-        hi = num / den
-        big = hi * _SPLIT
-        top = big - (big - hi)
-        lo = (num * 2**52 - int(hi * 2**52) * den) / (den * 2**52)
-        rows.append((hi, top, hi - top, lo, 1023.0 - shift))
-    return np.array(rows)
+    fives = list(itertools.accumulate(itertools.repeat(5, 16 - _E_MIN), operator.mul, initial=1))
+    whole = fives[::-1]  # 5^k for k = 16 - _E_MIN ... 0
+    hi = list(map(float, whole))
+    lo = list(map(float, map(operator.sub, whole, map(int, hi))))
+    qs = fives[1 : _E_MAX - 15]  # q = 1 / 5^k for k = -1 ... 16 - _E_MAX
+    s = [q.bit_length() + 52 for q in qs]
+    tops = [1 << t for t in s]
+    near = list(map(operator.truediv, tops, qs))
+    hi += near
+    lo += map(operator.truediv, map(operator.sub, tops, map(operator.mul, map(int, near), qs)), qs)
+    _, shift = np.frexp(hi)
+    shift -= 1
+    hi, lo = np.ldexp(hi, -shift), np.ldexp(lo, -shift)
+    big = hi * _SPLIT
+    top = big - (big - hi)
+    shift[len(whole) :] -= s
+    exp = 16 - np.arange(_E_MIN, _E_MAX + 1, dtype=np.int32) + shift
+    return np.stack((hi, top, hi - top, lo), axis=1), exp
 
 
 @functools.cache
@@ -469,28 +478,31 @@ def _digit_texts() -> tuple[np.ndarray, ...]:
     each, built from bytes so that they hold on either byte order: the
     lead digit and point, with no sign byte, a blank one and "-", as
     uint32 (the digits overwrite what follows the point); every 4-digit
-    group "0000" to "9999" in the first and in the second half of a
-    uint64; and "e-324" to "e+308", one per exponent, as the uint32 of a
-    two-digit exponent and as the last five bytes of a uint64
+    group "0000" to "9999" as uint32, and in the first and in the second
+    half of a uint64; and "e-324" to "e+308", one per exponent, as the
+    uint32 of a two-digit exponent and as the last five bytes of a uint64
     (zero-padded) whose first three bytes the digits overwrite."""
     heads = (b"%s%d." % (sign, d) for sign in (b"", b"\0", b"-") for d in range(10))
     heads = np.frombuffer(b"".join(h.ljust(4, b"\0") for h in heads), np.uint32)
-    quads = (np.arange(10**4)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
-    pad = np.zeros_like(quads)
-    firsts = np.hstack([quads, pad]).view(np.uint64)[:, 0]
-    seconds = np.hstack([pad, quads]).view(np.uint64)[:, 0]
-    for words in (firsts, seconds):
+    ten = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    quads = np.stack(np.broadcast_arrays(*np.ix_(ten, ten, ten, ten)), axis=-1).view(np.uint32).ravel()
+    halves = np.zeros((2, 10**4, 2), np.uint32)
+    halves[0, :, 0] = halves[1, :, 1] = quads
+    firsts, seconds = halves.view(np.uint64)[..., 0]
+    for words in (quads, firsts, seconds):
         words.setflags(write=False)
     tails = [b"e%+03d" % E for E in range(_E_MIN, _E_MAX + 1)]
     short = np.frombuffer(b"".join(t[:4] for t in tails), np.uint32)
     long = np.frombuffer(b"".join(b"\0\0\0" + t.ljust(5, b"\0") for t in tails), np.uint64)
-    return heads, firsts, seconds, short, long
+    return heads, quads, firsts, seconds, short, long
 
 
-def _scaled_digits(m: np.ndarray, e: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _scaled_digits(m: np.ndarray, e: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """floor(D) and D - floor(D) for D = m 2^e 10^(16-E), m in [1/2, 1),
-    given the rows of ``_pow10_table`` for E."""
-    hi, top, bot, lo, bias = rows.T
+    from the rows of ``_pow10_table`` for E (int32, clipped to the table)."""
+    table, exps = _pow10_table()
+    at = E - _E_MIN
+    hi, top, bot, lo = np.take(table, at, axis=0, mode="clip").T
     prod = m * hi
     big = m * _SPLIT
     m_top = big - (big - m)
@@ -502,8 +514,8 @@ def _scaled_digits(m: np.ndarray, e: np.ndarray, rows: np.ndarray) -> tuple[np.n
     tail += m_bot * top
     tail += m_bot * bot
     tail += m * lo
-    # 2^(e+exp) from its exponent bits; D < 2^57 keeps it a normal double
-    scale = ((e + bias).astype(np.int64) << 52).view(np.float64)
+    # times 2^(e+exp), a normal double as D < 2^57: exact
+    scale = np.ldexp(1.0, e + np.take(exps, at, mode="clip"))
     prod *= scale
     tail *= scale
     whole = np.floor(prod)
@@ -550,16 +562,14 @@ class _E17:
         nonzero = finite & (a > 0.0)
         a[~nonzero] = 1.0
         m, e = np.frexp(a)
-        E = np.floor(np.log10(a)).astype(np.int64)
-        table = _pow10_table()
-        whole, frac = _scaled_digits(m, e, np.take(table, E - _E_MIN, axis=0, mode="clip"))
+        E = np.floor(np.log10(a)).astype(np.int32)
+        whole, frac = _scaled_digits(m, e, E)
         digits = whole + (frac > 0.5)
         unproven = (whole < 10**16) | (digits > 10**17)
         off = np.flatnonzero(unproven)
         if off.size:
             E[off] += np.where(whole[off] < 10**16, -1, 1)
-            rows = np.take(table, E[off] - _E_MIN, axis=0, mode="clip")
-            whole[off], frac[off] = _scaled_digits(m[off], e[off], rows)
+            whole[off], frac[off] = _scaled_digits(m[off], e[off], E[off])
             digits[off] = whole[off] + (frac[off] > 0.5)
             unproven[off] = (whole[off] < 10**16) | (digits[off] > 10**17)
         frac -= 0.5
@@ -584,16 +594,19 @@ class _E17:
         self.wide = bool(wide or any(len(t) - t.startswith(b"-") > 22 for t in self.texts))
         self.width = 22 + self.signed + self.wide
         self.exponent = E - _E_MIN
-        lead = digits // 10**16
-        digits -= lead * 10**16
+        # the lead digit, then the 16 digits after it as two 8-digit and
+        # four 4-digit groups in int32
+        upper = digits // 10**8
+        groups = np.empty((flat.size, 2), np.int32)
+        groups[:, 1] = digits - upper * 10**8
+        upper = upper.astype(np.int32)
+        lead = upper // 10**8
+        groups[:, 0] = upper - lead * 10**8
         # heads[head] is the lead digit and point, heads[head + 10] the same after a sign byte
         self.head = lead + 10 * negative
-        groups = np.empty((flat.size, 2), np.int64)
-        groups[:, 0] = digits // 10**8
-        groups[:, 1] = digits - groups[:, 0] * 10**8
         top = groups // 10**4
         groups -= top * 10**4
-        _, firsts, seconds, _, _ = _digit_texts()
+        _, _, firsts, seconds, _, _ = _digit_texts()
         self.words = np.take(firsts, top)
         self.words |= np.take(seconds, groups)
 
@@ -605,7 +618,7 @@ class _E17:
         are zero."""
         if out is None:
             out = np.empty(self.shape + (self.width,), np.uint8)
-        heads, _, _, short, long = _digit_texts()
+        heads, _, _, _, short, long = _digit_texts()
         shape, s = self.shape, int(self.signed)
 
         def store(at: int, words: np.ndarray) -> None:
@@ -630,10 +643,15 @@ def _int_fields(v: np.ndarray) -> np.ndarray:
     """The decimal text of every non-negative integer of a 1-d array, one
     uint8 row each, right-aligned in the width of the largest; the leading
     zero digits are zero bytes."""
-    powers = 10 ** np.arange(len(str(int(v.max(initial=0)))) - 1, -1, -1, dtype=v.dtype)
-    v = v[:, None]
-    digits = (v // powers % 10 + ord("0")).astype(np.uint8)
-    digits[(v < powers) & (powers > 1)] = 0
+    width = len(str(int(v.max(initial=0))))
+    groups = np.empty((v.size, -(-width // 4)), v.dtype)  # 4-digit groups, the last one lowest
+    rest = v
+    for j in range(groups.shape[1] - 1, 0, -1):
+        rest, groups[:, j] = np.divmod(rest, 10**4)
+    groups[:, 0] = rest
+    digits = np.take(_digit_texts()[1], groups).view(np.uint8)[:, 4 * groups.shape[1] - width :]
+    powers = 10 ** np.arange(width - 1, 0, -1, dtype=v.dtype)
+    digits[:, :-1][v[:, None] < powers] = 0
     return digits
 
 
@@ -643,7 +661,9 @@ def _text(slots: np.ndarray) -> str:
     ``bytes.replace`` costs about 20 ns per pad byte and ``bytes.translate``
     about 1.2 ns per byte, so the first is taken where at most one byte in
     16 of the matrix's first 4 KiB is a pad (the narrow fields of ``_E17``
-    leave few), the second where pads are denser (the blank class heads of
+    leave few: 2.5 in a line of about 140 bytes on the default coherent
+    export, each the sign byte of a cell or y that is not negative), the
+    second where pads are denser (the blank class heads of
     ``_class_blocks``).
     """
     sample = slots.reshape(-1)[:4096]
@@ -771,6 +791,13 @@ def _class_blocks(table: DegeneracyTable, form: str) -> Iterator[str]:
         yield _text(np.hstack((leads, levels, endings[is_last[a:b]])))
 
 
+def _trimmed(fields: np.ndarray) -> np.ndarray:
+    """Rows of ``_E17`` fields less their first and their last column
+    where that column is pad on every row: the sign column where no value
+    is negative, the third exponent digit where no exponent needs one."""
+    return fields[:, (not fields[:, 0].any()) : fields.shape[1] - (not fields[:, -1].any())]
+
+
 def _export_rows(
     values: np.ndarray, density: np.ndarray, x: np.ndarray, y: np.ndarray, weight: np.ndarray
 ) -> Iterator[str]:
@@ -779,13 +806,15 @@ def _export_rows(
 
     Every number reads as ``format(v, ".16e")`` would write it, byte for
     byte (see ``_E17``). A block is a byte matrix with one line per (x, y)
-    cell. The x, y and weight fields are formatted once per export. The
-    cells' amplitudes and density are written in place, in the narrowest
-    fields that hold the block's texts, so that few pad bytes are left for
-    ``_text`` to delete. A block holds about ``_BLOCK_LINES`` lines, so its
-    temporaries stay small beside the text already written. One buffer
-    serves every block, and its separators and y fields are written again
-    only when the cells' field width changes.
+    cell. The x, y and weight fields are formatted once per export, and a
+    block takes its own rows' x and weight fields less the columns that are
+    pad on all of them (``_trimmed``). The cells' amplitudes and density
+    are written in place, in the narrowest fields that hold the block's
+    texts, so that few pad bytes are left for ``_text`` to delete. A block
+    holds about ``_BLOCK_LINES`` lines, so its temporaries stay small
+    beside the text already written. One buffer serves every block, and
+    its separators and y fields are written again only when the x, cell or
+    weight field width changes.
     """
     nx, ny = values.shape
     rows = max(1, min(_BLOCK_LINES // ny, nx))
@@ -796,20 +825,22 @@ def _export_rows(
         n = min(rows, nx - i)
         cells = values[i : i + n]
         cells = _E17(np.stack((cells.real, cells.imag, density[i : i + n]), axis=-1))
+        xs, ws = _trimmed(x[i : i + n]), _trimmed(weight[i : i + n])
         # x "," y, then "," and a cell's field three times, then "," weight "\n"
-        at = x.shape[1] + 1 + y.shape[1]
+        at = xs.shape[1] + 1 + y.shape[1]
         end = at + 3 * (cells.width + 1)
-        lines = buffer[: rows * ny * (end + weight.shape[1] + 2)].reshape(rows, ny, -1)
-        if cells.width != laid:
-            lines[:, :, x.shape[1]] = ord(",")
-            lines[:, :, x.shape[1] + 1 : at] = y
+        lines = buffer[: rows * ny * (end + ws.shape[1] + 2)].reshape(rows, ny, -1)
+        widths = (xs.shape[1], cells.width, ws.shape[1])
+        if widths != laid:
+            lines[:, :, xs.shape[1]] = ord(",")
+            lines[:, :, xs.shape[1] + 1 : at] = y
             lines[:, :, at : end + 1 : cells.width + 1] = ord(",")
             lines[:, :, -1] = ord("\n")
-            laid = cells.width
+            laid = widths
         block = lines[:n]
-        block[:, :, : x.shape[1]] = x[i : i + n, None]
+        block[:, :, : xs.shape[1]] = xs[:, None]
         cells.write(block[:, :, at:end].reshape(n, ny, 3, cells.width + 1)[..., 1:])
-        block[:, :, end + 1 : -1] = weight[i : i + n, None]
+        block[:, :, end + 1 : -1] = ws[:, None]
         yield _text(block)
 
 

@@ -577,8 +577,8 @@ class TestScanTables:
         assert peak <= 65 * 2**20
 
 
-# a window whose nx = 2501 rows fill one block of the table writer and part of a second
-RAGGED_GRID = GridSpec(-2.0, 12.0, 2501, 12)
+# a window whose nx rows fill one block of the table writer and part of a second
+RAGGED_GRID = GridSpec(-2.0, 12.0, cli._BLOCK_LINES + 453, 12)
 TABLE_COMMANDS = (
     "spectrum", "degeneracy", "wavefunction", "ladder-check", "coherent", "uncertainty", "landau-limit"
 )
@@ -1004,6 +1004,44 @@ class TestExport:
             written = "".join(cli._export_rows(values, cli._density(values), x, y, weight))
         assert written == per_cell_rows(values, x, y, weight)
 
+    @pytest.mark.parametrize(
+        "crossing, tall",
+        [("inside", False), ("edge", False), ("edge", True), ("none", False), ("none", True)],
+        ids=["inside", "edge", "edge-ny-above-block", "none", "none-ny-above-block"],
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_block_fields_are_the_referee(self, crossing, tall, data):
+        # each block takes x and weight fields less the sign and third
+        # exponent digit columns that none of its rows needs: x windows that
+        # cross 0 inside a block, on a block edge or not at all, -0.0 among
+        # them, weights with three-digit exponents in some blocks only, and
+        # ny below the block's lines or above them (one x row to a block)
+        block = data.draw(st.integers(2, 12))
+        ny = data.draw(st.integers(block + 1, 2 * block) if tall else st.integers(1, block // 2))
+        rows = max(1, block // ny)
+        blocks = data.draw(st.integers(2, 4))
+        nx = data.draw(st.integers(rows * (blocks - 1) + 1, rows * blocks))
+        if crossing == "none":
+            zero = data.draw(st.sampled_from((0, nx)))
+        elif crossing == "edge":
+            zero = rows * data.draw(st.integers(0, (nx - 1) // rows))
+        else:
+            zero = data.draw(st.integers(1, nx - 1).filter(lambda i: i % rows))
+        step = data.draw(st.floats(1e-3, 1e3))
+        x = (np.arange(nx) - zero) * step
+        if zero < nx and data.draw(st.booleans()):
+            x[zero] = -0.0
+        wide = data.draw(st.lists(st.booleans(), min_size=blocks, max_size=blocks))
+        powers = [data.draw(st.integers(-307, 307) if wide[i // rows] else st.integers(-99, 99)) for i in range(nx)]
+        weight = np.array(data.draw(st.lists(st.floats(1.0, 9.5), min_size=nx, max_size=nx))) * 10.0 ** np.array(powers)
+        y = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=ny, max_size=ny)))
+        parts = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=2 * nx * ny, max_size=2 * nx * ny))
+        values = np.array(parts).view(complex).reshape(nx, ny)
+        with mock.patch.object(cli, "_BLOCK_LINES", block):
+            written = "".join(cli._export_rows(values, cli._density(values), x, y, weight))
+        assert written == per_cell_rows(values, x, y, weight)
+
     def test_export_peak_memory(self, tmp_path):
         # 4096 x 128 cells make a 73 MB file. The state's 8 MiB of
         # amplitudes peak at 16.1 MiB traced while they are built; the
@@ -1080,6 +1118,27 @@ class TestE17Fields:
         texts = cli._E17(v)
         assert texts.write().shape == v.shape + (texts.width,)
         assert _texts(v) == _format_all(v)
+
+    def test_random_bit_patterns(self):
+        # every class of double at its share of the 64-bit patterns, in the
+        # narrowest field: a sign byte as some are negative, a third exponent
+        # digit as some need one
+        v = np.random.default_rng(30).integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False).view(np.float64)
+        texts = cli._E17(v)
+        fields = texts.write()
+        assert texts.width == 24 == fields.shape[1]
+        lines = np.concatenate([fields, np.full((v.size, 1), ord("\n"), np.uint8)], axis=1)
+        assert cli._text(lines) == "".join(f"{t}\n" for t in _format_all(v))
+
+    def test_power_of_ten_table_is_exact(self):
+        # hi is 10^(16-E) 2^-exp rounded to a double in [1, 2), top + bot its
+        # split into halves of at most 26 bits each, and lo the remainder rounded
+        table, exps = cli._pow10_table()
+        for E, (hi, top, bot, lo), exp in zip(range(cli._E_MIN, cli._E_MAX + 1), table.tolist(), exps.tolist()):
+            exact = Fraction(10) ** (16 - E) / Fraction(2) ** exp
+            assert 1.0 <= hi < 2.0 and hi == float(exact)
+            assert lo == float(exact - Fraction(hi))
+            assert top + bot == hi and (Fraction(top) * 2**25).denominator == 1 and abs(bot) <= 2.0**-26
 
     def test_edge_cells(self):
         v = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
